@@ -215,6 +215,9 @@ print_figure()
          << ", \"speedup\": " << gate_speedup << ", \"pass\": "
          << (pass ? "true" : "false") << "}\n"
          << "}\n";
+    // Close before any gate exit: std::exit skips destructors, and an
+    // unflushed record would come out empty exactly when the gate fails.
+    json.close();
     std::cout << "wrote BENCH_plan_latency.json\n";
 
     if (!pass)

@@ -248,6 +248,9 @@ print_figure()
          << ", \"enforced\": " << (enforced ? "true" : "false")
          << ", \"pass\": " << (pass ? "true" : "false") << "}\n"
          << "}\n";
+    // Close before any gate exit: std::exit skips destructors, and an
+    // unflushed record would come out empty exactly when the gate fails.
+    json.close();
     std::cout << "wrote BENCH_serving_load.json\n";
 
     if (!pass) {

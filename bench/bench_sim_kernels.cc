@@ -432,6 +432,9 @@ print_figure()
          << "  \"amplitudes_exact_1e12\": "
          << (deviation <= 1e-12 ? "true" : "false") << "\n"
          << "}\n";
+    // Close before any gate exit: std::exit skips destructors, and an
+    // unflushed record would come out empty exactly when the gate fails.
+    json.close();
     std::cout << "wrote BENCH_sim_kernels.json\n";
 
     // Give the CI smoke job teeth: a fused-vs-naive drift past the 1e-12

@@ -235,7 +235,9 @@ config_fingerprint(const frozenqubits::DriverConfig& config)
     h = mix(h, static_cast<std::uint64_t>(config.num_freeze));
     h = mix(h, static_cast<std::uint64_t>(config.policy));
     h = mix(h, config.symmetry_pruning ? 1 : 0);
-    h = mix(h, config.use_template_editing ? 1 : 0);
+    // Template editing is always on; the constant keeps every snapshot
+    // written while it was a config field restoring.
+    h = mix(h, 1);
     h = mix(h, config.fuse_simulation ? 1 : 0);
     h = mix(h, static_cast<std::uint64_t>(config.backend));
     h = mix(h, static_cast<std::uint64_t>(config.compile.layout));

@@ -84,12 +84,12 @@ ExecutionEngine::evaluate(const ising::IsingModel& model,
     const auto tuned = qaoa::optimize_p1(model, config.p1_grid_resolution);
     qaoa::BuildOptions build;
     build.num_layers = 1;
-    bool was_hit = false;
-    const auto tpl =
-        cache_.get_or_compile(model, dev, config.compile, build, &was_hit);
-    auto stats = stats_from_compile(model, dev, tpl->compiled, tuned,
-                                    &tpl->attenuation, &tpl->eps);
-    if (was_hit)
+    const auto binding =
+        cache_.get_or_bind(model, dev, config.compile, build);
+    const auto& tpl = *binding.family->structural;
+    auto stats = stats_from_compile(model, dev, tpl.compiled, tuned,
+                                    &tpl.attenuation, &tpl.eps);
+    if (binding.tier != TemplateTier::Compile)
         stats.compile_time_ms = 0.0; // served from cache, nothing compiled
     return stats;
 }
@@ -105,26 +105,21 @@ ExecutionEngine::run_task(const ExecutionPlan& plan,
     const auto tuned =
         qaoa::optimize_p1(sub.model, config.p1_grid_resolution);
 
-    if (plan.compiled_template &&
-        frozenqubits::templates_compatible(template_owner(plan).model,
-                                           sub.model)) {
-        // Structure, routing, attenuation, and EPS are the template's for
-        // every sibling; the sibling's executable differs only by an
-        // RZ-angle edit (Section 3.7.1), which no reported stat reads — so
-        // the stats come straight from the shared entry, with compile time
-        // charged only to the task (and run) that actually compiled it.
-        const auto& tpl = *plan.compiled_template;
-        auto stats = stats_from_compile(sub.model, dev, tpl.compiled, tuned,
-                                        &tpl.attenuation, &tpl.eps);
-        if (task.plan_index != 0 || plan.template_cache_hit)
-            stats.compile_time_ms = 0.0; // edit / cache hit, not a compile
-        return stats;
-    }
-
-    const auto logical = qaoa::build_qaoa_circuit(sub.model, plan.build);
-    const auto compiled =
-        transpiler::compile(logical, dev, config.compile);
-    return stats_from_compile(sub.model, dev, compiled, tuned);
+    FQ_REQUIRE(plan.compiled_template &&
+                   frozenqubits::templates_compatible(
+                       template_owner(plan).model, sub.model),
+               "circuit wider than target device");
+    // Structure, routing, attenuation, and EPS are the template's for every
+    // sibling; the sibling's executable differs only by an RZ-angle edit
+    // (Section 3.7.1), which no reported stat reads — so the stats come
+    // straight from the shared entry, with compile time charged only to the
+    // task (and run) that actually compiled it.
+    const auto& tpl = *plan.compiled_template;
+    auto stats = stats_from_compile(sub.model, dev, tpl.compiled, tuned,
+                                    &tpl.attenuation, &tpl.eps);
+    if (task.plan_index != 0 || plan.template_cache_hit)
+        stats.compile_time_ms = 0.0; // edit / cache hit, not a compile
+    return stats;
 }
 
 void
@@ -184,7 +179,7 @@ ExecutionEngine::run(const ising::IsingModel& model,
 
 sim::Counts
 simulate_scheduled_leaf(TemplateCache& cache, const SolveTree& tree,
-                        int leaf_id, const device::Device& dev,
+                        int leaf_id, const device::Device& /*dev*/,
                         const frozenqubits::DriverConfig& config, int shots,
                         BatchExecutor::Scratch& scratch, bool* fused_hit,
                         TemplateTier* fuse_tier)
@@ -207,24 +202,11 @@ simulate_scheduled_leaf(TemplateCache& cache, const SolveTree& tree,
         leaf.proxy ? *leaf.proxy : sub.model, config.p1_grid_resolution);
 
     // Survival and readout-flip probabilities come precomputed from the
-    // freeze level's shared template when its structure matches (siblings
-    // differ only in RZ angles, which touch neither). Otherwise compile
-    // this leaf directly and analyze its own circuit.
-    double state_survival = 0.0;
-    std::vector<double> readout_flip;
-    if (leaf.tpl && leaf.tpl_compatible) {
-        state_survival = leaf.tpl->attenuation.global_state_survival();
-        readout_flip = leaf.tpl->readout_flip;
-    } else {
-        const auto logical = qaoa::build_qaoa_circuit(sub.model, build);
-        const auto compiled =
-            transpiler::compile(logical, dev, config.compile);
-        const auto attenuation =
-            sim::compute_attenuation(compiled.physical, dev.calibration);
-        state_survival = attenuation.global_state_survival();
-        readout_flip = readout_flip_for(compiled, dev.calibration,
-                                        sub.model.num_spins());
-    }
+    // leaf's shared template (siblings differ only in RZ angles, which
+    // touch neither). Planning leaves it unset only for a leaf wider than
+    // the device.
+    FQ_REQUIRE(leaf.tpl && leaf.tpl_compatible,
+               "circuit wider than target device");
 
     // Ideal state on the LOGICAL register, in this worker's reusable
     // scratch buffer. The fused path replays the cache-compiled diagonal
@@ -254,8 +236,9 @@ simulate_scheduled_leaf(TemplateCache& cache, const SolveTree& tree,
     // Private stream: determined at plan time by the leaf's root path, so
     // any thread count samples identically.
     Rng leaf_rng(leaf.rng_seed);
-    return sim::sample_noisy_counts(scratch.statevector, state_survival,
-                                    readout_flip, shots, leaf_rng);
+    return sim::sample_noisy_counts(
+        scratch.statevector, leaf.tpl->attenuation.global_state_survival(),
+        leaf.tpl->readout_flip, shots, leaf_rng);
 }
 
 void

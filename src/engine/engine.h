@@ -56,15 +56,16 @@ namespace fq::engine {
 class SolveService;
 
 /**
- * Simulate one scheduled leaf of @p tree: tune its angles, resolve noise
- * quantities from the freeze level's shared template (or compile the leaf
- * directly when the structure diverged), run the fused or gate-by-gate
- * statevector into @p scratch and sample noisy counts on the leaf's private
- * plan-derived RNG stream.
+ * Simulate one scheduled leaf of @p tree: tune its angles, read noise
+ * quantities from the leaf's shared template (a leaf wider than the device
+ * has none and throws), run the fused or gate-by-gate statevector into
+ * @p scratch and sample noisy counts on the leaf's private plan-derived RNG
+ * stream. @p dev is not consulted: the leaf's template was compiled for it
+ * at plan time.
  *
  * The ONE leaf-execution definition, shared by ExecutionEngine::solve and
  * the SolveService's cross-request waves: a pure function of
- * (cache contents, tree, leaf, dev, config, shots), so WHERE a leaf runs —
+ * (cache contents, tree, leaf, config, shots), so WHERE a leaf runs —
  * which worker, which wave, alongside whose leaves — can never change its
  * counts. @p fused_hit, when non-null, reports whether the fused program
  * was served from @p cache (per-tenant cache-share accounting).

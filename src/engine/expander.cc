@@ -202,18 +202,12 @@ TreeBuild::resolve_private_templates(int ni)
     LeafContext ctx;
     ctx.build = default_build_options();
     const auto& model = node(ni).sub.model;
-    if (!config_.use_template_editing ||
-        model.num_spins() > dev_.num_qubits())
+    if (model.num_spins() > dev_.num_qubits())
         return ctx;
-    if (config_.parametric_templates) {
-        auto binding = cache_.get_or_bind(model, dev_, config_.compile,
-                                          default_build_options());
-        ctx.tpl = binding.family->structural;
-        ctx.family = binding.family;
-    } else {
-        ctx.tpl = cache_.get_or_compile(model, dev_, config_.compile,
-                                        default_build_options());
-    }
+    auto binding = cache_.get_or_bind(model, dev_, config_.compile,
+                                      default_build_options());
+    ctx.tpl = binding.family->structural;
+    ctx.family = binding.family;
     ctx.tpl_compatible = true;
     return ctx;
 }

@@ -58,8 +58,8 @@ struct ExecutionPlan
 
     /**
      * Shared compiled template with its precomputed noise quantities (null
-     * when template editing is disabled). Compiled from — or cache-served
-     * for — the structure shared by every sibling: siblings differ only in
+     * only for a plan with no tasks): the family entry's structure-only
+     * compile of the structure shared by every sibling: siblings differ only in
      * RZ angles, which touch neither routing nor attenuation nor EPS nor
      * placement, so one entry serves all 2^{m-1} tasks.
      */
@@ -69,8 +69,7 @@ struct ExecutionPlan
 
     /**
      * Family-level parametric template for the siblings' shared structure
-     * (null when parametric templates are disabled or the structure has no
-     * skeleton). Leaves carry this pointer so execution-time fused-program
+     * (null only for a plan with no tasks). Leaves carry this pointer so execution-time fused-program
      * misses become coefficient patches instead of circuit builds.
      */
     std::shared_ptr<const ParametricTemplate> family;
@@ -109,7 +108,7 @@ qaoa::BuildOptions default_build_options();
  * Random policy) exactly as the legacy driver did, then one draw seeds the
  * base from which every task's private stream is derived via
  * subproblem_stream_seed(base, solve_index). The shared template is
- * resolved through @p cache when config.use_template_editing is set.
+ * resolved through @p cache's family tier.
  */
 ExecutionPlan make_plan(const ising::IsingModel& model,
                         const device::Device& dev,

@@ -120,13 +120,15 @@ struct SolveLeaf
     /** Circuit build options this leaf's template/fused program were
      *  compiled under — simulation MUST reuse them. */
     qaoa::BuildOptions build;
-    /** Shared compiled template of the parent freeze level (may be null). */
+    /** Shared compiled template of the parent freeze level (null only when
+     *  the leaf is wider than the device, which fails at execution). */
     std::shared_ptr<const CompiledTemplate> tpl;
     /** Whether @p tpl's structure matches this leaf (checked at plan time). */
     bool tpl_compatible = false;
     /** Family-level parametric template whose skeleton this leaf's fused
-     *  program can bind from (null when disabled or structure-incompatible
-     *  — verified against THIS leaf's model at plan time). */
+     *  program can bind from (null when it has no skeleton or is
+     *  structure-incompatible — verified against THIS leaf's model at
+     *  plan time). */
     std::shared_ptr<const ParametricTemplate> family;
     /**
      * Plan-time prediction of how this leaf's fused program materializes:

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/rng.h"
+#include "sim/statevector.h"
 
 namespace fq::engine {
 
@@ -27,10 +28,7 @@ mix_double(std::uint64_t h, double v)
 /** Salt for the hit-verification fingerprint (independent hash chain). */
 constexpr std::uint64_t kVerifySalt = 0x5bf0f5163ad2ab1dull;
 
-/** Entry cap; each entry holds a full compiled circuit + noise arrays. */
-constexpr std::size_t kMaxEntries = 256;
-
-/** Rough per-entry footprint: the two circuit copies (logical-structure
+/** Rough per-template footprint: the two circuit copies (logical-structure
  *  metrics are scalars), the layout and noise vectors. Estimation only —
  *  feeds the --stats byte report, not an eviction decision. */
 std::size_t
@@ -76,8 +74,8 @@ same_build(const qaoa::BuildOptions& a, const qaoa::BuildOptions& b)
            a.keep_zero_linear_rz == b.keep_zero_linear_rz;
 }
 
-} // namespace
-
+/** Per-logical-qubit readout-flip probabilities under @p compiled's
+ *  final placement. */
 std::vector<double>
 readout_flip_for(const transpiler::CompileResult& compiled,
                  const device::Calibration& calibration, int num_spins)
@@ -91,6 +89,8 @@ readout_flip_for(const transpiler::CompileResult& compiled,
     }
     return flip;
 }
+
+} // namespace
 
 std::uint64_t
 device_fingerprint(const device::Device& dev, std::uint64_t salt)
@@ -319,79 +319,6 @@ TemplateCache::TemplateCache()
 {
 }
 
-std::shared_ptr<const CompiledTemplate>
-TemplateCache::get_or_compile(const ising::IsingModel& model,
-                              const device::Device& dev,
-                              const transpiler::CompileOptions& compile,
-                              const qaoa::BuildOptions& build, bool* was_hit)
-{
-    const std::uint64_t key = template_key(model, dev, compile, build);
-    const std::uint64_t verify =
-        template_key(model, dev, compile, build, kVerifySalt);
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.lookups;
-        auto it = entries_.find(key);
-        if (it != entries_.end() && it->second.verify_key == verify) {
-            ++stats_.hits;
-            if (was_hit)
-                *was_hit = true;
-            return it->second.value;
-        }
-    }
-
-    // Build OUTSIDE the lock — the same pattern get_or_fuse uses. Under a
-    // shared multi-tenant engine, concurrent submitters plan (and thus
-    // compile templates) in parallel; running a full millisecond-scale
-    // transpile under the cache mutex would serialize every planner on the
-    // slowest miss. A rare duplicate build of the same key loses the race
-    // below and is dropped; first insert wins so all callers share one
-    // entry.
-    const auto logical = qaoa::build_qaoa_circuit(model, build);
-    auto entry = std::make_shared<CompiledTemplate>();
-    entry->compiled = transpiler::compile(logical, dev, compile);
-    entry->attenuation =
-        sim::compute_attenuation(entry->compiled.physical, dev.calibration);
-    entry->eps = sim::expected_probability_of_success(
-        entry->compiled.physical, dev.calibration);
-    entry->readout_flip = readout_flip_for(entry->compiled, dev.calibration,
-                                           model.num_spins());
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.compiles;
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-        if (it->second.verify_key == verify) {
-            // Lost the race; share the winner's template — but report a
-            // miss: this caller paid a full compile, and hit-share
-            // diagnostics must not overstate hits under the very
-            // contention they exist to measure.
-            if (was_hit)
-                *was_hit = false;
-            return it->second.value;
-        }
-        // Verify-key mismatch (fingerprint collision): the stale entry is
-        // about to be overwritten — release its bytes from the budget.
-        template_bytes_ -= it->second.bytes;
-        entries_.erase(it);
-    }
-    // Crude bound on a cache that would otherwise grow for the process
-    // lifetime of a shared engine: wholesale reset at the cap (entries are
-    // cheap to rebuild relative to tracking LRU order).
-    if (entries_.size() >= kMaxEntries) {
-        stats_.evictions += entries_.size();
-        entries_.clear();
-        template_bytes_ = 0;
-    }
-    const std::size_t entry_bytes = template_entry_bytes(*entry);
-    template_bytes_ += entry_bytes;
-    entries_[key] = Entry{verify, entry_bytes, entry};
-    if (was_hit)
-        *was_hit = false;
-    return entry;
-}
-
 std::shared_ptr<const sim::FusedProgram>
 TemplateCache::get_or_fuse(const ising::IsingModel& model,
                            const qaoa::BuildOptions& build, bool* was_hit,
@@ -452,8 +379,9 @@ TemplateCache::get_or_fuse(const ising::IsingModel& model,
     if (it != sim_entries_.end()) {
         if (it->second.verify_key == verify) {
             // Lost the race; share the winner's program — but report a
-            // miss: this caller paid the full table build (see
-            // get_or_compile).
+            // miss: this caller paid the full table build, and hit-share
+            // diagnostics must not overstate hits under the very
+            // contention they exist to measure.
             if (was_hit)
                 *was_hit = false;
             return it->second.value;
@@ -552,12 +480,17 @@ TemplateCache::get_or_bind(const ising::IsingModel& model,
         structural->compiled, dev.calibration, model.num_spins());
     family->structural = structural;
 
-    auto skeleton = circuit::parametrize_fused(
-        circuit::fuse_diagonals(logical), model.num_spins(),
-        family->quadratic_pairs);
-    if (skeleton.has_value()) {
-        family->skeleton = std::move(*skeleton);
-        family->has_skeleton = true;
+    // The skeleton only feeds fused simulation, which never runs wider
+    // than kMaxSimQubits; fusion's parity masks are 64-bit, so a wider
+    // structure (a full-width baseline arm) must not be fused at all.
+    if (model.num_spins() <= sim::kMaxSimQubits) {
+        auto skeleton = circuit::parametrize_fused(
+            circuit::fuse_diagonals(logical), model.num_spins(),
+            family->quadratic_pairs);
+        if (skeleton.has_value()) {
+            family->skeleton = std::move(*skeleton);
+            family->has_skeleton = true;
+        }
     }
 
     std::lock_guard<std::mutex> lock(mutex_);
@@ -617,32 +550,22 @@ TemplateCache::stats() const
     Stats out = stats_;
     out.structure_bytes = family_bytes_;
     out.bind_bytes = sim_bytes_;
-    out.template_bytes = template_bytes_;
     return out;
-}
-
-std::size_t
-TemplateCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
 }
 
 std::size_t
 TemplateCache::bytes() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return template_bytes_ + sim_bytes_ + family_bytes_;
+    return sim_bytes_ + family_bytes_;
 }
 
 void
 TemplateCache::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
     sim_entries_.clear();
     families_.clear();
-    template_bytes_ = 0;
     sim_bytes_ = 0;
     family_bytes_ = 0;
 }

@@ -5,11 +5,13 @@
  * All 2^m siblings of one freeze share a quadratic structure, so their
  * compiled circuits are identical up to RZ angles; one transpiler run
  * serves them all via edit_template. This cache extends that sharing
- * across engine invocations: entries are keyed on (model topology, device
- * identity, compile + build options) — everything the transpiler's output
- * structurally depends on, and nothing it doesn't (coefficient VALUES are
- * excluded on purpose; they only move RZ angles, which the editor rewrites
- * per task anyway).
+ * across engine invocations through two tiers: the family tier
+ * (get_or_bind) holds one structure-only compile per labeled structure —
+ * keyed on (model topology, device identity, compile + build options),
+ * everything the transpiler's output structurally depends on, and nothing
+ * it doesn't (coefficient VALUES are excluded on purpose; they only move
+ * RZ angles) — and the fused tier (get_or_fuse) holds the value-keyed
+ * simulation programs bound from it.
  *
  * Devices are fingerprinted structurally — name, coupling map, and full
  * calibration — so hand-built devices that alias on a name can never be
@@ -114,15 +116,6 @@ struct CompiledTemplate
 };
 
 /**
- * Per-logical-qubit readout-flip probabilities under @p compiled's final
- * placement — the single definition shared by the cache and the engine's
- * uncached sampling path.
- */
-std::vector<double> readout_flip_for(const transpiler::CompileResult& compiled,
-                                     const device::Calibration& calibration,
-                                     int num_spins);
-
-/**
  * Family-level structural artifact: everything the compile pipeline
  * produces that depends on structure but not on coefficient VALUES,
  * computed once per (graph family, p, width, device) and shared by every
@@ -164,13 +157,10 @@ class TemplateCache
      *  the current byte residency split by pool. */
     struct Stats
     {
-        std::uint64_t lookups = 0;
-        std::uint64_t hits = 0;
+        /** Never incremented: every template compiles through the family
+         *  tier (family_structural_compiles). Kept only because perfbench
+         *  reads it. */
         std::uint64_t compiles = 0;
-        /** Compiled-template entries dropped by the capacity reset (an
-         *  explicit clear() does not count — it is a caller decision, not
-         *  cache pressure). */
-        std::uint64_t evictions = 0;
         /** Fused-simulation program counters (get_or_fuse). */
         std::uint64_t sim_lookups = 0;
         std::uint64_t sim_hits = 0;
@@ -197,11 +187,8 @@ class TemplateCache
         std::size_t structure_bytes = 0;
         /** Per-bind fused weight tables (value-keyed sim entries). */
         std::size_t bind_bytes = 0;
-        /** Legacy per-structure compiled templates (get_or_compile). */
-        std::size_t template_bytes = 0;
         /// @}
 
-        std::uint64_t misses() const { return lookups - hits; }
         std::uint64_t sim_misses() const { return sim_lookups - sim_hits; }
         std::uint64_t family_misses() const
         {
@@ -220,26 +207,14 @@ class TemplateCache
     };
 
     /**
-     * Return the compiled template for @p model's structure, compiling
-     * (build + transpile + noise analysis) on the first request for its
-     * key. Hits are verified against an independently-salted second
-     * fingerprint, so serving a wrong entry needs a simultaneous 128-bit
-     * collision. @p was_hit, if non-null, reports whether this lookup was
-     * served from cache.
-     */
-    std::shared_ptr<const CompiledTemplate>
-    get_or_compile(const ising::IsingModel& model, const device::Device& dev,
-                   const transpiler::CompileOptions& compile,
-                   const qaoa::BuildOptions& build, bool* was_hit = nullptr);
-
-    /**
      * Return the compiled fused-simulation program (diagonal weight
      * tables, mixer walls) for @p model's QAOA circuit under @p build,
      * fusing and compiling tables on the first request. Keyed on
      * coefficient VALUES (unlike the transpiled template) because the
      * weight tables bake them in; all optimizer iterations and every
      * repeated solve over the same sub-problem reuse one entry. Hits are
-     * double-fingerprint verified like compiled templates.
+     * verified against an independently-salted second fingerprint, so
+     * serving a wrong entry needs a simultaneous 128-bit collision.
      */
     std::shared_ptr<const sim::FusedProgram>
     get_or_fuse(const ising::IsingModel& model,
@@ -248,7 +223,7 @@ class TemplateCache
                 TemplateTier* tier = nullptr);
 
     /**
-     * The family tier above get_or_compile/get_or_fuse: return the shared
+     * The engine's only way to a compiled template: return the shared
      * structural artifact for @p model's graph family, running the
      * structure-only compile (transpile + fusion skeleton) exactly once
      * per labeled structure. Warm-family lookups cost a hash plus an O(E)
@@ -279,24 +254,17 @@ class TemplateCache
     void set_byte_budgets(std::size_t sim_bytes, std::size_t family_bytes);
 
     Stats stats() const;
-    std::size_t size() const;
     /**
      * Estimated bytes currently held: full fused-program footprints
      * (FusedProgram::bytes — weight tables AND the compiled op list) plus
-     * a per-template estimate of the compiled circuit and its noise
-     * arrays. Cheap enough to poll from a --stats report after every
+     * each family structure's estimate (compiled circuit, noise arrays,
+     * skeleton). Cheap enough to poll from a --stats report after every
      * solve.
      */
     std::size_t bytes() const;
     void clear();
 
   private:
-    struct Entry
-    {
-        std::uint64_t verify_key = 0;
-        std::size_t bytes = 0;
-        std::shared_ptr<const CompiledTemplate> value;
-    };
     struct SimEntry
     {
         std::uint64_t verify_key = 0;
@@ -323,11 +291,8 @@ class TemplateCache
     };
 
     mutable std::mutex mutex_;
-    std::unordered_map<std::uint64_t, Entry> entries_;
     std::unordered_map<std::uint64_t, SimEntry> sim_entries_;
     std::unordered_map<std::uint64_t, FamilyEntry> families_;
-    /** Estimated bytes held by entries_ (compiled circuits + noise). */
-    std::size_t template_bytes_ = 0;
     /** Estimated bytes held by sim_entries_ (table storage). */
     std::size_t sim_bytes_ = 0;
     /** Estimated bytes held by families_ (shared structures). */

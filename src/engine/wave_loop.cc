@@ -217,12 +217,4 @@ run_wave_loop(LeafExecutor& executor, WaveRequest& request,
     }
 }
 
-void
-run_wave_loop(TemplateCache& cache, BatchExecutor& executor,
-              WaveRequest& request, const CheckpointHook& checkpoint)
-{
-    LocalLeafExecutor local(cache, executor);
-    run_wave_loop(local, request, checkpoint);
-}
-
 } // namespace fq::engine

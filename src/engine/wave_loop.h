@@ -332,15 +332,10 @@ bool post_barrier_checkpoint(WaveRequest& request,
  * from a checkpoint keeps its snapshot boundary. @p checkpoint, when set,
  * arms checkpoint boundaries and fires at each one. The SolveService
  * drives the same assemble/execute/post-barrier primitives from its
- * assembler thread instead, multiplexing many requests per wave.
+ * assembler thread instead, multiplexing many requests per wave. Waves go
+ * through @p executor, so a WorkerPool (or any other backend) slots in
+ * without touching the epoch logic.
  */
-void run_wave_loop(TemplateCache& cache, BatchExecutor& executor,
-                   WaveRequest& request,
-                   const CheckpointHook& checkpoint = {});
-
-/** Same solo driver over the executor seam — the overload the engine uses
- *  so a WorkerPool (or any other backend) slots in without touching the
- *  epoch logic. */
 void run_wave_loop(LeafExecutor& executor, WaveRequest& request,
                    const CheckpointHook& checkpoint = {});
 

@@ -34,7 +34,6 @@ struct DriverConfig
     int num_freeze = 1;                      ///< m
     HotspotPolicy policy = HotspotPolicy::MaxDegree;
     bool symmetry_pruning = true;            ///< Section 3.7.2
-    bool use_template_editing = true;        ///< Section 3.7.1
     /**
      * Simulate sub-circuits through the fused QAOA fast path (diagonal
      * weight tables + cached energy tables) instead of gate-by-gate.
@@ -42,18 +41,6 @@ struct DriverConfig
      * A/B debugging against the naive path.
      */
     bool fuse_simulation = true;
-    /**
-     * Family-level parametric templates (fqtool --no-param-templates to
-     * disable): plan-time template resolution goes through
-     * TemplateCache::get_or_bind — one structure-only compile per
-     * (graph-family, p, width, device) class, after which planning a
-     * member instance is a signature hash + O(E) verification, and leaf
-     * execution patches coefficients into the cached fusion skeleton
-     * instead of rebuilding circuits. Never affects results: bound
-     * templates are bit-identical to from-scratch compiles (asserted in
-     * tests); only plan latency and cache residency change.
-     */
-    bool parametric_templates = true;
     /**
      * Kernel backend policy for fused leaf simulation (fqtool --backend):
      * Auto picks per leaf by width (scalar below

@@ -192,8 +192,7 @@ get_model(Reader& in)
 
 /**
  * Result-relevant config fields: exactly the config_fingerprint set
- * (engine/checkpoint.cc) plus parametric_templates (result-neutral but
- * cache-behavior-relevant). threads / wave_share / checkpoint_interval /
+ * (engine/checkpoint.cc). threads / wave_share / checkpoint_interval /
  * allow_remote stay process-local, like the fingerprint excludes them.
  */
 void
@@ -203,9 +202,7 @@ put_config(std::vector<std::uint8_t>& out,
     put_i32(out, config.num_freeze);
     put_u32(out, static_cast<std::uint32_t>(config.policy));
     put_u8(out, config.symmetry_pruning ? 1 : 0);
-    put_u8(out, config.use_template_editing ? 1 : 0);
     put_u8(out, config.fuse_simulation ? 1 : 0);
-    put_u8(out, config.parametric_templates ? 1 : 0);
     put_u8(out, static_cast<std::uint8_t>(config.backend));
     put_u32(out, static_cast<std::uint32_t>(config.compile.layout));
     put_i32(out, config.compile.router.lookahead);
@@ -232,9 +229,7 @@ get_config(Reader& in)
     config.num_freeze = in.i32();
     config.policy = static_cast<frozenqubits::HotspotPolicy>(in.u32());
     config.symmetry_pruning = in.u8() != 0;
-    config.use_template_editing = in.u8() != 0;
     config.fuse_simulation = in.u8() != 0;
-    config.parametric_templates = in.u8() != 0;
     config.backend = static_cast<sim::BackendSelection>(in.u8());
     config.compile.layout = static_cast<transpiler::LayoutStrategy>(in.u32());
     config.compile.router.lookahead = in.i32();

@@ -32,9 +32,8 @@
  * fused_hit/tier telemetry the WaveHooks need, so a remote fold is
  * indistinguishable from a local one.
  *
- * Only result-relevant config fields travel (the config_fingerprint set
- * plus the result-neutral parametric_templates toggle); execution-local
- * knobs like thread count stay per-process.
+ * Only result-relevant config fields travel (the config_fingerprint
+ * set); execution-local knobs like thread count stay per-process.
  */
 #ifndef FQ_NET_WIRE_H
 #define FQ_NET_WIRE_H
@@ -51,7 +50,7 @@
 namespace fq::net {
 
 /** Bumped on any wire-format change; a worker refuses other versions. */
-constexpr std::uint32_t kProtocolVersion = 1;
+constexpr std::uint32_t kProtocolVersion = 2;
 
 enum MessageType : std::uint32_t {
     kMsgOpenSession = 1,

@@ -10,9 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include "device/catalog.h"
 #include "frozenqubits/driver.h"
 #include "graph/generators.h"
 #include "ising/ising_model.h"
+#include "qaoa/analytic_p1.h"
+#include "qaoa/qaoa_builder.h"
+#include "sim/noise_model.h"
+#include "transpiler/pipeline.h"
 
 namespace fq::test {
 
@@ -52,6 +57,41 @@ expect_solves_identical(const frozenqubits::SampledSolve& a,
                          b.anytime[p].incumbent_cost);
         EXPECT_EQ(a.anytime[p].leaf, b.anytime[p].leaf);
     }
+}
+
+/**
+ * Compile oracle for one reported circuit arm: build @p model's circuit
+ * under @p build, transpile it directly (no template cache) and derive
+ * every stat from that compile. Whatever template path the engine took,
+ * structure, duration and EPS must match exactly and the EVs to 1e-12;
+ * only compile_time_ms may differ.
+ */
+inline void
+expect_matches_compile_oracle(const frozenqubits::CircuitStats& got,
+                              const ising::IsingModel& model,
+                              const device::Device& dev,
+                              const frozenqubits::DriverConfig& config,
+                              const qaoa::BuildOptions& build)
+{
+    const auto compiled = transpiler::compile(
+        qaoa::build_qaoa_circuit(model, build), dev, config.compile);
+    const auto tuned = qaoa::optimize_p1(model, config.p1_grid_resolution);
+    const auto ideal = qaoa::evaluate_p1(model, tuned.angles);
+    const auto attenuation =
+        sim::compute_attenuation(compiled.physical, dev.calibration);
+    EXPECT_EQ(got.num_qubits, model.num_spins());
+    EXPECT_EQ(got.pre_routing_cx, compiled.pre_routing_cx);
+    EXPECT_EQ(got.post_routing_cx, compiled.metrics.cx_gates);
+    EXPECT_EQ(got.swaps, compiled.swaps_inserted);
+    EXPECT_EQ(got.depth, compiled.metrics.depth);
+    EXPECT_EQ(got.duration_ns, compiled.metrics.duration_ns);
+    EXPECT_EQ(got.eps, sim::expected_probability_of_success(
+                           compiled.physical, dev.calibration));
+    EXPECT_NEAR(got.ev_ideal, tuned.energy, 1e-12);
+    EXPECT_NEAR(got.ev_noisy,
+                sim::noisy_expectation(model, ideal.z, ideal.zz, attenuation,
+                                       compiled.final_layout),
+                1e-12);
 }
 
 } // namespace fq::test

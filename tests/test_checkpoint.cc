@@ -413,4 +413,22 @@ TEST(Checkpoint, VersionOneSnapshotsRestoreBitIdentically)
     }
 }
 
+TEST(Checkpoint, ConfigFingerprintIsPinned)
+{
+    // Golden values: snapshots on disk carry config_fingerprint, so any
+    // change to what it mixes strands every existing snapshot. These are
+    // the fingerprints computed before template editing stopped being a
+    // config field; they must never move.
+    EXPECT_EQ(config_fingerprint(frozenqubits::DriverConfig{}),
+              0x560113bab339593aull);
+
+    frozenqubits::DriverConfig config;
+    config.num_freeze = 3;
+    config.max_depth = 3;
+    config.partition_width = 12;
+    config.max_circuits = 24;
+    config.rerank_interval = 4;
+    EXPECT_EQ(config_fingerprint(config), 0x9f74051f73004ea2ull);
+}
+
 } // namespace

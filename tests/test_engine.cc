@@ -24,6 +24,7 @@ namespace {
 using namespace fq;
 using namespace fq::engine;
 using fq::test::ba_model;
+using fq::test::expect_matches_compile_oracle;
 using fq::test::expect_solves_identical;
 
 void
@@ -168,18 +169,17 @@ TEST(ExecutionEngine, TemplateCompiledOnceAndHitOnSiblings)
     EXPECT_EQ(report.executed[1].compile_time_ms, 0.0);
 
     const auto cache_after_first = eng.template_cache().stats();
-    // The shared template compiled through the family tier (one
-    // structure-only transpile); the baseline arm used the legacy tier.
-    EXPECT_EQ(cache_after_first.compiles, 1u);
-    EXPECT_EQ(cache_after_first.family_structural_compiles, 1u);
+    // Two structure-only transpiles through the family tier: the shared
+    // sibling template and the baseline arm.
+    EXPECT_EQ(cache_after_first.compiles, 0u);
+    EXPECT_EQ(cache_after_first.family_structural_compiles, 2u);
 
     // A second run over the same structure is served from cache entirely.
     const auto again = eng.run(model, dev, config);
     EXPECT_TRUE(eng.last_diagnostics().template_cache_hit);
+    EXPECT_EQ(again.baseline.compile_time_ms, 0.0);
     const auto cache_after_second = eng.template_cache().stats();
-    EXPECT_EQ(cache_after_second.compiles, cache_after_first.compiles);
-    EXPECT_EQ(cache_after_second.family_structural_compiles, 1u);
-    EXPECT_GT(cache_after_second.hits, cache_after_first.hits);
+    EXPECT_EQ(cache_after_second.family_structural_compiles, 2u);
     EXPECT_GT(cache_after_second.family_hits,
               cache_after_first.family_hits);
 
@@ -245,7 +245,8 @@ TEST(ExecutionEngine, CacheDistinguishesLinearZeroPatterns)
     ExecutionEngine fresh(1);
     const auto b_fresh = fresh.evaluate(with_h, dev, config);
     expect_stats_equal(b, b_fresh);
-    EXPECT_EQ(shared.template_cache().stats().compiles, 2u);
+    EXPECT_EQ(shared.template_cache().stats().family_structural_compiles,
+              2u);
     (void)a;
 }
 
@@ -272,11 +273,41 @@ TEST(ExecutionEngine, CacheDistinguishesDevicesStructurally)
     ExecutionEngine shared(1);
     const auto ra = shared.evaluate(model, a, config);
     const auto rb = shared.evaluate(model, b, config);
-    EXPECT_EQ(shared.template_cache().stats().compiles, 2u);
+    EXPECT_EQ(shared.template_cache().stats().family_structural_compiles,
+              2u);
 
     ExecutionEngine fresh(1);
     expect_stats_equal(rb, fresh.evaluate(model, b, config));
     (void)ra;
+}
+
+TEST(ExecutionEngine, BaselineArmMatchesCompileOracleOnEveryDevice)
+{
+    // The baseline arm resolves its template through the family tier's
+    // structure-only compile; on every catalog device it must report what
+    // a direct compile of the angle-carrying circuit reports. Both linear
+    // patterns run: with h == 0 the builder omits every linear RZ.
+    const auto zero_h = ba_model(12, 2, 5);
+    ASSERT_TRUE(zero_h.has_zero_linear_terms());
+    auto with_h = zero_h;
+    for (int i = 0; i < with_h.num_spins(); i += 2)
+        with_h.set_linear(i, 0.5);
+    frozenqubits::DriverConfig config;
+    qaoa::BuildOptions build;
+    build.num_layers = 1;
+
+    for (const auto& name : device::ibm_device_names()) {
+        SCOPED_TRACE(name);
+        const auto dev = device::make_device(name);
+        ExecutionEngine eng(1);
+        for (const auto& model : {zero_h, with_h}) {
+            const auto cold = eng.evaluate(model, dev, config);
+            expect_matches_compile_oracle(cold, model, dev, config, build);
+            const auto warm = eng.evaluate(model, dev, config);
+            expect_stats_equal(cold, warm);
+            EXPECT_EQ(warm.compile_time_ms, 0.0);
+        }
+    }
 }
 
 TEST(ExecutionEngine, PartialExecutionRunsExactlyTheBudget)
@@ -405,51 +436,35 @@ TEST(ExecutionEngine, FacadeMatchesEngine)
     expect_stats_equal(a.baseline, b.baseline);
 }
 
-TEST(ExecutionEngine, ParametricTemplatesOnOffBitIdenticalAcrossThreads)
+TEST(ExecutionEngine, FamilyTierSolvesBitIdenticalAcrossThreadsAndWarmth)
 {
-    // --no-param-templates A/B: the family tier only changes WHERE a fused
-    // program comes from (coefficient patch vs from-scratch build), never
-    // its contents — so solves are bit-identical with the tier on or off,
-    // serial or pooled.
+    // The family tier only changes WHERE a fused program comes from
+    // (coefficient patch, from-scratch build or resident hit), never its
+    // contents — so solves are bit-identical serial or pooled, cold or
+    // warm.
     const auto model = ba_model(12, 1, 13);
     const auto dev = device::make_device("ibm-montreal");
+    frozenqubits::DriverConfig config;
+    config.num_freeze = 2;
 
-    frozenqubits::DriverConfig on;
-    on.num_freeze = 2;
-    ASSERT_TRUE(on.parametric_templates); // family tier is the default
-    auto off = on;
-    off.parametric_templates = false;
-
-    ExecutionEngine eng_on_serial(1), eng_on_pool(4);
-    ExecutionEngine eng_off_serial(1), eng_off_pool(4);
-    Rng r1(77), r2(77), r3(77), r4(77);
-    const auto a = eng_on_serial.solve(model, dev, on, 1024, r1);
-    const auto b = eng_on_pool.solve(model, dev, on, 1024, r2);
-    const auto c = eng_off_serial.solve(model, dev, off, 1024, r3);
-    const auto d = eng_off_pool.solve(model, dev, off, 1024, r4);
+    ExecutionEngine eng_serial(1), eng_pool(4);
+    Rng r1(77), r2(77);
+    const auto a = eng_serial.solve(model, dev, config, 1024, r1);
+    const auto b = eng_pool.solve(model, dev, config, 1024, r2);
     expect_solves_identical(a, b);
-    expect_solves_identical(a, c);
-    expect_solves_identical(a, d);
 
-    // Tier preview accounting: a fresh family-tier engine has nothing
-    // resident (no Hit leaves) and binds the structural compile's
-    // siblings; with the tier off every leaf compiles and the family maps
-    // are never consulted.
-    const auto& diag_on = eng_on_pool.last_diagnostics();
-    EXPECT_EQ(diag_on.leaves_tier_hit, 0);
-    EXPECT_GT(diag_on.leaves_tier_bind, 0);
-    const auto& diag_off = eng_off_pool.last_diagnostics();
-    EXPECT_EQ(diag_off.leaves_tier_hit, 0);
-    EXPECT_EQ(diag_off.leaves_tier_bind, 0);
-    EXPECT_GT(diag_off.leaves_tier_compile, 0);
-    EXPECT_EQ(eng_off_pool.template_cache().stats().family_lookups, 0u);
+    // Tier preview accounting: a fresh engine has nothing resident (no Hit
+    // leaves) and binds the structural compile's siblings.
+    const auto& diag = eng_pool.last_diagnostics();
+    EXPECT_EQ(diag.leaves_tier_hit, 0);
+    EXPECT_GT(diag.leaves_tier_bind, 0);
 
     // A repeat on the warm engine previews resident leaves as Hits, with
     // the result unchanged.
-    Rng r5(77);
-    const auto e = eng_on_pool.solve(model, dev, on, 1024, r5);
-    expect_solves_identical(a, e);
-    EXPECT_GT(eng_on_pool.last_diagnostics().leaves_tier_hit, 0);
+    Rng r3(77);
+    const auto c = eng_pool.solve(model, dev, config, 1024, r3);
+    expect_solves_identical(a, c);
+    EXPECT_GT(eng_pool.last_diagnostics().leaves_tier_hit, 0);
 }
 
 TEST(TemplateCache, FamilyByteAccountingExactAtEvictionBoundary)
@@ -469,8 +484,7 @@ TEST(TemplateCache, FamilyByteAccountingExactAtEvictionBoundary)
     auto stats = cache.stats();
     EXPECT_EQ(stats.structure_bytes, first.family->bytes());
     EXPECT_EQ(stats.bind_bytes, 0u);
-    EXPECT_EQ(cache.bytes(), stats.structure_bytes + stats.bind_bytes +
-                                 stats.template_bytes);
+    EXPECT_EQ(cache.bytes(), stats.structure_bytes + stats.bind_bytes);
 
     // Per-bind tables charge the value pool, never the structure pool.
     const auto program_a =
@@ -510,15 +524,13 @@ TEST(TemplateCache, FamilyByteAccountingExactAtEvictionBoundary)
     stats = cache.stats();
     EXPECT_EQ(stats.sim_evictions, 2u); // both resident programs dropped
     EXPECT_EQ(stats.bind_bytes, program_c->bytes());
-    EXPECT_EQ(cache.bytes(), stats.structure_bytes + stats.bind_bytes +
-                                 stats.template_bytes);
+    EXPECT_EQ(cache.bytes(), stats.structure_bytes + stats.bind_bytes);
 
     cache.clear();
     EXPECT_EQ(cache.bytes(), 0u);
     stats = cache.stats();
     EXPECT_EQ(stats.structure_bytes, 0u);
     EXPECT_EQ(stats.bind_bytes, 0u);
-    EXPECT_EQ(stats.template_bytes, 0u);
 }
 
 } // namespace

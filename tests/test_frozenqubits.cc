@@ -19,6 +19,7 @@
 
 #include "common/error.h"
 #include "device/catalog.h"
+#include "engine/plan.h"
 #include "frozenqubits/decoder.h"
 #include "frozenqubits/driver.h"
 #include "frozenqubits/freeze.h"
@@ -29,6 +30,7 @@
 #include "ising/symmetry.h"
 #include "qaoa/qaoa_builder.h"
 #include "sim/statevector.h"
+#include "solve_test_util.h"
 
 namespace {
 
@@ -438,15 +440,27 @@ TEST(Driver, TemplateEditingMatchesFullCompiles)
     const auto model = ising::IsingModel::from_graph(g);
     const auto dev = device::make_device("ibm-cairo");
 
-    DriverConfig with;
-    with.num_freeze = 2;
-    DriverConfig without = with;
-    without.use_template_editing = false;
+    DriverConfig config;
+    config.num_freeze = 2;
+    const auto report = run_pipeline(model, dev, config);
 
-    const auto a = run_pipeline(model, dev, with);
-    const auto b = run_pipeline(model, dev, without);
-    EXPECT_NEAR(a.arg_fq, b.arg_fq, 1e-6);
-    EXPECT_NEAR(a.ev_noisy_fq, b.ev_noisy_fq, 1e-6);
+    // Every executed sibling reports exactly what compiling its own circuit
+    // from scratch reports, though only one shared template was compiled.
+    const auto subs = freeze_all(model, report.hotspots);
+    const auto entries = plan_executions(model, config.num_freeze,
+                                         config.symmetry_pruning);
+    ASSERT_EQ(report.executed.size(), entries.size());
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+        SCOPED_TRACE(k);
+        test::expect_matches_compile_oracle(
+            report.executed[k],
+            subs[static_cast<std::size_t>(entries[k].solve)].model, dev,
+            config, engine::default_build_options());
+    }
+    qaoa::BuildOptions baseline_build;
+    baseline_build.num_layers = 1;
+    test::expect_matches_compile_oracle(report.baseline, model, dev, config,
+                                        baseline_build);
 }
 
 TEST(Driver, SampledSolveFindsOptimumUnderLowNoise)

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -451,6 +452,31 @@ TEST(Distributed, BadAddressFailsAtStartup)
                                  eng.num_threads(),
                                  {"unix:/tmp/fq_no_such_worker.sock"}),
                  net::NetError);
+}
+
+TEST(Distributed, StaleProtocolWorkerRejectedAtConnect)
+{
+    // A worker speaking protocol version 1 (whose config frames still
+    // carried the template-editing bytes) greets and is refused with a
+    // typed error before any session opens.
+    const auto address = unique_address();
+    net::Fd listen_fd = net::listen_on(address);
+    std::thread stale([&] {
+        try {
+            net::Fd client = net::accept_client(listen_fd.get());
+            net::write_frame(client.get(), net::kMsgWorkerHello,
+                             net::encode_worker_hello({1, 1}));
+            // Hold the connection until the coordinator hangs up.
+            net::read_frame(client.get());
+        } catch (const std::exception&) {
+        }
+    });
+    engine::ExecutionEngine eng(1);
+    ASSERT_NE(net::kProtocolVersion, 1u);
+    EXPECT_THROW(net::WorkerPool(eng.local_leaf_executor(),
+                                 eng.num_threads(), {address}),
+                 net::NetError);
+    stale.join();
 }
 
 } // namespace

@@ -15,8 +15,7 @@
  *       and print the tree plus the budget trace (cut line included) —
  *       without executing any circuit. The leaf table's tier column shows
  *       how each leaf's fused program would materialize (hit / bind /
- *       compile — the parametric-template tiers; --no-param-templates
- *       forces the legacy compile-only path).
+ *       compile — the parametric-template tiers).
  *   solve [--file F] --device <name> [--freeze M] [--shots K] [--seed S]
  *         [--threads T] [--max-depth D] [--max-circuits B]
  *         [--partition W] [--rerank N|off] [--deadline D]
@@ -113,9 +112,9 @@ using Options = std::map<std::string, std::string>;
 bool
 is_flag(const std::string& key)
 {
-    return key == "no-fusion" || key == "no-param-templates" ||
-           key == "stats" || key == "prune-dominated" ||
-           key == "serial" || key == "no-sparsify";
+    return key == "no-fusion" || key == "stats" ||
+           key == "prune-dominated" || key == "serial" ||
+           key == "no-sparsify";
 }
 
 Options
@@ -347,12 +346,6 @@ apply_tree_options(const Options& opts, frozenqubits::DriverConfig& config)
     config.max_circuits = long_option(opts, "max-circuits", 0);
     config.partition_width = int_option(opts, "partition", 0);
     config.prune_dominated = opts.find("prune-dominated") != opts.end();
-    // --no-param-templates: resolve templates through the legacy
-    // structure-keyed tier only (the A/B escape hatch mirroring
-    // --no-fusion). Results are bit-identical either way; only plan
-    // latency and cache residency change.
-    config.parametric_templates =
-        opts.find("no-param-templates") == opts.end();
     // --rerank off (default) keeps the plan-time ranking final;
     // --rerank N re-ranks the un-dispatched tail every N folded leaves.
     const auto rerank = option(opts, "rerank", "off");
@@ -538,11 +531,6 @@ print_cache_stats(const engine::ExecutionEngine& eng)
     const auto s = eng.template_cache().stats();
     Table t("template cache");
     t.set_header({"counter", "value"});
-    t.add_row({"template lookups", Table::num(s.lookups)});
-    t.add_row({"template hits", Table::num(s.hits)});
-    t.add_row({"template misses", Table::num(s.misses())});
-    t.add_row({"template compiles", Table::num(s.compiles)});
-    t.add_row({"template evictions", Table::num(s.evictions)});
     t.add_row({"fused-sim lookups", Table::num(s.sim_lookups)});
     t.add_row({"fused-sim hits", Table::num(s.sim_hits)});
     t.add_row({"fused-sim misses", Table::num(s.sim_misses())});
@@ -557,7 +545,6 @@ print_cache_stats(const engine::ExecutionEngine& eng)
     t.add_row({"family evictions", Table::num(s.family_evictions)});
     t.add_row({"structure bytes (shared)", Table::num(s.structure_bytes)});
     t.add_row({"bind bytes (per value)", Table::num(s.bind_bytes)});
-    t.add_row({"resident entries", Table::num(eng.template_cache().size())});
     t.add_row({"resident bytes", Table::num(eng.template_cache().bytes())});
     t.print(std::cout);
 }
@@ -1161,13 +1148,12 @@ usage()
         "  plan     [--file F] --device NAME [--freeze M|auto]\n"
         "           [--max-depth D] [--max-circuits B] [--partition W]\n"
         "           [--sparsify F] [--no-sparsify] [--prune-dominated]\n"
-        "           [--backend auto|scalar|simd] [--no-param-templates]\n"
+        "           [--backend auto|scalar|simd]\n"
         "  solve    [--file F] --device NAME [--freeze M|auto] [--shots K]\n"
         "           [--threads T] [--max-depth D] [--max-circuits B]\n"
         "           [--partition W] [--sparsify F] [--no-sparsify]\n"
         "           [--prune-dominated] [--rerank N|off]\n"
         "           [--backend auto|scalar|simd] [--no-fusion]\n"
-        "           [--no-param-templates]\n"
         "           [--deadline D] [--checkpoint FILE] [--checkpoint-every N]\n"
         "           [--resume FILE] [--suspend-after K] [--stats]\n"
         "           [--workers a,b,c]\n"
