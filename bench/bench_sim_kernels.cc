@@ -20,7 +20,10 @@
 #include <complex>
 #include <fstream>
 
+#include "frozenqubits/freeze.h"
+#include "frozenqubits/hotspot.h"
 #include "optimizer/landscape.h"
+#include "qaoa/analytic_p1.h"
 #include "qaoa/multilayer.h"
 #include "qaoa/qaoa_builder.h"
 #include "sim/backend.h"
@@ -534,6 +537,25 @@ BM_FusedLandscapeScan(benchmark::State& state)
     }
 }
 BENCHMARK(BM_FusedLandscapeScan)->Unit(benchmark::kMillisecond);
+
+/** Per-leaf p=1 angle search (grid 32, the engine default) on one leaf of
+ *  freezing the 4 top hotspots of a BA3 instance: arg 16 = n=20 freeze-4,
+ *  arg 18 = n=22 freeze-4. */
+void
+BM_OptimizeP1(benchmark::State& state)
+{
+    const int width = static_cast<int>(state.range(0));
+    const auto model = bench::ba_model(width + 4, 3, 3);
+    Rng rng(0);
+    const auto spots = frozenqubits::select_hotspots(
+        model, 4, frozenqubits::HotspotPolicy::MaxDegree, rng);
+    const auto leaf = frozenqubits::freeze_all(model, spots)[1].model;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(qaoa::optimize_p1(leaf, 32));
+    state.SetLabel(std::to_string(leaf.num_spins()) + " spins, " +
+                   std::to_string(leaf.num_quadratic_terms()) + " terms");
+}
+BENCHMARK(BM_OptimizeP1)->Arg(16)->Arg(18)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

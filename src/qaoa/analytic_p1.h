@@ -12,10 +12,18 @@
  *                  - cos(2g (h_i-h_j)) prod_{k != i,j} cos(2g (J_ik-J_jk))]
  *
  * with J_ik = 0 for uncoupled pairs (cos(0) = 1 drops out of products).
- * Cost per evaluation is O(sum of term-neighborhood sizes), so 500-qubit
- * instances (the Section 6 practical-scale study) evaluate in microseconds
- * where a statevector would need 2^500 amplitudes. Property-tested against
- * the dense simulator for random instances.
+ * Everything but sin(2b) and sin(4b) depends on gamma alone, so the cost
+ * splits: one gamma row is O(sum of term-neighborhood sizes), and each beta
+ * on that row is O(n + E) multiplies. A grid search therefore costs
+ * rows x neighborhoods + cells x (n + E), and 500-qubit instances (the
+ * Section 6 practical-scale study) evaluate in microseconds where a
+ * statevector would need 2^500 amplitudes. Property-tested against the
+ * dense simulator for random instances.
+ *
+ * Results are bit-for-bit fixed: every product keeps one order (the
+ * golden values in tests/test_qaoa.cc pin it), because the last bits can
+ * move the search's argmin and with it every sampled count downstream.
+ * Building with -ffast-math or FP contraction (-mfma) would break them.
  */
 #ifndef FQ_QAOA_ANALYTIC_P1_H
 #define FQ_QAOA_ANALYTIC_P1_H
@@ -56,7 +64,9 @@ double evaluate_p1_energy(const ising::IsingModel& model,
  * Optimize (gamma, beta) by dense grid search followed by local refinement
  * around the best cell. Returns the minimizing angles and energy. Grid
  * covers gamma, beta in [0, pi) x [0, pi), sufficient for one period of
- * integer-weight instances.
+ * integer-weight instances. Evaluates grid^2 + 4 * refine cells; the
+ * returned energy equals evaluate_p1_energy at the returned angles, bit
+ * for bit.
  */
 struct P1OptimizationResult
 {

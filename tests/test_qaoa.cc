@@ -8,8 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bitops.h"
+#include "frozenqubits/freeze.h"
+#include "frozenqubits/hotspot.h"
 #include "graph/generators.h"
 #include "ising/ising_model.h"
 #include "qaoa/analytic_p1.h"
@@ -183,6 +191,110 @@ TEST_P(AnalyticP1Property, MatchesStatevectorOnRandomInstances)
 INSTANTIATE_TEST_SUITE_P(RandomInstances, AnalyticP1Property,
                          ::testing::Range(0, 12));
 
+std::uint64_t
+bits_of(double x)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+ising::IsingModel
+ba3_model(int n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    auto g = graph::barabasi_albert(n, 3, rng);
+    graph::assign_random_pm1_weights(g, rng);
+    return ising::IsingModel::from_graph(g);
+}
+
+/** Freeze the top-@p m hotspots of @p parent; bit b of @p leaf set = -1. */
+frozenqubits::SubProblem
+freeze_hotspots(const frozenqubits::SubProblem& parent, int m, int leaf)
+{
+    Rng unused(0);
+    const auto spots = frozenqubits::select_hotspots(
+        parent.model, m, frozenqubits::HotspotPolicy::MaxDegree, unused);
+    auto sub = parent;
+    for (int b = 0; b < m; ++b)
+        sub = frozenqubits::freeze_spin(sub, parent.original_of[spots[b]],
+                                        (leaf >> b) & 1 ? -1 : +1);
+    return sub;
+}
+
+struct LeafShape
+{
+    const char* name;
+    ising::IsingModel model;
+};
+
+/** The leaf shapes the p=1 angle search is pinned and checked on. */
+std::vector<LeafShape>
+leaf_shapes()
+{
+    using frozenqubits::as_subproblem;
+    std::vector<LeafShape> shapes;
+    // n=20 BA3 freeze-4 leaf: 16 spins with nonzero integer h.
+    shapes.push_back(
+        {"ba3_n20_freeze4",
+         freeze_hotspots(as_subproblem(ba3_model(20, 7)), 4, 5).model});
+    // n=22 depth-2 leaf: freeze 2, then 2 more on the child; 18 spins.
+    shapes.push_back(
+        {"ba3_n22_depth2",
+         freeze_hotspots(freeze_hotspots(as_subproblem(ba3_model(22, 9)), 2, 1),
+                         2, 2)
+             .model});
+    {
+        // Real-valued h and J.
+        Rng rng(13);
+        auto g = graph::barabasi_albert(8, 2, rng);
+        graph::assign_gaussian_weights(g, rng);
+        auto model = ising::IsingModel::from_graph(g);
+        for (int i = 0; i < model.num_spins(); ++i)
+            model.set_linear(i, rng.uniform(-1.5, 1.5));
+        model.set_offset(0.75);
+        shapes.push_back({"real_valued", model});
+    }
+    {
+        // Isolated spins, one with a field, next to a coupled triangle.
+        ising::IsingModel model(6);
+        model.add_quadratic(0, 1, 1.0);
+        model.add_quadratic(1, 2, -1.0);
+        model.add_quadratic(0, 2, 1.0);
+        model.set_linear(1, 1.0);
+        model.set_linear(4, -2.0);
+        shapes.push_back({"isolated_spins", model});
+    }
+    {
+        // No quadratic terms at all.
+        ising::IsingModel model(3);
+        model.set_linear(0, 1.0);
+        model.set_linear(2, -0.5);
+        shapes.push_back({"no_couplings", model});
+    }
+    {
+        // J_01 accumulates to exactly zero and stays a term.
+        ising::IsingModel model(4);
+        model.add_quadratic(0, 1, 1.0);
+        model.add_quadratic(0, 1, -1.0);
+        model.add_quadratic(1, 2, 1.0);
+        model.add_quadratic(0, 2, -1.0);
+        model.add_quadratic(2, 3, 1.0);
+        model.set_linear(0, 1.0);
+        shapes.push_back({"retained_zero_coupling", model});
+    }
+    return shapes;
+}
+
+const ising::IsingModel&
+shape_named(const std::vector<LeafShape>& shapes, const std::string& name)
+{
+    for (const auto& shape : shapes)
+        if (name == shape.name)
+            return shape.model;
+    throw std::invalid_argument("no leaf shape " + name);
+}
+
 TEST(AnalyticP1, EnergyOnlyPathAgrees)
 {
     Rng rng(2);
@@ -190,8 +302,110 @@ TEST(AnalyticP1, EnergyOnlyPathAgrees)
     graph::assign_random_pm1_weights(g, rng);
     const auto model = ising::IsingModel::from_graph(g);
     const P1Angles angles{0.4, 0.3};
-    EXPECT_DOUBLE_EQ(evaluate_p1_energy(model, angles),
-                     evaluate_p1(model, angles).energy);
+    EXPECT_EQ(bits_of(evaluate_p1_energy(model, angles)),
+              bits_of(evaluate_p1(model, angles).energy));
+}
+
+TEST(AnalyticP1, OptimizeIsPinned)
+{
+    // Golden values, bit for bit. The order of every product in the closed
+    // form sets the last bits, and the last bits can move the argmin, which
+    // reseeds every sampled count downstream. A reordering must fail here.
+    struct Pin
+    {
+        const char* shape;
+        int grid, refine;
+        double gamma, beta, energy;
+        int evaluations;
+    };
+    const Pin pins[] = {
+        {"ba3_n20_freeze4", 32, 24, 0x1.053e3972e8a8dp-2,
+         0x1.4f99226155db9p+1, -0x1.29cdcf28535e3p+3, 1120},
+        {"ba3_n20_freeze4", 2, 0, 0x0p+0, 0x0p+0, 0x1.8p+1, 4},
+        {"ba3_n20_freeze4", 48, 24, 0x1.0540519d2fae7p-2,
+         0x1.4f99a86be79d1p+1, -0x1.29cdcf362bcfbp+3, 2400},
+        {"ba3_n22_depth2", 32, 24, 0x1.19d5d11f3384ap-2,
+         0x1.50dbeed558275p+1, -0x1.836a60e338617p+3, 1120},
+        {"real_valued", 32, 24, 0x1.f1eafaf6b1ac6p-3, 0x1.5c36b10922144p+1,
+         -0x1.2274ea5c17c35p+2, 1120},
+        {"isolated_spins", 32, 24, 0x1.ad83be2d191ebp-2,
+         0x1.4755458a8fb03p+1, -0x1.0be9f725678b2p+2, 1120},
+        {"no_couplings", 32, 24, 0x1.bbbcf26a6488p-1, 0x1.2d97c7f3321d2p+1,
+         -0x1.5e2f3077edd8cp+0, 1120},
+        {"retained_zero_coupling", 32, 24, 0x1.a1d8169857f63p-2,
+         0x1.5c47f865ec032p+1, -0x1.da84902ca1f6ep+0, 1120},
+    };
+    const auto shapes = leaf_shapes();
+    for (const auto& pin : pins) {
+        SCOPED_TRACE(std::string(pin.shape) + " grid " +
+                     std::to_string(pin.grid));
+        const auto got =
+            optimize_p1(shape_named(shapes, pin.shape), pin.grid, pin.refine);
+        EXPECT_EQ(bits_of(got.angles.gamma), bits_of(pin.gamma));
+        EXPECT_EQ(bits_of(got.angles.beta), bits_of(pin.beta));
+        EXPECT_EQ(bits_of(got.energy), bits_of(pin.energy));
+        EXPECT_EQ(got.evaluations, pin.evaluations);
+    }
+
+    // Per-term expectations on the real-valued shape at two angle pairs.
+    struct ExpectationPin
+    {
+        P1Angles angles;
+        std::vector<double> z, zz;
+        double energy;
+    };
+    const ExpectationPin expectation_pins[] = {
+        {{0.37, 0.21},
+         {0x1.10dd9ac8ccaep-5, -0x1.b67b278b120d5p-9, 0x1.7ba2a35375bb4p-3,
+          -0x1.63e5481de1f9fp-5, -0x1.7dd2420b1b36bp-5, -0x1.1a9d1e898121ep-4,
+          -0x1.120b2311be283p-4, 0x1.2a2321e02663fp-7},
+         {0x1.bd95e0e739521p-8, -0x1.df7f1907e63a4p-5, -0x1.8e2417192724bp-5,
+          -0x1.69c066378a156p-2, 0x1.ed4926639ad86p-3, 0x1.c5752cf51d33cp-4,
+          0x1.d60c9947a7f5p-3, 0x1.50d7e5fc26718p-2, -0x1.35cf500fa0118p-4,
+          -0x1.5cc39df0a09eep-2, 0x1.1e5096c019dc5p-6, -0x1.67c57848b588ep-2,
+          0x1.b75137a585b6fp-5},
+         0x1.f00ff90b3b281p+1},
+        {{1.9, 2.6},
+         {-0x1.48fccba00571ep-3, 0x1.a54ad516c0752p-12, 0x1.cc19ae19d239fp-6,
+          0x1.401d5f14c12dbp-6, -0x1.74e7b8b829944p-1, 0x1.7d2a2a57a54a8p-2,
+          -0x1.c7ad3dfee711cp-5, -0x1.84f825856ac64p-5},
+         {0x1.6fcc7bb001e6cp-11, -0x1.3cb8aa939fc58p-8, 0x1.1f9ae7a46ffd4p-6,
+          0x1.00f8abc83a1abp-5, -0x1.c24a6b207a1b8p-7, 0x1.ae4b88a347b3p-4,
+          -0x1.10072131378p-19, -0x1.f12799a618d12p-3, -0x1.efa0ec116929cp-8,
+          -0x1.194067e64af7cp-4, -0x1.876b6482237f9p-9, -0x1.612155b54a231p-4,
+          -0x1.e2a4e19d8612dp-3},
+         0x1.2c05abd3f644fp+0},
+    };
+    const auto& real_valued = shape_named(shapes, "real_valued");
+    for (const auto& pin : expectation_pins) {
+        const auto got = evaluate_p1(real_valued, pin.angles);
+        ASSERT_EQ(got.z.size(), pin.z.size());
+        ASSERT_EQ(got.zz.size(), pin.zz.size());
+        for (std::size_t i = 0; i < pin.z.size(); ++i)
+            EXPECT_EQ(bits_of(got.z[i]), bits_of(pin.z[i])) << "z " << i;
+        for (std::size_t t = 0; t < pin.zz.size(); ++t)
+            EXPECT_EQ(bits_of(got.zz[t]), bits_of(pin.zz[t])) << "zz " << t;
+        EXPECT_EQ(bits_of(got.energy), bits_of(pin.energy));
+    }
+}
+
+TEST(AnalyticP1, OptimizeEnergyIsTheEvaluatedEnergy)
+{
+    // One closed form: the search's energy is what evaluating its angles
+    // gives, bit for bit, and every cell and probe counts once.
+    for (const auto& shape : leaf_shapes()) {
+        for (const auto& [grid, refine] :
+             {std::pair{2, 0}, std::pair{7, 3}, std::pair{32, 24}}) {
+            SCOPED_TRACE(std::string(shape.name) + " grid " +
+                         std::to_string(grid));
+            const auto tuned = optimize_p1(shape.model, grid, refine);
+            EXPECT_EQ(tuned.evaluations, grid * grid + 4 * refine);
+            EXPECT_EQ(bits_of(tuned.energy),
+                      bits_of(evaluate_p1_energy(shape.model, tuned.angles)));
+            EXPECT_EQ(bits_of(tuned.energy),
+                      bits_of(evaluate_p1(shape.model, tuned.angles).energy));
+        }
+    }
 }
 
 TEST(AnalyticP1, ZeroAnglesGiveUniformEnergy)
