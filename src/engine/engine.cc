@@ -264,8 +264,7 @@ ExecutionEngine::start_diagnostics(const SolveTree& tree,
     for (int leaf_id : schedule.executed) {
         const auto& leaf =
             tree.leaves[static_cast<std::size_t>(leaf_id)];
-        diagnostics_.executed_subproblems.push_back(
-            tree.flat() ? leaf.local_solve : leaf_id);
+        diagnostics_.executed_subproblems.push_back(leaf_id);
         diagnostics_.fused_simulation =
             diagnostics_.fused_simulation || leaf.fuse;
         if (leaf.fuse) {
@@ -383,12 +382,7 @@ ExecutionEngine::solve_impl(const ising::IsingModel& model,
     // tail: the plan side of the diagnostics' plan-vs-adaptive trace.
     std::vector<int> plan_order;
     if (config.rerank_interval > 0)
-        for (int leaf_id : schedule.executed)
-            plan_order.push_back(
-                tree.flat()
-                    ? tree.leaves[static_cast<std::size_t>(leaf_id)]
-                          .local_solve
-                    : leaf_id);
+        plan_order = schedule.executed;
 
     // Execute through wave-synchronous epochs; the streaming reducer folds
     // each leaf's distribution into the incumbent decode as it lands. With

@@ -7,7 +7,6 @@
 
 #include "common/bitops.h"
 #include "common/error.h"
-#include "frozenqubits/decoder.h"
 #include "ising/sa_solver.h"
 #include "sim/noise_model.h"
 
@@ -52,35 +51,6 @@ reduce_report(const ExecutionPlan& plan,
     report.ev_noisy_fq = best_noisy;
     report.arg_fq = sim::approximation_ratio_gap(best_ideal, best_noisy);
     return report;
-}
-
-frozenqubits::SampledSolve
-reduce_sampling(const ising::IsingModel& model, const ExecutionPlan& plan,
-                const std::vector<sim::Counts>& per_task)
-{
-    FQ_REQUIRE(per_task.size() == plan.tasks.size(),
-               "per-task counts do not match the plan");
-
-    const int sub_width =
-        model.num_spins() - static_cast<int>(plan.hotspots.size());
-    std::vector<sim::Counts> distributions(
-        plan.subproblems.size(), sim::Counts(sub_width));
-    for (std::size_t k = 0; k < plan.tasks.size(); ++k) {
-        const auto& task = plan.tasks[k];
-        distributions[task.solve] = per_task[k];
-        // Mirror distributions: flip every bit (Section 3.7.2).
-        for (int mirror : task.mirrors)
-            distributions[mirror] = per_task[k].flip_all_bits();
-    }
-
-    const auto decoded =
-        frozenqubits::decode_best(model, plan.subproblems, distributions);
-    frozenqubits::SampledSolve out;
-    out.best_assignment = decoded.assignment;
-    out.best_cost = decoded.cost;
-    out.from_subproblem = decoded.subproblem_index;
-    out.distributions = std::move(distributions);
-    return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -243,79 +213,34 @@ StreamingReducer::export_folded(std::size_t folded) const
 }
 
 frozenqubits::SampledSolve
-StreamingReducer::finish_flat() const
-{
-    // Legacy reduction, delegated to the flat reducer: per-task counts in
-    // plan order (budget-skipped tasks contribute an empty histogram that
-    // decode_best skips) — bit-identical to the flat engine for a full
-    // (unbudgeted) schedule.
-    const auto& root = tree_.nodes.front();
-    const int sub_width =
-        original_.num_spins() -
-        static_cast<int>(root.plan.hotspots.size());
-    std::vector<sim::Counts> per_task(root.plan.tasks.size(),
-                                      sim::Counts(sub_width));
-    // Map each leaf to its plan task through the node-local sub-problem
-    // index, never by position: today the tree builder emits flat leaves in
-    // task order, but a planner change that reorders them must trip the
-    // requirements below instead of silently permuting distributions.
-    std::vector<int> task_of_solve(root.plan.subproblems.size(), -1);
-    for (std::size_t j = 0; j < root.plan.tasks.size(); ++j)
-        task_of_solve[static_cast<std::size_t>(root.plan.tasks[j].solve)] =
-            static_cast<int>(j);
-    for (std::size_t k = 0; k < tree_.leaves.size(); ++k) {
-        if (!outcomes_[k].done)
-            continue;
-        const auto& leaf = tree_.leaves[k];
-        FQ_REQUIRE(leaf.local_solve >= 0 &&
-                       leaf.local_solve <
-                           static_cast<int>(task_of_solve.size()),
-                   "flat leaf lacks a node-local sub-problem index");
-        const int task =
-            task_of_solve[static_cast<std::size_t>(leaf.local_solve)];
-        FQ_REQUIRE(task >= 0,
-                   "flat leaf's sub-problem has no matching plan task");
-        per_task[static_cast<std::size_t>(task)] = outcomes_[k].counts;
-    }
-    return reduce_sampling(original_, root.plan, per_task);
-}
-
-frozenqubits::SampledSolve
 StreamingReducer::finish()
 {
     std::lock_guard<std::mutex> lock(mutex_);
 
+    // Quantum-only best: scan in leaf order — deterministic regardless of
+    // arrival order.
+    int best_leaf = -1;
+    for (std::size_t id = 0; id < outcomes_.size(); ++id) {
+        const auto& outcome = outcomes_[id];
+        if (!outcome.done ||
+            outcome.best_cost == std::numeric_limits<double>::infinity())
+            continue;
+        if (best_leaf < 0 ||
+            outcome.best_cost <
+                outcomes_[static_cast<std::size_t>(best_leaf)].best_cost)
+            best_leaf = static_cast<int>(id);
+    }
+    FQ_REQUIRE(best_leaf >= 0, "no decodable outcome (no leaf executed)");
+    const auto& best = outcomes_[static_cast<std::size_t>(best_leaf)];
+
     frozenqubits::SampledSolve out;
-    if (tree_.flat()) {
-        out = finish_flat();
-    } else {
-        // Quantum-only best: scan in leaf order — deterministic regardless
-        // of arrival order.
-        int best_leaf = -1;
-        for (std::size_t id = 0; id < outcomes_.size(); ++id) {
-            const auto& outcome = outcomes_[id];
-            if (!outcome.done ||
-                outcome.best_cost ==
-                    std::numeric_limits<double>::infinity())
-                continue;
-            if (best_leaf < 0 ||
-                outcome.best_cost <
-                    outcomes_[static_cast<std::size_t>(best_leaf)]
-                        .best_cost)
-                best_leaf = static_cast<int>(id);
-        }
-        FQ_REQUIRE(best_leaf >= 0,
-                   "no decodable outcome (no leaf executed)");
-        const auto& best = outcomes_[static_cast<std::size_t>(best_leaf)];
-        out.best_assignment = best.best_assignment;
-        out.best_cost = best.best_cost;
-        out.from_subproblem = best_leaf;
-        for (int leaf_id : schedule_.executed) {
-            const auto& outcome =
-                outcomes_[static_cast<std::size_t>(leaf_id)];
-            if (outcome.done)
-                out.distributions.push_back(outcome.counts);
-        }
+    out.best_assignment = best.best_assignment;
+    out.best_cost = best.best_cost;
+    out.from_subproblem = best_leaf;
+    for (int leaf_id : schedule_.executed) {
+        const auto& outcome = outcomes_[static_cast<std::size_t>(leaf_id)];
+        if (outcome.done)
+            out.distributions.push_back(outcome.counts);
     }
     out.best_quantum_cost = out.best_cost;
     out.best_quantum_leaf = out.from_subproblem;

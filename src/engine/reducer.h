@@ -1,12 +1,12 @@
 /**
  * @file
  * Reducer: fold per-task results back into the driver's public report
- * types. The flat helpers reduce serially in plan order; the
- * StreamingReducer folds tree-leaf results into an incumbent best decode
- * AS THEY LAND, so a budgeted solve can report anytime quality. Both are
- * schedule-independent: the streaming incumbent is a minimum with a
- * deterministic (cost, leaf-id) tie-break, so arrival order — and thus
- * thread count — can never change the outcome.
+ * types. reduce_report builds the analytic Report serially in plan order;
+ * the StreamingReducer decodes every sampled tree leaf AS IT LANDS into an
+ * incumbent best (Section 3.6), so a budgeted solve can report anytime
+ * quality. The streaming incumbent is a minimum with a deterministic
+ * (cost, leaf-id) tie-break, so arrival order — and thus thread count —
+ * can never change the outcome.
  */
 #ifndef FQ_ENGINE_REDUCER_H
 #define FQ_ENGINE_REDUCER_H
@@ -33,15 +33,6 @@ frozenqubits::Report reduce_report(
     std::vector<frozenqubits::CircuitStats> per_task);
 
 /**
- * Build the SampledSolve from per-task output distributions (plan order):
- * mirror distributions are inferred by bit flipping (Section 3.7.2), then
- * the best lifted outcome across all 2^m sub-spaces is decoded.
- */
-frozenqubits::SampledSolve reduce_sampling(
-    const ising::IsingModel& model, const ExecutionPlan& plan,
-    const std::vector<sim::Counts>& per_task);
-
-/**
  * Streaming tree reduction. The scheduler calls fold() from worker threads
  * as each leaf's sampled distribution lands; finish() assembles the final
  * SampledSolve plus the rank-order anytime trace once every scheduled leaf
@@ -52,11 +43,10 @@ frozenqubits::SampledSolve reduce_sampling(
  * is the histogram's min-cost state lifted to the original space.
  * Partition-lineage outcomes only cover the fragment's spins; the decode
  * fills the rest from the classical presolve assignment and greedy-repairs
- * on the original model (the D&C stitch, Section 1).
- *
- * Flat trees finish through the legacy 2^m-distribution path (decode_best
- * over mirror-completed distributions), so a default-config solve is
- * bit-identical to the flat engine.
+ * on the original model (the D&C stitch, Section 1). Mirror sub-spaces
+ * (Section 3.7.2) are covered by lifting the bit-flipped best state
+ * through each mirror node, so every tree shape — a flat single freeze
+ * included — finishes through the same decode.
  */
 class StreamingReducer
 {
@@ -131,7 +121,6 @@ class StreamingReducer
     };
 
     LeafOutcome decode(int leaf_id, sim::Counts counts) const;
-    frozenqubits::SampledSolve finish_flat() const;
 
     const ising::IsingModel& original_;
     const SolveTree& tree_;

@@ -82,7 +82,8 @@ make_schedule(const ising::IsingModel& original, const SolveTree& tree,
                       config.prune_dominated || config.rerank_interval > 0;
     // Non-flat trees always get the global presolve: it anchors the
     // anytime trace and (for partition lineages) the decode repair base.
-    // Flat unbudgeted solves skip it so the legacy path stays untouched.
+    // Flat unbudgeted solves skip it: they need neither scores nor a
+    // repair base.
     const bool needs_presolve =
         schedule.scored || needs_repair || !tree.flat();
 

@@ -562,11 +562,11 @@ SolveService::assembler_loop()
         finishing_ += finished.size();
         lock.unlock();
 
-        // Reduce without the lock (CPU-heavy for flat trees), then publish
-        // diagnostics + counters BEFORE delivering promises/callbacks, so
-        // a completion callback can read its own diagnostics() and
-        // stats(). Callbacks run without the lock; drain() from a callback
-        // is the one documented deadlock.
+        // Reduce without the lock, then publish diagnostics + counters
+        // BEFORE delivering promises/callbacks, so a completion callback
+        // can read its own diagnostics() and stats(). Callbacks run
+        // without the lock; drain() from a callback is the one documented
+        // deadlock.
         std::vector<Outcome> outcomes;
         outcomes.reserve(finished.size());
         for (auto& request : finished)

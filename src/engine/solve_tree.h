@@ -101,8 +101,8 @@ struct SolveLeaf
     int node = -1;    ///< index into SolveTree::nodes
     int leaf_id = 0;  ///< position in SolveTree::leaves (plan order)
     /** Node-local sub-problem index inside the parent Freeze plan
-     *  (-1 under a Partition parent). Flat trees use it to rebuild the
-     *  legacy 2^m distribution layout. */
+     *  (-1 under a Partition parent). In a flat tree it equals leaf_id:
+     *  canonical sub-problems are planned in ascending order. */
     int local_solve = -1;
     std::uint64_t rng_seed = 0;
     /** Mirror Leaf nodes recovered from this leaf by bit flipping. */
@@ -157,10 +157,9 @@ struct SolveTree
     int max_depth = 1;             ///< configured expansion depth
 
     /**
-     * True for the legacy shape: a single Freeze root whose children are
-     * all terminal. Flat trees reduce through the legacy 2^m-distribution
-     * path, so a default-config solve stays bit-identical to the flat
-     * engine.
+     * True for the paper's single-freeze shape: a Freeze root whose
+     * children are all terminal. The scheduler skips the classical
+     * presolve for an unbudgeted flat tree.
      */
     bool flat() const;
 

@@ -226,8 +226,8 @@ Report run_pipeline(const ising::IsingModel& model,
 /**
  * Sampled end-to-end solve (examples / integration tests; statevector
  * width limits apply): executes every planned sub-circuit with the sampled
- * global-depolarizing + readout noise channel, infers mirror distributions
- * by bit flipping, decodes the best solution.
+ * global-depolarizing + readout noise channel, covers mirror sub-spaces by
+ * bit flipping, decodes the best solution.
  */
 /** One point of the anytime-quality trajectory of a budgeted solve. */
 struct AnytimePoint
@@ -247,26 +247,26 @@ struct SampledSolve
      * Whenever a classical presolve was computed (budgeted, recursive or
      * partitioned solves) it participates: if it beats every quantum
      * decode, best_* report it and from_subproblem is -1. Flat unbudgeted
-     * solves have no presolve, so this is exactly the legacy decode.
+     * solves have no presolve, so this is the best quantum decode.
      */
     ising::SpinVector best_assignment;
     double best_cost = 0.0;
     /**
-     * Flat solves: index into the 2^m sub-problems. Tree solves
-     * (max_depth > 1 or partition_width > 0): the leaf id. -1 when the
-     * classical presolve is the incumbent.
+     * Leaf id of the winning decode (engine::SolveTree::leaves; for a
+     * flat solve this is also its node-local sub-problem index). -1 when
+     * the classical presolve is the incumbent.
      */
     int from_subproblem = -1;
 
     /** Best QUANTUM decode regardless of the presolve (equals best_cost
      *  when a leaf wins; the mode-comparison metric in the bench suite). */
     double best_quantum_cost = 0.0;
-    /** Producer of best_quantum_cost (sub-problem / leaf id as above). */
+    /** Leaf id that produced best_quantum_cost. */
     int best_quantum_leaf = -1;
     /**
-     * Flat solves: one distribution per sub-problem (2^m, mirrors
-     * inferred, budget-skipped entries empty). Tree solves: one per
-     * executed leaf, in schedule (rank) order.
+     * One sampled histogram per executed leaf, in schedule (rank) order.
+     * Mirror sub-spaces are never sampled: their distribution is the
+     * bit-flipped histogram of the leaf that covers them (Section 3.7.2).
      */
     std::vector<sim::Counts> distributions;
 

@@ -14,7 +14,10 @@
 #include "common/error.h"
 #include "device/catalog.h"
 #include "engine/engine.h"
+#include "engine/solve_tree.h"
+#include "engine/template_cache.h"
 #include "engine/thread_pool.h"
+#include "frozenqubits/decoder.h"
 #include "graph/generators.h"
 #include "ising/ising_model.h"
 #include "solve_test_util.h"
@@ -332,11 +335,10 @@ TEST(ExecutionEngine, PartialExecutionRunsExactlyTheBudget)
     EXPECT_EQ(serial.last_diagnostics().tasks_executed, 2);
     EXPECT_EQ(serial.last_diagnostics().leaves_beyond_budget, 2);
     EXPECT_TRUE(serial.last_diagnostics().scheduler_scored);
-    // Exactly B distributions are non-empty (plus their flipped mirrors).
-    int non_empty = 0;
+    // Exactly B executed distributions, each fully sampled.
+    ASSERT_EQ(a.distributions.size(), 2u);
     for (const auto& d : a.distributions)
-        non_empty += d.total_shots() > 0 ? 1 : 0;
-    EXPECT_EQ(non_empty, 4); // 2 executed + 2 mirror-inferred
+        EXPECT_EQ(d.total_shots(), 2048u);
     // Anytime trace: presolve point + one per executed circuit, with a
     // monotonically non-increasing incumbent.
     ASSERT_EQ(a.anytime.size(), 3u);
@@ -532,5 +534,107 @@ TEST(TemplateCache, FamilyByteAccountingExactAtEvictionBoundary)
     EXPECT_EQ(stats.structure_bytes, 0u);
     EXPECT_EQ(stats.bind_bytes, 0u);
 }
+
+// --- One reducer: the Section 3.6 decode over mirror-completed 2^m
+// distributions is the oracle for the streaming decode of flat trees.
+
+struct FlatOracleCase
+{
+    const char* name;
+    int freeze;
+    bool real_valued; ///< uniform real J plus nonzero h (mirror pruning off)
+    long long max_circuits;
+    int threads;
+};
+
+ising::IsingModel
+real_valued_model(int n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const auto g = graph::barabasi_albert(n, 3, rng);
+    ising::IsingModel model(n);
+    for (const auto& e : g.edges())
+        model.add_quadratic(e.u, e.v, rng.uniform(-1.0, 1.0));
+    for (int i = 0; i < n; ++i)
+        model.set_linear(i, rng.uniform(-0.5, 0.5));
+    return model;
+}
+
+void
+PrintTo(const FlatOracleCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
+class FlatDecodeOracle : public ::testing::TestWithParam<FlatOracleCase>
+{
+};
+
+TEST_P(FlatDecodeOracle, FlatDecodeMatchesDecodeBestOracle)
+{
+    const auto& param = GetParam();
+    // The ±1 instance has optimal decodes in several leaves, so the
+    // lowest-leaf tie-break is checked against decode_best's too.
+    const auto model =
+        param.real_valued ? real_valued_model(12, 21) : ba_model(12, 3, 3);
+    const auto dev = device::make_device("ibm-montreal");
+    frozenqubits::DriverConfig config;
+    config.num_freeze = param.freeze;
+    config.max_circuits = param.max_circuits;
+    constexpr std::uint64_t kSeed = 29;
+
+    ExecutionEngine engine(param.threads);
+    const auto solved = engine.solve(model, dev, config, 1024, kSeed);
+    const auto& executed = engine.last_diagnostics().executed_subproblems;
+
+    // Replan the same tree and rebuild the 2^m layout: each executed leaf
+    // fills its own sub-problem, and its bit-flipped histogram fills every
+    // mirror it covers (Section 3.7.2).
+    TemplateCache cache;
+    Rng rng(kSeed);
+    const auto tree = build_solve_tree(model, dev, config, cache, rng);
+    ASSERT_TRUE(tree.flat());
+    const auto& root = tree.nodes.front();
+    EXPECT_EQ(root.plan.tasks.size() < root.plan.subproblems.size(),
+              !param.real_valued);
+    const int width = model.num_spins() - param.freeze;
+    std::vector<sim::Counts> distributions(root.plan.subproblems.size(),
+                                           sim::Counts(width));
+    ASSERT_EQ(executed.size(), solved.distributions.size());
+    for (std::size_t k = 0; k < executed.size(); ++k) {
+        const auto& leaf = tree.leaves[static_cast<std::size_t>(executed[k])];
+        const auto& counts = solved.distributions[k];
+        distributions[static_cast<std::size_t>(leaf.local_solve)] = counts;
+        for (int mirror_node : leaf.mirror_nodes)
+            distributions[static_cast<std::size_t>(
+                tree.nodes[static_cast<std::size_t>(mirror_node)]
+                    .local_solve)] = counts.flip_all_bits();
+    }
+    const auto oracle =
+        frozenqubits::decode_best(model, root.plan.subproblems, distributions);
+
+    EXPECT_EQ(oracle.cost, solved.best_quantum_cost);
+    EXPECT_EQ(oracle.subproblem_index, solved.best_quantum_leaf);
+    if (solved.from_subproblem >= 0)
+        EXPECT_EQ(oracle.assignment, solved.best_assignment);
+    else // the presolve incumbent strictly beat every quantum decode
+        EXPECT_LT(solved.best_cost, oracle.cost);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Reducer, FlatDecodeOracle,
+    ::testing::Values(FlatOracleCase{"ba3_freeze2_t1", 2, false, 0, 1},
+                      FlatOracleCase{"ba3_freeze3_t4", 3, false, 0, 4},
+                      FlatOracleCase{"ba3_freeze4_t1", 4, false, 0, 1},
+                      FlatOracleCase{"ba3_freeze4_t4", 4, false, 0, 4},
+                      FlatOracleCase{"real_freeze2_t4", 2, true, 0, 4},
+                      FlatOracleCase{"real_freeze3_t1", 3, true, 0, 1},
+                      FlatOracleCase{"ba3_freeze4_budget3_t4", 4, false, 3,
+                                     4},
+                      FlatOracleCase{"real_freeze3_budget2_t1", 3, true, 2,
+                                     1}),
+    [](const ::testing::TestParamInfo<FlatOracleCase>& info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace

@@ -58,6 +58,24 @@ TEST(SolveTree, FlatTreeMatchesLegacyPlanShape)
     }
 }
 
+TEST(SolveTree, FlatLeafIdIsItsSubproblemIndex)
+{
+    // Canonical sub-problems are planned in ascending order (each below
+    // its mirror), so a flat tree's leaf id IS its node-local sub-problem
+    // index — pruned or not.
+    const auto model = ba_model(12, 1, 5);
+    for (const bool pruning : {true, false}) {
+        frozenqubits::DriverConfig config;
+        config.num_freeze = 3;
+        config.symmetry_pruning = pruning;
+        const auto tree = build(model, config);
+        ASSERT_TRUE(tree.flat());
+        EXPECT_EQ(tree.num_executable_leaves(), pruning ? 4 : 8);
+        for (std::size_t k = 0; k < tree.leaves.size(); ++k)
+            EXPECT_EQ(tree.leaves[k].local_solve, static_cast<int>(k));
+    }
+}
+
 TEST(SolveTree, DepthTwoComposesLiftsAndDistinctStreams)
 {
     const auto model = ba_model(12, 1, 9);
