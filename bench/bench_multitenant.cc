@@ -2,7 +2,7 @@
  * @file
  * Multi-tenant serving study: K concurrent solve requests multiplexed over
  * ONE ExecutionEngine by the SolveService (shared executor waves, shared
- * template/fused-program caches) versus the same K solves run serially on
+ * template cache) versus the same K solves run serially on
  * the same engine. With a warm shared cache the comparison isolates the
  * wave-batching benefit: serial solves fork-join per request (pool
  * occupancy bounded by each request's own leaf count), while the service

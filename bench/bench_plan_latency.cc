@@ -2,19 +2,17 @@
  * @file
  * Cold-start planning latency study: what the parametric family tier buys.
  * For each (n, p) BA family the same leaf-materialization work is timed at
- * all three template tiers:
+ * both template tiers:
  *
  *   cold compile — fresh cache: get_or_bind pays the full structural
  *     pipeline (circuit build + transpile + fusion skeleton), then the
  *     member's fused circuit is produced by a coefficient patch;
  *   family-warm bind — the family structure is resident: get_or_bind is a
  *     hash plus an O(E) labeled verification, and the member costs one
- *     coefficient patch — no transpiler involvement;
- *   fully-warm hit — the member's own fused program is resident: the
- *     lookup returns the shared artifact.
+ *     coefficient patch — no transpiler involvement.
  *
- * The 2^n weight-table builds are excluded from every arm on purpose: they
- * are value-keyed execution-time artifacts both paths build identically
+ * The 2^n weight-table builds are excluded from both arms on purpose: they
+ * are per-leaf execution-time artifacts both paths build identically
  * (bit-for-bit — see the bind-vs-recompile property tests), so including
  * them would only dilute the planning-path comparison this tentpole is
  * about. Emits BENCH_plan_latency.json and FAILS (exit 1) unless the
@@ -69,7 +67,6 @@ struct TierLatencies
 {
     double cold_us = 0.0;
     double bind_us = 0.0;
-    double hit_us = 0.0;
     double speedup() const { return cold_us / bind_us; }
 };
 
@@ -121,12 +118,11 @@ measure(int n, int p, const device::Device& dev)
     // each repetition — the tier the 2^m sibling fan-out lives in.
     engine::TemplateCache warm;
     (void)materialize(warm, base, dev, compile, build);
-    ising::IsingModel last = base;
     for (int rep = 0; rep < kRepeats; ++rep) {
-        last = with_new_values(
+        const auto member = with_new_values(
             base, kSeed + static_cast<std::uint64_t>(200 + rep));
         const auto start = Clock::now();
-        const auto tier = materialize(warm, last, dev, compile, build);
+        const auto tier = materialize(warm, member, dev, compile, build);
         const double us = us_since(start);
         if (tier != engine::TemplateTier::Bind)
             std::abort(); // warm-family lookups must never transpile
@@ -134,19 +130,6 @@ measure(int n, int p, const device::Device& dev)
             out.bind_us = us;
     }
 
-    // Fully-warm: the exact member's fused program resident too.
-    (void)warm.get_or_fuse(last, build);
-    for (int rep = 0; rep < kRepeats; ++rep) {
-        const auto start = Clock::now();
-        const auto binding = warm.get_or_bind(last, dev, compile, build);
-        const auto program = warm.get_or_fuse(last, build);
-        benchmark::DoNotOptimize(program.get());
-        const double us = us_since(start);
-        if (binding.tier != engine::TemplateTier::Hit)
-            std::abort();
-        if (rep == 0 || us < out.hit_us)
-            out.hit_us = us;
-    }
     return out;
 }
 
@@ -172,7 +155,7 @@ print_figure()
     Table t("BA" + Table::num(kDegree) + " families on ibm-montreal, best of " +
             Table::num(kRepeats) + " (weight-table builds excluded: "
             "identical across tiers)");
-    t.set_header({"n", "p", "cold compile us", "family bind us", "hit us",
+    t.set_header({"n", "p", "cold compile us", "family bind us",
                   "cold/bind"});
     bool pass = false;
     double gate_speedup = 0.0;
@@ -180,7 +163,6 @@ print_figure()
         t.add_row({Table::num(row.n), Table::num(row.p),
                    Table::num(row.tiers.cold_us, 1),
                    Table::num(row.tiers.bind_us, 1),
-                   Table::num(row.tiers.hit_us, 1),
                    Table::num(row.tiers.speedup(), 1)});
         if (row.n == kGateN && row.p == kGateP) {
             gate_speedup = row.tiers.speedup();
@@ -205,7 +187,6 @@ print_figure()
         json << "    {\"n\": " << row.n << ", \"p\": " << row.p
              << ", \"cold_compile_us\": " << row.tiers.cold_us
              << ", \"family_bind_us\": " << row.tiers.bind_us
-             << ", \"warm_hit_us\": " << row.tiers.hit_us
              << ", \"speedup\": " << row.tiers.speedup() << "}"
              << (k + 1 < rows.size() ? "," : "") << "\n";
     }
@@ -260,25 +241,6 @@ BM_FamilyWarmBind(benchmark::State& state)
     }
 }
 BENCHMARK(BM_FamilyWarmBind)->Unit(benchmark::kMicrosecond);
-
-void
-BM_FullyWarmHit(benchmark::State& state)
-{
-    const auto dev = device::make_device("ibm-montreal");
-    const auto base = bench::ba_model(16, kDegree, kSeed);
-    qaoa::BuildOptions build;
-    build.num_layers = 2;
-    transpiler::CompileOptions compile;
-    engine::TemplateCache cache;
-    (void)cache.get_or_bind(base, dev, compile, build);
-    (void)cache.get_or_fuse(base, build);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            cache.get_or_bind(base, dev, compile, build).tier);
-        benchmark::DoNotOptimize(cache.get_or_fuse(base, build).get());
-    }
-}
-BENCHMARK(BM_FullyWarmHit)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -184,6 +184,8 @@ simulate_scheduled_leaf(TemplateCache& cache, const SolveTree& tree,
                         BatchExecutor::Scratch& scratch, bool* fused_hit,
                         TemplateTier* fuse_tier)
 {
+    if (fused_hit)
+        *fused_hit = false;
     if (fuse_tier)
         *fuse_tier = TemplateTier::Compile;
     const auto& leaf = tree.leaves[static_cast<std::size_t>(leaf_id)];
@@ -209,16 +211,17 @@ simulate_scheduled_leaf(TemplateCache& cache, const SolveTree& tree,
                "circuit wider than target device");
 
     // Ideal state on the LOGICAL register, in this worker's reusable
-    // scratch buffer. The fused path replays the cache-compiled diagonal
+    // scratch buffer. The fused path replays the leaf's compiled diagonal
     // weight tables at this leaf's angles — one pass per cost layer —
     // instead of applying |E|+|V| gates; the naive path remains as the
     // --no-fusion escape hatch.
     if (leaf.fuse) {
-        // The family skeleton (when the plan attached one) lets a cache
-        // miss materialize by patching coefficients into the cached fusion
-        // skeleton instead of rebuilding the circuit — bit-identical tables
-        // either way (asserted in tests), only the build cost differs.
-        const auto program = cache.get_or_fuse(sub.model, build, fused_hit,
+        // The family skeleton (when the plan attached one) lets the leaf
+        // materialize its tables by patching coefficients into the cached
+        // fusion skeleton instead of rebuilding the circuit — bit-identical
+        // tables either way (asserted in tests), only the build cost
+        // differs. The program is this leaf's alone and dies with it.
+        const auto program = cache.get_or_fuse(sub.model, build, nullptr,
                                                leaf.family.get(), fuse_tier);
         // The kernel backend was chosen at plan time (leaf.backend, a pure
         // function of config and width) — execution only looks it up, so
@@ -274,7 +277,6 @@ ExecutionEngine::start_diagnostics(const SolveTree& tree,
                 ++diagnostics_.leaves_scalar_backend;
         }
         switch (leaf.tier) {
-        case TemplateTier::Hit: ++diagnostics_.leaves_tier_hit; break;
         case TemplateTier::Bind: ++diagnostics_.leaves_tier_bind; break;
         case TemplateTier::Compile:
             ++diagnostics_.leaves_tier_compile;

@@ -67,11 +67,10 @@ class SolveService;
  * the SolveService's cross-request waves: a pure function of
  * (cache contents, tree, leaf, config, shots), so WHERE a leaf runs —
  * which worker, which wave, alongside whose leaves — can never change its
- * counts. @p fused_hit, when non-null, reports whether the fused program
- * was served from @p cache (per-tenant cache-share accounting).
- * @p fuse_tier, when non-null, reports HOW the fused program materialized
- * (Hit / Bind / Compile — see TemplateTier); gate-by-gate leaves report
- * Compile.
+ * counts. @p fuse_tier, when non-null, reports HOW the fused program
+ * materialized (Bind / Compile — see TemplateTier); gate-by-gate leaves
+ * report Compile. @p fused_hit is a placeholder kept for source
+ * compatibility with perfbench; when non-null it is always set to false.
  */
 sim::Counts simulate_scheduled_leaf(TemplateCache& cache,
                                     const SolveTree& tree, int leaf_id,
@@ -117,9 +116,8 @@ class ExecutionEngine
         int leaves_scalar_backend = 0;
         int leaves_simd_backend = 0;
         /** Scheduled-leaf template tiers (plan-time preview; see
-         *  SolveLeaf::tier): fused program already resident / family
-         *  skeleton to patch / from-scratch build. */
-        int leaves_tier_hit = 0;
+         *  SolveLeaf::tier): family skeleton to patch / from-scratch
+         *  build. */
         int leaves_tier_bind = 0;
         int leaves_tier_compile = 0;
         /**

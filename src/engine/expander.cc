@@ -184,14 +184,9 @@ TreeBuild::make_leaf(int ni, const LeafContext& ctx,
         ctx.family->matches(node.sub.model))
         leaf.family = ctx.family;
     // Plan-time tier preview for diagnostics and the fqtool plan
-    // column. Fused leaves re-resolve through the cache at execution;
-    // unfused leaves always rebuild gate-by-gate (tier Compile).
-    if (leaf.fuse && cache_.peek_fused(node.sub.model, leaf.build))
-        leaf.tier = TemplateTier::Hit;
-    else if (leaf.fuse && leaf.family != nullptr)
-        leaf.tier = TemplateTier::Bind;
-    else
-        leaf.tier = TemplateTier::Compile;
+    // column. Unfused leaves always rebuild gate-by-gate (tier Compile).
+    leaf.tier = leaf.fuse && leaf.family != nullptr ? TemplateTier::Bind
+                                                    : TemplateTier::Compile;
     tree_.leaves.push_back(std::move(leaf));
     return node.leaf_id;
 }

@@ -47,9 +47,8 @@ make_plan(const ising::IsingModel& model, const device::Device& dev,
 
     // Mark the plan fusable: every sub-problem of one freeze shares the
     // template's quadratic structure, so if one fits the fused-simulation
-    // table width they all do. The fused program cache is keyed on
-    // coefficient values, so each executed sibling compiles its own weight
-    // tables once and reuses them across engine invocations.
+    // table width they all do. Each executed sibling binds its own weight
+    // tables from the family skeleton and drops them when it is done.
     plan.fuse_simulation =
         config.fuse_simulation &&
         (plan.subproblems.empty() ||

@@ -307,7 +307,7 @@ SolveService::run_wave(const std::vector<WaveSlot>& wave)
 {
     // The shared wave execution with the service's per-tenant hooks:
     // failure isolation (first failure wins, poisons only that request)
-    // and diagnostics (first-execution timestamp, fused-cache traffic,
+    // and diagnostics (first-execution timestamp, fused-program counts,
     // fold counting).
     WaveHooks hooks;
     hooks.admit = [](const WaveSlot& slot) {
@@ -320,26 +320,20 @@ SolveService::run_wave(const std::vector<WaveSlot>& wave)
         }
         return true;
     };
-    hooks.folded = [](const WaveSlot& slot, bool fused_hit,
+    hooks.folded = [](const WaveSlot& slot, bool /*fused_hit*/,
                       TemplateTier fuse_tier) {
         Request& r = *static_cast<Request*>(slot.request->context);
         const auto& leaf =
             r.tree.leaves[static_cast<std::size_t>(slot.leaf_id)];
         if (leaf.fuse) {
             r.fused_lookups.fetch_add(1, std::memory_order_relaxed);
-            if (fused_hit)
-                r.fused_hits.fetch_add(1, std::memory_order_relaxed);
             if (fuse_tier == TemplateTier::Bind)
                 r.family_binds.fetch_add(1, std::memory_order_relaxed);
             // Attribute the traffic to the leaf's plan-time backend tag.
-            const bool simd =
-                leaf.backend == sim::BackendKind::VectorizedFused;
-            auto& lookups =
-                simd ? r.fused_lookups_simd : r.fused_lookups_scalar;
-            auto& hits = simd ? r.fused_hits_simd : r.fused_hits_scalar;
+            auto& lookups = leaf.backend == sim::BackendKind::VectorizedFused
+                                ? r.fused_lookups_simd
+                                : r.fused_lookups_scalar;
             lookups.fetch_add(1, std::memory_order_relaxed);
-            if (fused_hit)
-                hits.fetch_add(1, std::memory_order_relaxed);
         }
         r.leaves_folded.fetch_add(1, std::memory_order_acq_rel);
     };
@@ -366,11 +360,8 @@ SolveService::reduce_request(Request& request)
     out.diag.leaves_executed = request.leaves_folded.load();
     out.diag.waves = request.waves;
     out.diag.fused_lookups = request.fused_lookups.load();
-    out.diag.fused_hits = request.fused_hits.load();
     out.diag.fused_lookups_scalar = request.fused_lookups_scalar.load();
-    out.diag.fused_hits_scalar = request.fused_hits_scalar.load();
     out.diag.fused_lookups_simd = request.fused_lookups_simd.load();
-    out.diag.fused_hits_simd = request.fused_hits_simd.load();
     out.diag.family_binds = request.family_binds.load();
     // Plan-time tier split over the leaves that actually folded (the final
     // schedule — re-ranks may have rewritten the plan-time cut).
@@ -378,7 +369,6 @@ SolveService::reduce_request(Request& request)
         const auto& leaf =
             request.tree.leaves[static_cast<std::size_t>(leaf_id)];
         switch (leaf.tier) {
-        case TemplateTier::Hit: ++out.diag.leaves_tier_hit; break;
         case TemplateTier::Bind: ++out.diag.leaves_tier_bind; break;
         case TemplateTier::Compile:
             ++out.diag.leaves_tier_compile;
@@ -396,11 +386,6 @@ SolveService::reduce_request(Request& request)
     for (int leaf_id : request.schedule.pruned)
         ++out.diag.kind_leaves_pruned[node_kind_index(
             leaf_arm_kind(request.tree, leaf_id))];
-    out.diag.cache_hit_share =
-        out.diag.fused_lookups == 0
-            ? 0.0
-            : static_cast<double>(out.diag.fused_hits) /
-                  static_cast<double>(out.diag.fused_lookups);
     out.diag.wave_occupancy =
         request.waves == 0
             ? 0.0

@@ -3,9 +3,9 @@
  * SolveService: cross-solve request batching over one ExecutionEngine.
  *
  * FrozenQubits' 2^m sub-problem fan-out only amortizes at service scale
- * when ONE engine's thread pool and template/fused-program caches are
- * shared across many concurrent solve requests, not just within one
- * instance (the Skipper observation: throughput comes from batching
+ * when ONE engine's thread pool and template cache are shared across
+ * many concurrent solve requests, not just within one instance (the
+ * Skipper observation: throughput comes from batching
  * independent sub-circuits across problems). The service accepts
  * concurrent submit() calls, plans each request on the submitter's thread
  * (tree + schedule + streaming reducer — cache-served planning runs
@@ -126,24 +126,18 @@ class SolveService
         int leaves_scheduled = 0;
         int leaves_executed = 0;  ///< folded leaves (== scheduled on success)
         int waves = 0;            ///< waves this request contributed to
-        /** Fused-program cache traffic attributed to this tenant. */
+        /** Fused programs this tenant's leaves built (get_or_fuse calls). */
         std::uint64_t fused_lookups = 0;
-        std::uint64_t fused_hits = 0;
-        /** Per-backend split of the fused-cache traffic (plan-time leaf
-         *  backend tags; scalar + simd == the totals above). */
+        /** Per-backend split of fused_lookups (plan-time leaf backend
+         *  tags; scalar + simd == fused_lookups). */
         std::uint64_t fused_lookups_scalar = 0;
-        std::uint64_t fused_hits_scalar = 0;
         std::uint64_t fused_lookups_simd = 0;
-        std::uint64_t fused_hits_simd = 0;
-        /** fused_hits / fused_lookups (0 when the request never fused). */
-        double cache_hit_share = 0.0;
         /** Fused programs this tenant materialized by patching a family
          *  skeleton instead of rebuilding circuits (exec-time count; a
-         *  subset of fused_lookups - fused_hits). */
+         *  subset of fused_lookups). */
         std::uint64_t family_binds = 0;
         /** Plan-time template-tier split of this tenant's executed leaves
-         *  (SolveLeaf::tier: resident / family-patch / from-scratch). */
-        int leaves_tier_hit = 0;
+         *  (SolveLeaf::tier: family-patch / from-scratch). */
         int leaves_tier_bind = 0;
         int leaves_tier_compile = 0;
         /** Per-reduction-arm split of this tenant's leaves, indexed by
@@ -370,12 +364,9 @@ class SolveService
         std::atomic<bool> started{false};
         Clock::time_point first_exec; ///< guarded by error_mutex
         std::atomic<std::uint64_t> fused_lookups{0};
-        std::atomic<std::uint64_t> fused_hits{0};
         /** Per-backend split (see TenantDiagnostics). */
         std::atomic<std::uint64_t> fused_lookups_scalar{0};
-        std::atomic<std::uint64_t> fused_hits_scalar{0};
         std::atomic<std::uint64_t> fused_lookups_simd{0};
-        std::atomic<std::uint64_t> fused_hits_simd{0};
         /** Exec-time family-skeleton binds (TemplateTier::Bind folds). */
         std::atomic<std::uint64_t> family_binds{0};
         std::atomic<int> leaves_folded{0};

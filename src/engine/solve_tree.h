@@ -132,9 +132,8 @@ struct SolveLeaf
     std::shared_ptr<const ParametricTemplate> family;
     /**
      * Plan-time prediction of how this leaf's fused program materializes:
-     * Hit (already resident), Bind (family skeleton patch), or Compile
-     * (from-scratch build). Diagnostics only — the execution path
-     * re-resolves through the cache and produces bit-identical tables
+     * Bind (family skeleton patch) or Compile (from-scratch build).
+     * Diagnostics only — the execution path builds bit-identical tables
      * regardless of tier.
      */
     TemplateTier tier = TemplateTier::Compile;

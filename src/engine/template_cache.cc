@@ -25,7 +25,8 @@ mix_double(std::uint64_t h, double v)
     return mix(h, bits);
 }
 
-/** Salt for the hit-verification fingerprint (independent hash chain). */
+/** Salt for the family verification fingerprint (independent hash
+ *  chain). */
 constexpr std::uint64_t kVerifySalt = 0x5bf0f5163ad2ab1dull;
 
 /** Rough per-template footprint: the two circuit copies (logical-structure
@@ -41,31 +42,12 @@ template_entry_bytes(const CompiledTemplate& tpl)
     return bytes;
 }
 
-/** Cache key for a fused-simulation program. */
-std::uint64_t
-sim_key(const ising::IsingModel& model, const qaoa::BuildOptions& build,
-        std::uint64_t salt)
-{
-    std::uint64_t h = model_value_fingerprint(model, salt);
-    h = combine_seeds(h, static_cast<std::uint64_t>(build.num_layers));
-    h = combine_seeds(h, (build.include_measurements ? 2u : 0u) |
-                             (build.keep_zero_linear_rz ? 1u : 0u));
-    return h;
-}
-
-/** Byte budget for cached fused programs. Entries hold 2^n-sized tables
- *  (a 20-qubit LUT program is ~2 MiB, a 26-qubit one ~128 MiB), so the
- *  bound is on estimated bytes, not entry count: many small sub-problems
- *  fit (an m=8 freeze's 128 siblings at n<=20 stay resident), while a
- *  handful of huge ones trip the wholesale reset early. */
-constexpr std::size_t kMaxSimBytes = std::size_t(256) << 20;
-
 /** Byte budget for family structures. These hold compiled circuits and
- *  O(|E|) skeletons, never 2^n tables, so the budget is far smaller. */
+ *  O(|E|) skeletons, never 2^n tables. */
 constexpr std::size_t kMaxFamilyBytes = std::size_t(64) << 20;
 
 /** True when the two builds produce the same circuit structure for the
- *  same model (the fields sim_key distinguishes). */
+ *  same model. */
 bool
 same_build(const qaoa::BuildOptions& a, const qaoa::BuildOptions& b)
 {
@@ -130,21 +112,6 @@ topology_fingerprint(const ising::IsingModel& model, std::uint64_t salt)
     for (const auto& term : model.quadratic_terms()) {
         h = mix(h, static_cast<std::uint64_t>(term.i));
         h = mix(h, static_cast<std::uint64_t>(term.j));
-    }
-    return h;
-}
-
-std::uint64_t
-model_value_fingerprint(const ising::IsingModel& model, std::uint64_t salt)
-{
-    std::uint64_t h = mix(hash_seed("fq-model-values"), salt);
-    h = mix(h, static_cast<std::uint64_t>(model.num_spins()));
-    for (double hi : model.linear_terms())
-        h = mix_double(h, hi);
-    for (const auto& term : model.quadratic_terms()) {
-        h = mix(h, static_cast<std::uint64_t>(term.i));
-        h = mix(h, static_cast<std::uint64_t>(term.j));
-        h = mix_double(h, term.coefficient);
     }
     return h;
 }
@@ -269,8 +236,6 @@ template_tier_name(TemplateTier tier)
         return "compile";
     case TemplateTier::Bind:
         return "bind";
-    case TemplateTier::Hit:
-        return "hit";
     }
     return "?";
 }
@@ -314,10 +279,7 @@ ParametricTemplate::bytes() const
     return total;
 }
 
-TemplateCache::TemplateCache()
-    : sim_byte_budget_(kMaxSimBytes), family_byte_budget_(kMaxFamilyBytes)
-{
-}
+TemplateCache::TemplateCache() : family_byte_budget_(kMaxFamilyBytes) {}
 
 std::shared_ptr<const sim::FusedProgram>
 TemplateCache::get_or_fuse(const ising::IsingModel& model,
@@ -325,85 +287,32 @@ TemplateCache::get_or_fuse(const ising::IsingModel& model,
                            const ParametricTemplate* family,
                            TemplateTier* tier)
 {
-    const std::uint64_t key = sim_key(model, build, 0);
-    const std::uint64_t verify = sim_key(model, build, kVerifySalt);
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.sim_lookups;
-        auto it = sim_entries_.find(key);
-        if (it != sim_entries_.end() && it->second.verify_key == verify) {
-            ++stats_.sim_hits;
-            if (was_hit)
-                *was_hit = true;
-            if (tier)
-                *tier = TemplateTier::Hit;
-            return it->second.value;
-        }
-    }
-
-    // Build OUTSIDE the lock: unlike the shared compiled template (one key
-    // per plan, pre-resolved serially by the planner), every sibling
-    // sub-problem carries distinct coefficient values and thus a distinct
-    // key — compiling the O(2^n) tables under the mutex would serialize
-    // the whole worker pool. A rare duplicate build of the same key loses
-    // the race below and is dropped; first insert wins so all callers
-    // share one program.
-    //
-    // With a matching family skeleton the build skips the circuit
-    // construction and fusion scan entirely: patch the coefficient slots,
-    // then compile the weight tables. The tables themselves are identical
-    // either way (asserted bit-for-bit by the bind-vs-recompile tests).
-    std::shared_ptr<const sim::FusedProgram> program;
+    if (was_hit)
+        *was_hit = false;
+    // Built OUTSIDE the lock: every sibling carries its own coefficients,
+    // so the O(2^n) table builds of a wave's leaves run in parallel. With
+    // a matching family skeleton the build skips the circuit construction
+    // and fusion scan entirely: patch the coefficient slots, then compile
+    // the weight tables. The tables are identical either way (asserted
+    // bit-for-bit by the bind-vs-recompile tests).
     const bool via_bind = family != nullptr && family->has_skeleton &&
                           same_build(family->build, build) &&
                           family->matches(model);
-    if (via_bind) {
-        program = std::make_shared<const sim::FusedProgram>(
-            circuit::bind_fused(family->skeleton, fused_slot_values(model)),
-            /*build_luts=*/true);
-    } else {
-        const auto logical = qaoa::build_qaoa_circuit(model, build);
-        program = std::make_shared<const sim::FusedProgram>(
-            logical, /*build_luts=*/true);
-    }
     if (tier)
         *tier = via_bind ? TemplateTier::Bind : TemplateTier::Compile;
-
-    std::lock_guard<std::mutex> lock(mutex_);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (via_bind)
+            ++stats_.family_binds;
+        else
+            ++stats_.sim_fusions;
+    }
     if (via_bind)
-        ++stats_.family_binds;
-    else
-        ++stats_.sim_fusions;
-    auto it = sim_entries_.find(key);
-    if (it != sim_entries_.end()) {
-        if (it->second.verify_key == verify) {
-            // Lost the race; share the winner's program — but report a
-            // miss: this caller paid the full table build, and hit-share
-            // diagnostics must not overstate hits under the very
-            // contention they exist to measure.
-            if (was_hit)
-                *was_hit = false;
-            return it->second.value;
-        }
-        // Verify-key mismatch (fingerprint collision): the stale entry is
-        // about to be overwritten — release its bytes from the budget.
-        sim_bytes_ -= it->second.bytes;
-    }
-    // Charge the FULL program footprint (tables + compiled op list), not
-    // table_bytes() alone — the old accounting undercounted every fused
-    // artifact by its op/qubit storage.
-    const std::size_t program_bytes = program->bytes();
-    sim_bytes_ += program_bytes;
-    if (sim_bytes_ > sim_byte_budget_) {
-        stats_.sim_evictions += sim_entries_.size();
-        sim_entries_.clear();
-        sim_bytes_ = program_bytes;
-    }
-    sim_entries_[key] = SimEntry{verify, program_bytes, program};
-    if (was_hit)
-        *was_hit = false;
-    return program;
+        return std::make_shared<const sim::FusedProgram>(
+            circuit::bind_fused(family->skeleton, fused_slot_values(model)),
+            /*build_luts=*/true);
+    return std::make_shared<const sim::FusedProgram>(
+        qaoa::build_qaoa_circuit(model, build), /*build_luts=*/true);
 }
 
 TemplateCache::FamilyBinding
@@ -424,8 +333,6 @@ TemplateCache::get_or_bind(const ising::IsingModel& model,
         template_key(model, dev, structural_opts, build);
     const std::uint64_t verify =
         template_key(model, dev, structural_opts, build, kVerifySalt);
-    const std::uint64_t fused_key = sim_key(model, build, 0);
-    const std::uint64_t fused_verify = sim_key(model, build, kVerifySalt);
 
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -438,22 +345,14 @@ TemplateCache::get_or_bind(const ising::IsingModel& model,
                     !variant.value->matches(model))
                     continue;
                 ++stats_.family_hits;
-                // Hit when this exact member's fused program is already
-                // resident; Bind when only the structure is (the tables
-                // will be a coefficient patch at execution time).
-                const auto sit = sim_entries_.find(fused_key);
-                const bool resident =
-                    sit != sim_entries_.end() &&
-                    sit->second.verify_key == fused_verify;
-                return {variant.value, resident ? TemplateTier::Hit
-                                                : TemplateTier::Bind};
+                return {variant.value, TemplateTier::Bind};
             }
         }
     }
 
-    // Structural compile OUTSIDE the lock (same contract as the other
-    // tiers): build the circuit once, transpile it structure-only, derive
-    // noise quantities (all angle-independent) and the fusion skeleton.
+    // Structural compile OUTSIDE the lock: build the circuit once,
+    // transpile it structure-only, derive noise quantities (all
+    // angle-independent) and the fusion skeleton.
     auto family = std::make_shared<ParametricTemplate>();
     family->num_spins = model.num_spins();
     const auto& quadratic = model.quadratic_terms();
@@ -521,26 +420,11 @@ TemplateCache::get_or_bind(const ising::IsingModel& model,
     return {family, TemplateTier::Compile};
 }
 
-bool
-TemplateCache::peek_fused(const ising::IsingModel& model,
-                          const qaoa::BuildOptions& build) const
-{
-    const std::uint64_t key = sim_key(model, build, 0);
-    const std::uint64_t verify = sim_key(model, build, kVerifySalt);
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = sim_entries_.find(key);
-    return it != sim_entries_.end() && it->second.verify_key == verify;
-}
-
 void
-TemplateCache::set_byte_budgets(std::size_t sim_bytes,
-                                std::size_t family_bytes)
+TemplateCache::set_family_byte_budget(std::size_t bytes)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (sim_bytes != 0)
-        sim_byte_budget_ = sim_bytes;
-    if (family_bytes != 0)
-        family_byte_budget_ = family_bytes;
+    family_byte_budget_ = bytes;
 }
 
 TemplateCache::Stats
@@ -549,7 +433,6 @@ TemplateCache::stats() const
     std::lock_guard<std::mutex> lock(mutex_);
     Stats out = stats_;
     out.structure_bytes = family_bytes_;
-    out.bind_bytes = sim_bytes_;
     return out;
 }
 
@@ -557,16 +440,14 @@ std::size_t
 TemplateCache::bytes() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return sim_bytes_ + family_bytes_;
+    return family_bytes_;
 }
 
 void
 TemplateCache::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    sim_entries_.clear();
     families_.clear();
-    sim_bytes_ = 0;
     family_bytes_ = 0;
 }
 

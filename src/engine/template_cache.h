@@ -5,13 +5,13 @@
  * All 2^m siblings of one freeze share a quadratic structure, so their
  * compiled circuits are identical up to RZ angles; one transpiler run
  * serves them all via edit_template. This cache extends that sharing
- * across engine invocations through two tiers: the family tier
- * (get_or_bind) holds one structure-only compile per labeled structure —
- * keyed on (model topology, device identity, compile + build options),
- * everything the transpiler's output structurally depends on, and nothing
- * it doesn't (coefficient VALUES are excluded on purpose; they only move
- * RZ angles) — and the fused tier (get_or_fuse) holds the value-keyed
- * simulation programs bound from it.
+ * across engine invocations: it holds one structure-only compile per
+ * labeled structure (get_or_bind) — keyed on (model topology, device
+ * identity, compile + build options), everything the transpiler's output
+ * structurally depends on, and nothing it doesn't (coefficient VALUES are
+ * excluded on purpose; they only move RZ angles). Nothing per value is
+ * kept: get_or_fuse binds each leaf's weight tables from the family
+ * skeleton and hands them to the caller, which drops them when done.
  *
  * Devices are fingerprinted structurally — name, coupling map, and full
  * calibration — so hand-built devices that alias on a name can never be
@@ -45,15 +45,6 @@ namespace fq::engine {
  *  fingerprints). */
 std::uint64_t topology_fingerprint(const ising::IsingModel& model,
                                    std::uint64_t salt = 0);
-
-/**
- * Stable fingerprint of a model's full coefficient content — structure AND
- * values. The transpiled template only depends on structure (coefficients
- * just move RZ angles), but the simulator's fused weight tables bake the
- * coefficients in, so their cache key must distinguish values.
- */
-std::uint64_t model_value_fingerprint(const ising::IsingModel& model,
-                                      std::uint64_t salt = 0);
 
 /** Stable fingerprint of a device: name, coupling map, calibration. */
 std::uint64_t device_fingerprint(const device::Device& dev,
@@ -94,10 +85,9 @@ std::vector<double> fused_slot_values(const ising::IsingModel& model);
 enum class TemplateTier : std::uint8_t {
     Compile, ///< full build: transpile and/or fusion scan from scratch
     Bind,    ///< family structure resident; coefficients patched in
-    Hit,     ///< exact value-keyed artifact already resident
 };
 
-/** Lower-case tier mnemonic ("compile" / "bind" / "hit"). */
+/** Lower-case tier mnemonic ("compile" / "bind"). */
 const char* template_tier_name(TemplateTier tier);
 
 /**
@@ -154,19 +144,16 @@ class TemplateCache
     TemplateCache();
 
     /** Cumulative counters (monotone; never reset), plus a snapshot of
-     *  the current byte residency split by pool. */
+     *  the current byte residency. */
     struct Stats
     {
         /** Never incremented: every template compiles through the family
          *  tier (family_structural_compiles). Kept only because perfbench
          *  reads it. */
         std::uint64_t compiles = 0;
-        /** Fused-simulation program counters (get_or_fuse). */
-        std::uint64_t sim_lookups = 0;
-        std::uint64_t sim_hits = 0;
+        /** Fused programs get_or_fuse built from scratch (no matching
+         *  family skeleton). */
         std::uint64_t sim_fusions = 0;
-        /** Fused programs dropped by the byte-budget reset. */
-        std::uint64_t sim_evictions = 0;
         /** Family-tier counters (get_or_bind / skeleton binds). */
         std::uint64_t family_lookups = 0;
         /** Lookups served by a resident family structure. */
@@ -180,16 +167,11 @@ class TemplateCache
         /** Family structures dropped by the byte-budget reset. */
         std::uint64_t family_evictions = 0;
 
-        /// @name Byte residency snapshot (filled by stats())
-        /// @{
-        /** Shared family structure — charged ONCE per labeled structure,
-         *  no matter how many binds it serves. */
+        /** Byte residency snapshot (filled by stats()): shared family
+         *  structure, charged ONCE per labeled structure no matter how
+         *  many binds it serves. Equal to bytes(). */
         std::size_t structure_bytes = 0;
-        /** Per-bind fused weight tables (value-keyed sim entries). */
-        std::size_t bind_bytes = 0;
-        /// @}
 
-        std::uint64_t sim_misses() const { return sim_lookups - sim_hits; }
         std::uint64_t family_misses() const
         {
             return family_lookups - family_hits;
@@ -197,9 +179,8 @@ class TemplateCache
     };
 
     /** get_or_bind result: the family artifact plus how this lookup was
-     *  satisfied (Hit = this model's fused program is already resident,
-     *  Bind = structure resident / coefficients to patch, Compile = this
-     *  call paid the structural compile). */
+     *  satisfied (Bind = structure resident / coefficients to patch,
+     *  Compile = this call paid the structural compile). */
     struct FamilyBinding
     {
         std::shared_ptr<const ParametricTemplate> family;
@@ -207,14 +188,15 @@ class TemplateCache
     };
 
     /**
-     * Return the compiled fused-simulation program (diagonal weight
-     * tables, mixer walls) for @p model's QAOA circuit under @p build,
-     * fusing and compiling tables on the first request. Keyed on
-     * coefficient VALUES (unlike the transpiled template) because the
-     * weight tables bake them in; all optimizer iterations and every
-     * repeated solve over the same sub-problem reuse one entry. Hits are
-     * verified against an independently-salted second fingerprint, so
-     * serving a wrong entry needs a simultaneous 128-bit collision.
+     * Build the fused-simulation program (diagonal weight tables, mixer
+     * walls) for @p model's QAOA circuit under @p build. With a @p family
+     * whose skeleton matches @p model the build is a coefficient patch
+     * (@p tier, when non-null, reports Bind); otherwise the circuit is
+     * built and fused from scratch (Compile). Both give bit-identical
+     * tables. The program belongs to the caller: nothing is stored, so
+     * the 2^n tables live exactly as long as the leaf that uses them.
+     * @p was_hit is a placeholder kept for source compatibility with
+     * perfbench; when non-null it is always set to false.
      */
     std::shared_ptr<const sim::FusedProgram>
     get_or_fuse(const ising::IsingModel& model,
@@ -228,9 +210,9 @@ class TemplateCache
      * structure-only compile (transpile + fusion skeleton) exactly once
      * per labeled structure. Warm-family lookups cost a hash plus an O(E)
      * labeled verification — no transpiler involvement — which is what
-     * turns cold-start planning into a parameter patch. Same concurrency
-     * contract as the other tiers: misses compile OUTSIDE the lock,
-     * first insert wins, race losers report tier Compile.
+     * turns cold-start planning into a parameter patch. Misses compile
+     * OUTSIDE the lock, first insert wins, race losers report tier
+     * Compile.
      */
     FamilyBinding get_or_bind(const ising::IsingModel& model,
                               const device::Device& dev,
@@ -238,44 +220,24 @@ class TemplateCache
                               const qaoa::BuildOptions& build);
 
     /**
-     * True when @p model's exact fused program is resident (a subsequent
-     * get_or_fuse would hit). Read-only peek for plan-time leaf-tier
-     * reporting; deliberately NOT counted in Stats so planning previews
-     * cannot distort the hit-rate diagnostics.
+     * Override the family byte budget. Exists for eviction-boundary tests
+     * and memory-constrained deployments; the default is kMaxFamilyBytes
+     * in template_cache.cc.
      */
-    bool peek_fused(const ising::IsingModel& model,
-                    const qaoa::BuildOptions& build) const;
-
-    /**
-     * Override the byte budgets (0 keeps the current value). Exists for
-     * eviction-boundary tests and memory-constrained deployments; the
-     * defaults are kMaxSimBytes / kMaxFamilyBytes in template_cache.cc.
-     */
-    void set_byte_budgets(std::size_t sim_bytes, std::size_t family_bytes);
+    void set_family_byte_budget(std::size_t bytes);
 
     Stats stats() const;
     /**
-     * Estimated bytes currently held: full fused-program footprints
-     * (FusedProgram::bytes — weight tables AND the compiled op list) plus
-     * each family structure's estimate (compiled circuit, noise arrays,
-     * skeleton). Cheap enough to poll from a --stats report after every
-     * solve.
+     * Estimated bytes currently held: each family structure's estimate
+     * (compiled circuit, noise arrays, skeleton). Cheap enough to poll
+     * from a --stats report after every solve.
      */
     std::size_t bytes() const;
     void clear();
 
   private:
-    struct SimEntry
-    {
-        std::uint64_t verify_key = 0;
-        /** Full program footprint (FusedProgram::bytes(), captured at
-         *  insert so the budget releases exactly what it charged). */
-        std::size_t bytes = 0;
-        std::shared_ptr<const sim::FusedProgram> value;
-    };
-    /** One labeled structure within a family bucket. The shared structure
-     *  is charged ONCE here; the per-bind weight tables it later serves
-     *  are charged per value in sim_entries_. */
+    /** One labeled structure within a family bucket; its shared structure
+     *  is charged ONCE here. */
     struct FamilyVariant
     {
         std::uint64_t labeled_key = 0;
@@ -291,13 +253,9 @@ class TemplateCache
     };
 
     mutable std::mutex mutex_;
-    std::unordered_map<std::uint64_t, SimEntry> sim_entries_;
     std::unordered_map<std::uint64_t, FamilyEntry> families_;
-    /** Estimated bytes held by sim_entries_ (table storage). */
-    std::size_t sim_bytes_ = 0;
     /** Estimated bytes held by families_ (shared structures). */
     std::size_t family_bytes_ = 0;
-    std::size_t sim_byte_budget_;
     std::size_t family_byte_budget_;
     Stats stats_;
 };

@@ -112,14 +112,13 @@ execute_wave(TemplateCache& cache, BatchExecutor& executor,
             executed.fetch_add(1, std::memory_order_relaxed);
             try {
                 WaveRequest& r = *slot.request;
-                bool fused_hit = false;
                 TemplateTier fuse_tier = TemplateTier::Compile;
                 auto counts = simulate_scheduled_leaf(
                     cache, *r.tree, slot.leaf_id, *r.dev, *r.config,
-                    r.shots, scratch, &fused_hit, &fuse_tier);
+                    r.shots, scratch, nullptr, &fuse_tier);
                 r.reducer->fold(slot.leaf_id, std::move(counts));
                 if (hooks.folded)
-                    hooks.folded(slot, fused_hit, fuse_tier);
+                    hooks.folded(slot, false, fuse_tier);
             } catch (...) {
                 if (!hooks.failed)
                     throw;

@@ -346,8 +346,7 @@ encode_leaf_counts(const LeafCounts& msg)
     std::vector<std::uint8_t> out;
     put_u64(out, msg.session_id);
     put_i32(out, msg.leaf_id);
-    put_u8(out, msg.fused_hit);
-    put_u8(out, msg.tier);
+    put_u8(out, static_cast<std::uint8_t>(msg.tier));
     put_i32(out, msg.width);
     put_u64(out, msg.histogram.size());
     for (const auto& [state, count] : msg.histogram) {
@@ -364,8 +363,12 @@ decode_leaf_counts(const std::vector<std::uint8_t>& payload)
     LeafCounts msg;
     msg.session_id = in.u64();
     msg.leaf_id = in.i32();
-    msg.fused_hit = in.u8();
-    msg.tier = in.u8();
+    const std::uint8_t tier = in.u8();
+    if (tier != static_cast<std::uint8_t>(engine::TemplateTier::Compile) &&
+        tier != static_cast<std::uint8_t>(engine::TemplateTier::Bind))
+        throw NetError("net: leaf counts carry unknown template tier " +
+                       std::to_string(tier));
+    msg.tier = static_cast<engine::TemplateTier>(tier);
     msg.width = in.i32();
     const std::size_t n = in.count(8 + 8);
     msg.histogram.reserve(n);

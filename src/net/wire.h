@@ -28,9 +28,9 @@
  * is just (session, leaf_id) — its sub-model, RNG stream seed and template
  * key all come out of the worker's own replanned tree, and the
  * fingerprint check proves that tree is byte-equivalent to the
- * coordinator's. The reply is the raw count histogram plus the
- * fused_hit/tier telemetry the WaveHooks need, so a remote fold is
- * indistinguishable from a local one.
+ * coordinator's. The reply is the raw count histogram plus the template
+ * tier the WaveHooks need, so a remote fold is indistinguishable from a
+ * local one.
  *
  * Only result-relevant config fields travel (the config_fingerprint
  * set); execution-local knobs like thread count stay per-process.
@@ -43,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/template_cache.h"
 #include "frozenqubits/driver.h"
 #include "ising/ising_model.h"
 #include "net/frame.h"
@@ -50,7 +51,7 @@
 namespace fq::net {
 
 /** Bumped on any wire-format change; a worker refuses other versions. */
-constexpr std::uint32_t kProtocolVersion = 2;
+constexpr std::uint32_t kProtocolVersion = 3;
 
 enum MessageType : std::uint32_t {
     kMsgOpenSession = 1,
@@ -102,8 +103,8 @@ struct LeafCounts
 {
     std::uint64_t session_id = 0;
     std::int32_t leaf_id = 0;
-    std::uint8_t fused_hit = 0;
-    std::uint8_t tier = 0; ///< engine::TemplateTier
+    /** One byte on the wire; any value but Compile / Bind is rejected. */
+    engine::TemplateTier tier = engine::TemplateTier::Compile;
     std::int32_t width = 0;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> histogram;
 };
@@ -127,7 +128,7 @@ struct WireError
 };
 
 // Encoders produce a frame payload; decoders throw NetError on trailing
-// garbage, truncation or a version mismatch.
+// garbage, truncation, a version mismatch or an out-of-range tier byte.
 std::vector<std::uint8_t> encode_open_session(const OpenSession& msg);
 OpenSession decode_open_session(const std::vector<std::uint8_t>& payload);
 

@@ -233,7 +233,6 @@ WorkerServer::serve_connection(Fd client)
                 struct Outcome
                 {
                     sim::Counts counts;
-                    bool fused_hit = false;
                     engine::TemplateTier tier = engine::TemplateTier::Compile;
                     bool failed = false;
                     std::string error;
@@ -259,7 +258,7 @@ WorkerServer::serve_connection(Fd client)
                                         engine::simulate_scheduled_leaf(
                                             cache_, s.tree, leaf_id, s.dev,
                                             s.config, s.shots, scratch,
-                                            &out.fused_hit, &out.tier);
+                                            nullptr, &out.tier);
                                 } catch (const std::exception& e) {
                                     out.failed = true;
                                     out.error = e.what();
@@ -285,8 +284,7 @@ WorkerServer::serve_connection(Fd client)
                     LeafCounts reply;
                     reply.session_id = batch.session_id;
                     reply.leaf_id = leaf_id;
-                    reply.fused_hit = out.fused_hit ? 1 : 0;
-                    reply.tier = static_cast<std::uint8_t>(out.tier);
+                    reply.tier = out.tier;
                     reply.width = out.counts.num_qubits();
                     reply.histogram.reserve(out.counts.num_distinct());
                     for (const auto& [state, count] :

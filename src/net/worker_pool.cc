@@ -338,9 +338,7 @@ WorkerPool::execute_wave(const std::vector<engine::WaveSlot>& wave,
                     r.reducer->fold(slot.leaf_id, std::move(counts));
                     ++executed;
                     if (hooks.folded)
-                        hooks.folded(slot, msg.fused_hit != 0,
-                                     static_cast<engine::TemplateTier>(
-                                         msg.tier));
+                        hooks.folded(slot, false, msg.tier);
                 } else if (frame.type == kMsgLeafFailed) {
                     const auto msg = decode_leaf_failed(frame.payload);
                     const auto it = entries.find(

@@ -369,16 +369,4 @@ FusedProgram::run(const std::vector<double>& gammas,
     }
 }
 
-std::size_t
-FusedProgram::bytes() const
-{
-    std::size_t total = sizeof(FusedProgram);
-    total += ops_.capacity() * sizeof(Op);
-    for (const auto& op : ops_)
-        total += op.qubits.capacity() * sizeof(int);
-    total += tables_.capacity() * sizeof(DiagonalTable);
-    total += table_bytes();
-    return total;
-}
-
 } // namespace fq::sim

@@ -85,7 +85,7 @@ class DiagonalTable
     const std::vector<double>& raw_weights() const { return weights_; }
     /// @}
 
-    /** Bytes held by the table storage (cache budget accounting). */
+    /** Bytes held by the table storage. */
     std::size_t bytes() const
     {
         return weights_.size() * sizeof(double) +
@@ -175,7 +175,7 @@ class FusedProgram
     int gates_fused() const { return gates_fused_; }
     /** Distinct weight tables (shared across repeated layers). */
     std::size_t num_tables() const { return tables_.size(); }
-    /** Total bytes held by the weight tables (cache budget accounting). */
+    /** Total bytes held by the weight tables. */
     std::size_t table_bytes() const
     {
         std::size_t total = 0;
@@ -184,13 +184,6 @@ class FusedProgram
         return total;
     }
     bool starts_uniform() const { return uniform_start_; }
-    /**
-     * Total bytes held by the compiled program: weight tables plus the op
-     * list and its per-op qubit vectors. The cache budget accounts this,
-     * not table_bytes() alone — ops are small next to the 2^n tables, but
-     * an undercount is still an undercount.
-     */
-    std::size_t bytes() const;
     /// @}
 
   private:

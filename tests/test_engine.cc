@@ -440,10 +440,9 @@ TEST(ExecutionEngine, FacadeMatchesEngine)
 
 TEST(ExecutionEngine, FamilyTierSolvesBitIdenticalAcrossThreadsAndWarmth)
 {
-    // The family tier only changes WHERE a fused program comes from
-    // (coefficient patch, from-scratch build or resident hit), never its
-    // contents — so solves are bit-identical serial or pooled, cold or
-    // warm.
+    // The family tier only changes HOW a fused program is built
+    // (coefficient patch or from-scratch build), never its contents — so
+    // solves are bit-identical serial or pooled, cold or warm.
     const auto model = ba_model(12, 1, 13);
     const auto dev = device::make_device("ibm-montreal");
     frozenqubits::DriverConfig config;
@@ -455,26 +454,26 @@ TEST(ExecutionEngine, FamilyTierSolvesBitIdenticalAcrossThreadsAndWarmth)
     const auto b = eng_pool.solve(model, dev, config, 1024, r2);
     expect_solves_identical(a, b);
 
-    // Tier preview accounting: a fresh engine has nothing resident (no Hit
-    // leaves) and binds the structural compile's siblings.
+    // Tier preview accounting: a fresh engine binds the structural
+    // compile's siblings.
     const auto& diag = eng_pool.last_diagnostics();
-    EXPECT_EQ(diag.leaves_tier_hit, 0);
     EXPECT_GT(diag.leaves_tier_bind, 0);
 
-    // A repeat on the warm engine previews resident leaves as Hits, with
-    // the result unchanged.
+    // A repeat on the warm engine binds every leaf from the resident
+    // family — none compiles from scratch — with the result unchanged.
     Rng r3(77);
     const auto c = eng_pool.solve(model, dev, config, 1024, r3);
     expect_solves_identical(a, c);
-    EXPECT_GT(eng_pool.last_diagnostics().leaves_tier_hit, 0);
+    EXPECT_EQ(eng_pool.last_diagnostics().leaves_tier_compile, 0);
+    EXPECT_GT(eng_pool.last_diagnostics().leaves_tier_bind, 0);
 }
 
 TEST(TemplateCache, FamilyByteAccountingExactAtEvictionBoundary)
 {
-    // Regression for the family-tier accounting gap: shared structure is
-    // charged ONCE per labeled variant, per-bind tables per value entry,
-    // and eviction releases exactly what was charged — the pool split must
-    // reconcile with bytes() at every step.
+    // Shared structure is charged ONCE per labeled variant, fused programs
+    // are never charged (the cache does not keep them), and eviction
+    // releases exactly what was charged — bytes() must reconcile with the
+    // structure pool at every step.
     TemplateCache cache;
     const auto dev = device::make_device("ibm-montreal");
     transpiler::CompileOptions compile_opts;
@@ -485,15 +484,15 @@ TEST(TemplateCache, FamilyByteAccountingExactAtEvictionBoundary)
     EXPECT_EQ(first.tier, TemplateTier::Compile);
     auto stats = cache.stats();
     EXPECT_EQ(stats.structure_bytes, first.family->bytes());
-    EXPECT_EQ(stats.bind_bytes, 0u);
-    EXPECT_EQ(cache.bytes(), stats.structure_bytes + stats.bind_bytes);
+    EXPECT_EQ(cache.bytes(), stats.structure_bytes);
 
-    // Per-bind tables charge the value pool, never the structure pool.
+    // Building a leaf's tables charges nothing.
     const auto program_a =
         cache.get_or_fuse(model_a, build, nullptr, first.family.get());
+    ASSERT_NE(program_a, nullptr);
     stats = cache.stats();
-    EXPECT_EQ(stats.bind_bytes, program_a->bytes());
     EXPECT_EQ(stats.structure_bytes, first.family->bytes());
+    EXPECT_EQ(cache.bytes(), stats.structure_bytes);
 
     // A second member of the same family: new tables, NO new structure.
     auto member = model_a;
@@ -504,35 +503,33 @@ TEST(TemplateCache, FamilyByteAccountingExactAtEvictionBoundary)
     EXPECT_EQ(second.family.get(), first.family.get()); // shared structure
     const auto program_b =
         cache.get_or_fuse(member, build, nullptr, second.family.get());
+    ASSERT_NE(program_b, nullptr);
     stats = cache.stats();
     EXPECT_EQ(stats.structure_bytes, first.family->bytes()); // still once
-    EXPECT_EQ(stats.bind_bytes, program_a->bytes() + program_b->bytes());
+    EXPECT_EQ(cache.bytes(), stats.structure_bytes);
     EXPECT_EQ(stats.family_binds, 2u);
 
     // Family eviction at the budget boundary: the reset drops the resident
     // variant and recharges EXACTLY the incoming structure's bytes.
-    cache.set_byte_budgets(0, 1);
+    cache.set_family_byte_budget(1);
     const auto model_b = ba_model(8, 1, 43); // different structure
     const auto third = cache.get_or_bind(model_b, dev, compile_opts, build);
     EXPECT_EQ(third.tier, TemplateTier::Compile);
     stats = cache.stats();
     EXPECT_EQ(stats.family_evictions, 1u);
     EXPECT_EQ(stats.structure_bytes, third.family->bytes());
+    EXPECT_EQ(cache.bytes(), stats.structure_bytes);
 
-    // Sim-pool eviction boundary: same exact-recharge contract.
-    cache.set_byte_budgets(1, 0);
     const auto program_c =
         cache.get_or_fuse(model_b, build, nullptr, third.family.get());
+    ASSERT_NE(program_c, nullptr);
     stats = cache.stats();
-    EXPECT_EQ(stats.sim_evictions, 2u); // both resident programs dropped
-    EXPECT_EQ(stats.bind_bytes, program_c->bytes());
-    EXPECT_EQ(cache.bytes(), stats.structure_bytes + stats.bind_bytes);
+    EXPECT_EQ(stats.family_binds, 3u);
+    EXPECT_EQ(cache.bytes(), stats.structure_bytes);
 
     cache.clear();
     EXPECT_EQ(cache.bytes(), 0u);
-    stats = cache.stats();
-    EXPECT_EQ(stats.structure_bytes, 0u);
-    EXPECT_EQ(stats.bind_bytes, 0u);
+    EXPECT_EQ(cache.stats().structure_bytes, 0u);
 }
 
 // --- One reducer: the Section 3.6 decode over mirror-completed 2^m

@@ -25,6 +25,7 @@
 #include "qaoa/qaoa_builder.h"
 #include "sim/qaoa_kernel.h"
 #include "sim/statevector.h"
+#include "solve_test_util.h"
 
 namespace {
 
@@ -575,15 +576,15 @@ TEST(ExecutionEngine, FusionOffMatchesFusionOnSolution)
     EXPECT_DOUBLE_EQ(a.best_cost, b.best_cost);
     EXPECT_EQ(a.best_assignment, b.best_assignment);
 
-    // Fusion-on populated the sim-program cache (via family-skeleton
-    // binds under the default parametric-template tier); fusion-off did
-    // not touch it.
+    // Fusion-on built fused programs (via family-skeleton binds under the
+    // default parametric-template tier); fusion-off built none.
     const auto fused_stats = eng_fused.template_cache().stats();
     EXPECT_GT(fused_stats.sim_fusions + fused_stats.family_binds, 0u);
-    EXPECT_EQ(eng_naive.template_cache().stats().sim_lookups, 0u);
+    const auto naive_stats = eng_naive.template_cache().stats();
+    EXPECT_EQ(naive_stats.sim_fusions + naive_stats.family_binds, 0u);
 }
 
-TEST(ExecutionEngine, SimProgramsServedFromCacheOnRepeatedSolves)
+TEST(ExecutionEngine, RepeatedSolveRebindsFromResidentFamily)
 {
     Rng rng_model(31);
     auto g = graph::barabasi_albert(10, 1, rng_model);
@@ -596,17 +597,23 @@ TEST(ExecutionEngine, SimProgramsServedFromCacheOnRepeatedSolves)
 
     ExecutionEngine eng(2);
     Rng rng_a(3), rng_b(3);
-    eng.solve(model, dev, config, 512, rng_a);
+    const auto a = eng.solve(model, dev, config, 512, rng_a);
     const auto first = eng.template_cache().stats();
-    // Programs materialized via family-skeleton binds (the default tier)
-    // or from-scratch fusions — either way, misses were paid once.
-    EXPECT_GT(first.sim_fusions + first.family_binds, 0u);
+    // Every executed leaf bound its tables from the family skeleton.
+    const auto leaves = static_cast<std::uint64_t>(
+        eng.last_diagnostics().tasks_executed);
+    EXPECT_GT(first.family_structural_compiles, 0u);
+    EXPECT_EQ(first.family_binds, leaves);
 
-    eng.solve(model, dev, config, 512, rng_b);
+    // The repeat pays no structural compile: the family stays resident
+    // and each leaf rebinds its (dropped) tables from it.
+    const auto b = eng.solve(model, dev, config, 512, rng_b);
     const auto second = eng.template_cache().stats();
-    EXPECT_EQ(second.sim_fusions, first.sim_fusions); // no rebuilds
-    EXPECT_EQ(second.family_binds, first.family_binds);
-    EXPECT_GT(second.sim_hits, first.sim_hits);
+    EXPECT_EQ(second.family_structural_compiles,
+              first.family_structural_compiles);
+    EXPECT_EQ(second.family_binds, first.family_binds + leaves);
+    EXPECT_EQ(second.sim_fusions, first.sim_fusions);
+    fq::test::expect_solves_identical(a, b);
 }
 
 // ----------------------------------------------- parametric skeletons  --

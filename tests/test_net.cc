@@ -179,17 +179,34 @@ TEST(NetWire, LeafCountsRoundTrip)
     net::LeafCounts msg;
     msg.session_id = 7;
     msg.leaf_id = 3;
-    msg.fused_hit = 1;
-    msg.tier = 2;
+    msg.tier = engine::TemplateTier::Bind;
     msg.width = 5;
     msg.histogram = {{0, 100}, {31, 900}, {uint64_t(1) << 40, 24}};
     const auto back = net::decode_leaf_counts(net::encode_leaf_counts(msg));
     EXPECT_EQ(back.session_id, 7u);
     EXPECT_EQ(back.leaf_id, 3);
-    EXPECT_EQ(back.fused_hit, 1);
-    EXPECT_EQ(back.tier, 2);
+    EXPECT_EQ(back.tier, engine::TemplateTier::Bind);
     EXPECT_EQ(back.width, 5);
     EXPECT_EQ(back.histogram, msg.histogram);
+}
+
+TEST(NetWire, LeafCountsRejectOutOfRangeTier)
+{
+    net::LeafCounts msg;
+    msg.session_id = 7;
+    msg.leaf_id = 3;
+    msg.width = 2;
+    msg.histogram = {{1, 10}};
+    auto payload = net::encode_leaf_counts(msg);
+    // The tier byte follows the u64 session id and the i32 leaf id.
+    constexpr std::size_t kTierOffset = 8 + 4;
+    ASSERT_EQ(payload[kTierOffset],
+              static_cast<std::uint8_t>(engine::TemplateTier::Compile));
+    for (const std::uint8_t bad : {std::uint8_t{2}, std::uint8_t{0xff}}) {
+        payload[kTierOffset] = bad;
+        EXPECT_THROW(net::decode_leaf_counts(payload), net::NetError)
+            << "tier byte " << int(bad);
+    }
 }
 
 TEST(NetWire, RejectsTrailingGarbage)
@@ -456,27 +473,32 @@ TEST(Distributed, BadAddressFailsAtStartup)
 
 TEST(Distributed, StaleProtocolWorkerRejectedAtConnect)
 {
-    // A worker speaking protocol version 1 (whose config frames still
-    // carried the template-editing bytes) greets and is refused with a
-    // typed error before any session opens.
-    const auto address = unique_address();
-    net::Fd listen_fd = net::listen_on(address);
-    std::thread stale([&] {
-        try {
-            net::Fd client = net::accept_client(listen_fd.get());
-            net::write_frame(client.get(), net::kMsgWorkerHello,
-                             net::encode_worker_hello({1, 1}));
-            // Hold the connection until the coordinator hangs up.
-            net::read_frame(client.get());
-        } catch (const std::exception&) {
-        }
-    });
-    engine::ExecutionEngine eng(1);
-    ASSERT_NE(net::kProtocolVersion, 1u);
-    EXPECT_THROW(net::WorkerPool(eng.local_leaf_executor(),
-                                 eng.num_threads(), {address}),
-                 net::NetError);
-    stale.join();
+    // Workers speaking an older protocol greet and are refused with a
+    // typed error before any session opens: version 1 (whose config
+    // frames still carried the template-editing bytes) and version 2
+    // (whose leaf counts still carried a fused-hit byte).
+    for (const std::uint32_t stale_version : {1u, 2u}) {
+        ASSERT_NE(net::kProtocolVersion, stale_version);
+        const auto address = unique_address();
+        net::Fd listen_fd = net::listen_on(address);
+        std::thread stale([&] {
+            try {
+                net::Fd client = net::accept_client(listen_fd.get());
+                net::write_frame(
+                    client.get(), net::kMsgWorkerHello,
+                    net::encode_worker_hello({stale_version, 1}));
+                // Hold the connection until the coordinator hangs up.
+                net::read_frame(client.get());
+            } catch (const std::exception&) {
+            }
+        });
+        engine::ExecutionEngine eng(1);
+        EXPECT_THROW(net::WorkerPool(eng.local_leaf_executor(),
+                                     eng.num_threads(), {address}),
+                     net::NetError)
+            << "protocol version " << stale_version;
+        stale.join();
+    }
 }
 
 } // namespace

@@ -14,8 +14,8 @@
  *       Build the SolveTree, rank its leaves with the classical scheduler
  *       and print the tree plus the budget trace (cut line included) —
  *       without executing any circuit. The leaf table's tier column shows
- *       how each leaf's fused program would materialize (hit / bind /
- *       compile — the parametric-template tiers).
+ *       how each leaf's fused program would materialize (bind from the
+ *       family skeleton / compile from scratch).
  *   solve [--file F] --device <name> [--freeze M] [--shots K] [--seed S]
  *         [--threads T] [--max-depth D] [--max-circuits B]
  *         [--partition W] [--rerank N|off] [--deadline D]
@@ -314,10 +314,8 @@ print_wall_clock(const engine::ExecutionEngine& eng)
                   << " scalar / " << d.leaves_simd_backend
                   << " simd leaves (vector isa: "
                   << sim::BackendRegistry::vector_isa() << ")\n";
-    if (d.leaves_tier_hit > 0 || d.leaves_tier_bind > 0 ||
-        d.leaves_tier_compile > 0)
-        std::cout << "template tiers: " << d.leaves_tier_hit << " hit / "
-                  << d.leaves_tier_bind << " bind / "
+    if (d.leaves_tier_bind > 0 || d.leaves_tier_compile > 0)
+        std::cout << "template tiers: " << d.leaves_tier_bind << " bind / "
                   << d.leaves_tier_compile << " compile leaves\n";
     if (d.leaves_beyond_budget > 0 || d.leaves_pruned > 0 ||
         d.tree_depth > 1) {
@@ -531,11 +529,6 @@ print_cache_stats(const engine::ExecutionEngine& eng)
     const auto s = eng.template_cache().stats();
     Table t("template cache");
     t.set_header({"counter", "value"});
-    t.add_row({"fused-sim lookups", Table::num(s.sim_lookups)});
-    t.add_row({"fused-sim hits", Table::num(s.sim_hits)});
-    t.add_row({"fused-sim misses", Table::num(s.sim_misses())});
-    t.add_row({"fused-sim compiles", Table::num(s.sim_fusions)});
-    t.add_row({"fused-sim evictions", Table::num(s.sim_evictions)});
     t.add_row({"family lookups", Table::num(s.family_lookups)});
     t.add_row({"family hits", Table::num(s.family_hits)});
     t.add_row({"family misses", Table::num(s.family_misses())});
@@ -544,7 +537,6 @@ print_cache_stats(const engine::ExecutionEngine& eng)
     t.add_row({"family binds", Table::num(s.family_binds)});
     t.add_row({"family evictions", Table::num(s.family_evictions)});
     t.add_row({"structure bytes (shared)", Table::num(s.structure_bytes)});
-    t.add_row({"bind bytes (per value)", Table::num(s.bind_bytes)});
     t.add_row({"resident bytes", Table::num(eng.template_cache().bytes())});
     t.print(std::cout);
 }
@@ -990,15 +982,14 @@ cmd_serve_batch(const Options& opts)
 
         t.set_header({"req", "model", "leaves", "arms", "workers",
                       "best cost", "from", "waves", "occupancy", "reranks",
-                      "fused hit%", "tier h/b/c", "binds", "queue ms",
-                      "wall ms"});
+                      "tier b/c", "binds", "queue ms", "wall ms"});
         std::map<std::string, long long> worker_totals;
         for (std::size_t k = 0; k < tickets.size(); ++k) {
             auto& ticket = tickets[k];
             if (ticket.id() == 0) { // shed by admission control
                 t.add_row({Table::num(k + 1), requests[k].model_file, "-",
                            "-", "-", "-", "rejected", "-", "-", "-", "-",
-                           "-", "-", "-", "-"});
+                           "-", "-", "-"});
                 continue;
             }
             // Diagnostics are FIFO-retained (~4k most recent); on a huge
@@ -1036,9 +1027,7 @@ cmd_serve_batch(const Options& opts)
                            best, from, Table::num(diag.waves),
                            Table::num(diag.wave_occupancy, 2),
                            Table::num(diag.reranks),
-                           Table::num(100.0 * diag.cache_hit_share, 1),
-                           Table::num(diag.leaves_tier_hit) + "/" +
-                               Table::num(diag.leaves_tier_bind) + "/" +
+                           Table::num(diag.leaves_tier_bind) + "/" +
                                Table::num(diag.leaves_tier_compile),
                            Table::num(diag.family_binds),
                            Table::num(diag.queue_latency_ms, 1),
@@ -1046,7 +1035,7 @@ cmd_serve_batch(const Options& opts)
             } else
                 t.add_row({Table::num(k + 1), requests[k].model_file, "-",
                            "-", "-", best, from, "-", "-", "-", "-", "-",
-                           "-", "-", "-"});
+                           "-", "-"});
         }
         t.print(std::cout);
 
