@@ -71,9 +71,8 @@ run_mode(const std::string& mode, long long budget,
         Rng sa_rng(combine_seeds(seed, hash_seed("budget-ref")));
         const auto ref = ising::solve_annealing(model, strong, sa_rng);
 
-        Rng rng(seed);
         const auto solved =
-            bench::shared_engine().solve(model, dev, config, kShots, rng);
+            bench::shared_engine().solve(model, dev, config, kShots, seed);
         result.circuits += solved.leaves_executed;
         // Mode comparison uses the QUANTUM decode; the overall incumbent
         // (classical-presolve floored) is recorded alongside.
@@ -171,9 +170,8 @@ BM_BudgetedSolve(benchmark::State& state)
     const auto dev = device::make_device("ibm-montreal");
     auto config = mode_config("partial", state.range(0));
     for (auto _ : state) {
-        Rng rng(kSeeds[0]);
         auto solved = bench::shared_engine().solve(model, dev, config,
-                                                   kShots, rng);
+                                                   kShots, kSeeds[0]);
         benchmark::DoNotOptimize(solved.best_cost);
     }
     state.counters["circuits"] =

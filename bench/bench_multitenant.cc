@@ -66,8 +66,8 @@ serial_wall_ms(engine::ExecutionEngine& eng,
     const auto config = tenant_config();
     const auto start = Clock::now();
     for (std::size_t k = 0; k < models.size(); ++k) {
-        Rng rng(kSeedBase + k);
-        auto solved = eng.solve(models[k], dev, config, kShots, rng);
+        auto solved =
+            eng.solve(models[k], dev, config, kShots, kSeedBase + k);
         benchmark::DoNotOptimize(solved.best_cost);
     }
     return ms_since(start);

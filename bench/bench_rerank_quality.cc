@@ -72,8 +72,7 @@ run_mode(bool adaptive, long long budget, const device::Device& dev)
         const auto ref = ising::solve_annealing(model, strong, sa_rng);
 
         auto& eng = bench::shared_engine();
-        Rng rng(seed);
-        const auto solved = eng.solve(model, dev, config, kShots, rng);
+        const auto solved = eng.solve(model, dev, config, kShots, seed);
         result.circuits += solved.leaves_executed;
         result.best_cost += solved.best_quantum_cost;
         result.incumbent += solved.best_cost;
@@ -178,9 +177,8 @@ BM_AdaptiveRerankSolve(benchmark::State& state)
     const auto dev = device::make_device("ibm-montreal");
     const auto config = mode_config(true, state.range(0));
     for (auto _ : state) {
-        Rng rng(kSeeds[0]);
         auto solved = bench::shared_engine().solve(model, dev, config,
-                                                   kShots, rng);
+                                                   kShots, kSeeds[0]);
         benchmark::DoNotOptimize(solved.best_cost);
     }
     state.counters["budget"] = static_cast<double>(state.range(0));

@@ -122,9 +122,8 @@ run_arm(const std::string& workload, const std::string& arm,
         Rng sa_rng(combine_seeds(seed, hash_seed("budget-ref")));
         const auto ref = ising::solve_annealing(model, strong, sa_rng);
 
-        Rng rng(seed);
         const auto solved =
-            bench::shared_engine().solve(model, dev, config, kShots, rng);
+            bench::shared_engine().solve(model, dev, config, kShots, seed);
         result.circuits += solved.leaves_executed;
         result.best_cost += solved.best_quantum_cost;
         result.ref_cost += ref.best_cost;
@@ -247,9 +246,8 @@ BM_SparsifySolve(benchmark::State& state)
     const auto dev = device::make_device("ibm-montreal");
     auto config = arm_config(/*sparsify=*/state.range(0) != 0);
     for (auto _ : state) {
-        Rng rng(kSeeds[0]);
         auto solved = bench::shared_engine().solve(model, dev, config,
-                                                   kShots, rng);
+                                                   kShots, kSeeds[0]);
         benchmark::DoNotOptimize(solved.best_cost);
     }
     state.counters["sparsify"] = static_cast<double>(state.range(0));

@@ -77,9 +77,8 @@ main()
     // End-to-end sampled solve with two frozen hubs.
     frozenqubits::DriverConfig config;
     config.num_freeze = 2;
-    Rng solve_rng(7);
     const auto solved =
-        engine.solve(hamiltonian, device, config, /*shots=*/8192, solve_rng);
+        engine.solve(hamiltonian, device, config, /*shots=*/8192, /*seed=*/7);
 
     // Classical cross-check: simulated annealing.
     ising::SaConfig sa;

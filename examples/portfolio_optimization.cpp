@@ -97,9 +97,8 @@ main()
     std::printf("fidelity improvement: %.2fx\n\n", report.improvement());
 
     // Decode an actual portfolio with sampling.
-    Rng solve_rng(55);
     const auto solved =
-        engine.solve(model, device, config, /*shots=*/8192, solve_rng);
+        engine.solve(model, device, config, /*shots=*/8192, /*seed=*/55);
     const auto exact = ising::solve_exact(model);
 
     std::cout << "selected assets (x_i = 1): ";

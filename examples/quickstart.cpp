@@ -63,9 +63,8 @@ main()
     engine::ExecutionEngine engine(/*num_threads=*/0); // 0 = all cores
     frozenqubits::DriverConfig config;
     config.num_freeze = 1;
-    Rng solve_rng(7);
     const auto solved =
-        engine.solve(hamiltonian, device, config, /*shots=*/8192, solve_rng);
+        engine.solve(hamiltonian, device, config, /*shots=*/8192, /*seed=*/7);
 
     // 5. Compare with brute force.
     const auto exact = ising::solve_exact(hamiltonian);

@@ -80,9 +80,8 @@ main()
     std::printf("fidelity improvement: %.2fx\n\n", report.improvement());
 
     // Solve and decode the vehicle assignment.
-    Rng solve_rng(42);
     const auto solved =
-        engine.solve(hamiltonian, device, config, /*shots=*/8192, solve_rng);
+        engine.solve(hamiltonian, device, config, /*shots=*/8192, /*seed=*/42);
     const auto exact = ising::solve_exact(hamiltonian);
     const auto assignment =
         ising::spins_to_binary(solved.best_assignment);

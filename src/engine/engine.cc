@@ -245,10 +245,13 @@ simulate_scheduled_leaf(TemplateCache& cache, const SolveTree& tree,
 }
 
 void
-ExecutionEngine::start_diagnostics(const SolveTree& tree,
-                                   const LeafSchedule& schedule)
+ExecutionEngine::publish_diagnostics(const PlannedRequest& plan,
+                                     const LeafExecutorStats& remote)
 {
+    const SolveTree& tree = plan.tree;
+    const LeafSchedule& schedule = plan.schedule;
     diagnostics_ = Diagnostics{};
+    fill_request_counters(plan.wave, remote, diagnostics_);
     diagnostics_.num_subproblems = tree.num_leaf_nodes();
     diagnostics_.tasks_executed =
         static_cast<int>(schedule.executed.size());
@@ -257,13 +260,16 @@ ExecutionEngine::start_diagnostics(const SolveTree& tree,
     // each resolve their own level's template).
     bool any_template = false, all_hits = true;
     for (const auto& node : tree.nodes) {
+        diagnostics_.tree_depth = std::max(diagnostics_.tree_depth, node.depth);
         if (node.kind != NodeKind::Freeze || !node.plan.compiled_template)
             continue;
         any_template = true;
         all_hits = all_hits && node.plan.template_cache_hit;
     }
     diagnostics_.template_cache_hit = any_template && all_hits;
-    diagnostics_.threads = executor_.num_threads();
+    diagnostics_.threads =
+        std::min(executor_.num_threads(),
+                 static_cast<int>(schedule.executed.size()));
     for (int leaf_id : schedule.executed) {
         const auto& leaf =
             tree.leaves[static_cast<std::size_t>(leaf_id)];
@@ -276,16 +282,6 @@ ExecutionEngine::start_diagnostics(const SolveTree& tree,
             else
                 ++diagnostics_.leaves_scalar_backend;
         }
-        switch (leaf.tier) {
-        case TemplateTier::Bind: ++diagnostics_.leaves_tier_bind; break;
-        case TemplateTier::Compile:
-            ++diagnostics_.leaves_tier_compile;
-            break;
-        }
-        const auto arm = node_kind_index(leaf_arm_kind(tree, leaf_id));
-        ++diagnostics_.kind_leaves_executed[arm];
-        diagnostics_.kind_budget_units[arm] +=
-            leaf_slot_cost(tree, leaf_id);
         // Only an EXECUTED leaf's mirrors are actually inferred — a
         // budget-skipped leaf infers nothing.
         for (int mirror_node : leaf.mirror_nodes)
@@ -297,34 +293,15 @@ ExecutionEngine::start_diagnostics(const SolveTree& tree,
     }
     diagnostics_.mirrors_inferred =
         static_cast<int>(diagnostics_.pruned_subproblems.size());
-    for (const auto& node : tree.nodes)
-        diagnostics_.tree_depth =
-            std::max(diagnostics_.tree_depth, node.depth);
     diagnostics_.tree_nodes = static_cast<int>(tree.nodes.size());
     diagnostics_.leaves_total = tree.num_executable_leaves();
     diagnostics_.leaves_beyond_budget =
         static_cast<int>(schedule.beyond_budget.size());
     diagnostics_.leaves_pruned =
         static_cast<int>(schedule.pruned.size());
-    // Per-arm pruned = domination-pruned + budget-cut: the leaves each
-    // reduction arm planned but will never run.
-    for (int leaf_id : schedule.beyond_budget)
-        ++diagnostics_.kind_leaves_pruned[node_kind_index(
-            leaf_arm_kind(tree, leaf_id))];
-    for (int leaf_id : schedule.pruned)
-        ++diagnostics_.kind_leaves_pruned[node_kind_index(
-            leaf_arm_kind(tree, leaf_id))];
     diagnostics_.scheduler_scored = schedule.scored;
-}
-
-frozenqubits::SampledSolve
-ExecutionEngine::solve(const ising::IsingModel& model,
-                       const device::Device& dev,
-                       const frozenqubits::DriverConfig& config, int shots,
-                       Rng& rng)
-{
-    return solve_impl(model, dev, config, shots, rng, /*seed=*/0,
-                      /*restore_from=*/nullptr, /*sink=*/{});
+    diagnostics_.epochs = plan.wave.epochs;
+    diagnostics_.planned_subproblems = plan.planned_order;
 }
 
 frozenqubits::SampledSolve
@@ -333,8 +310,7 @@ ExecutionEngine::solve(const ising::IsingModel& model,
                        const frozenqubits::DriverConfig& config, int shots,
                        std::uint64_t seed, const CheckpointSink& sink)
 {
-    Rng rng(seed);
-    return solve_impl(model, dev, config, shots, rng, seed,
+    return solve_impl(model, dev, config, shots, seed,
                       /*restore_from=*/nullptr, sink);
 }
 
@@ -348,122 +324,54 @@ ExecutionEngine::resume(const ising::IsingModel& model,
     // Replan from the SNAPSHOT's seed — restore_checkpoint fingerprint-
     // checks that (model, config, device, shots) produce the plan the
     // snapshot's cursor indexes into.
-    Rng rng(snapshot.seed);
-    return solve_impl(model, dev, config, shots, rng, snapshot.seed,
-                      &snapshot, sink);
+    return solve_impl(model, dev, config, shots, snapshot.seed, &snapshot,
+                      sink);
 }
 
 frozenqubits::SampledSolve
 ExecutionEngine::solve_impl(const ising::IsingModel& model,
                             const device::Device& dev,
                             const frozenqubits::DriverConfig& config,
-                            int shots, Rng& rng, std::uint64_t seed,
+                            int shots, std::uint64_t seed,
                             const SolveCheckpoint* restore_from,
                             const CheckpointSink& sink)
 {
-    FQ_REQUIRE(shots >= 1, "need at least one shot");
     const auto start = Clock::now();
-
-    // Plan: build the hierarchical tree (recursive freeze / bisection /
-    // leaf nodes, per-node shared templates), then rank and budget-cut its
-    // leaves. Both stages are serial and fix every order-dependent decision
-    // before a single circuit runs; adaptive re-ranking may later rewrite
-    // the schedule's un-dispatched tail, but only as a pure function of
-    // this request's fold count.
-    const auto tree = build_solve_tree(model, dev, config, cache_, rng);
-    auto schedule = make_schedule(model, tree, config,
-                                  /*force_scoring=*/false, &executor_);
-    // A fresh solve trims the plan to its deadline here (DeadlineError
-    // when not even one leaf fits); a resume takes the snapshot's already
-    // trimmed-and-re-ranked schedule wholesale instead.
-    if (!restore_from)
-        apply_deadline_trim(schedule, tree, config.deadline_cost_units,
-                            /*folded=*/0);
-
-    // Snapshot the plan-time order before re-ranking can rewrite the
-    // tail: the plan side of the diagnostics' plan-vs-adaptive trace.
-    std::vector<int> plan_order;
-    if (config.rerank_interval > 0)
-        plan_order = schedule.executed;
-
-    // Execute through wave-synchronous epochs; the streaming reducer folds
-    // each leaf's distribution into the incumbent decode as it lands. With
-    // re-ranking off this is one wave spanning the whole schedule — the
-    // legacy flat batch, bit for bit.
-    StreamingReducer reducer(model, tree, schedule);
-    WaveRequest request;
-    request.model = &model;
-    request.tree = &tree;
-    request.schedule = &schedule;
-    request.reducer = &reducer;
-    request.dev = &dev;
-    request.config = &config;
-    request.shots = shots;
-    request.seed = seed;
-    if (restore_from)
-        restore_checkpoint(*restore_from, request);
-
+    // Plan: the SolveService's sequence, with leaf scoring spread over
+    // this engine's executor.
+    PlannedRequest plan;
+    plan_request(plan, model, dev, config, shots, seed, restore_from,
+                 cache_, &executor_);
     // Plan-time diagnostics publish BEFORE execution, so a solve that
     // throws mid-wave still leaves ITS OWN plan state in
     // last_diagnostics(), not a stale predecessor's.
-    start_diagnostics(tree, schedule);
-    diagnostics_.threads =
-        std::min(executor_.num_threads(),
-                 static_cast<int>(schedule.executed.size()));
-    if (restore_from)
-        diagnostics_.resumed_from =
-            static_cast<int>(restore_from->cursor);
+    publish_diagnostics(plan, {});
 
-    int checkpoints = 0;
     CheckpointHook hook;
     if (sink)
-        hook = [&](WaveRequest& r) {
-            ++checkpoints;
+        hook = [&sink](WaveRequest& r) {
             return sink(capture_checkpoint(r));
         };
-    // Execute through the seam: the local BatchExecutor by default, a
-    // net::WorkerPool when one is attached. finish_request must run even
-    // on a throw — WaveRequest storage is stack-reused, and a remote
-    // backend keys its sessions on the pointer.
+    // Execute through wave-synchronous epochs and the executor seam (the
+    // local BatchExecutor by default, a net::WorkerPool when one is
+    // attached); the streaming reducer folds each leaf as it lands. With
+    // re-ranking and checkpoints off this is one wave spanning the whole
+    // schedule. finish_request must run even on a throw — a remote
+    // backend keys its sessions on the WaveRequest's address.
     LeafExecutor& leaf_exec = leaf_executor();
     try {
-        run_wave_loop(leaf_exec, request, hook);
+        run_wave_loop(leaf_exec, plan.wave, hook);
     } catch (...) {
-        leaf_exec.finish_request(&request);
+        leaf_exec.finish_request(&plan.wave);
         throw;
     }
-    const LeafExecutorStats remote = leaf_exec.request_stats(&request);
-    leaf_exec.finish_request(&request);
+    const LeafExecutorStats remote = leaf_exec.request_stats(&plan.wave);
+    leaf_exec.finish_request(&plan.wave);
 
-    // Refresh against the FINAL schedule when a re-rank pruned, promoted
-    // or demoted leaves after planning; otherwise the plan-time
-    // diagnostics above are already exact.
-    if (schedule.reranks > 0 || schedule.suspended) {
-        const int resumed = diagnostics_.resumed_from;
-        start_diagnostics(tree, schedule);
-        diagnostics_.threads =
-            std::min(executor_.num_threads(),
-                     static_cast<int>(schedule.executed.size()));
-        diagnostics_.resumed_from = resumed;
-    }
-    diagnostics_.epochs = request.epochs;
-    diagnostics_.reranks = schedule.reranks;
-    diagnostics_.rerank_pruned = schedule.rerank_pruned;
-    diagnostics_.rerank_promoted = schedule.rerank_promoted;
-    diagnostics_.rerank_demoted = schedule.rerank_demoted;
-    diagnostics_.planned_subproblems = std::move(plan_order);
-    diagnostics_.checkpoints = checkpoints;
-    diagnostics_.deadline_trimmed = schedule.deadline_trimmed;
-    diagnostics_.leaves_remote = remote.leaves_remote;
-    diagnostics_.leaves_local =
-        static_cast<long long>(schedule.executed.size()) -
-        remote.leaves_remote;
-    diagnostics_.leaves_redispatched = remote.leaves_redispatched;
-    diagnostics_.remote_bytes_sent = remote.bytes_sent;
-    diagnostics_.remote_bytes_received = remote.bytes_received;
-    diagnostics_.worker_dispatches = remote.worker_dispatches;
-
-    auto solved = reducer.finish();
+    // Re-publish against the FINAL schedule: re-ranks and suspensions
+    // rewrite it after planning.
+    publish_diagnostics(plan, remote);
+    auto solved = plan.reducer->finish();
     diagnostics_.wall_ms = ms_since(start);
     return solved;
 }

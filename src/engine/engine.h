@@ -20,11 +20,13 @@
  * streams derived from (seed, sub-problem index), and reduction runs in
  * plan order — so any thread count produces bit-identical results.
  *
- * solve() executes through the wave-synchronous epoch loop
- * (wave_loop.h), shared with the multi-tenant SolveService; adaptive
- * budget re-ranking (DriverConfig::rerank_interval) rewrites the
- * schedule's un-dispatched tail between epochs as a pure function of the
- * fold count, preserving the guarantee above.
+ * solve() and resume() take the request path of the multi-tenant
+ * SolveService (wave_loop.h): one seed-keyed planning sequence
+ * (plan_request), the wave-synchronous epoch loop and one counters record
+ * (RequestCounters). Adaptive budget re-ranking
+ * (DriverConfig::rerank_interval) rewrites the schedule's un-dispatched
+ * tail between epochs as a pure function of the fold count, preserving
+ * the guarantee above.
  *
  * The legacy driver API (run_pipeline / evaluate_instance /
  * solve_with_sampling) is a thin facade over this class; hold an engine
@@ -35,9 +37,7 @@
 #ifndef FQ_ENGINE_ENGINE_H
 #define FQ_ENGINE_ENGINE_H
 
-#include <array>
-#include <string>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "engine/batch_executor.h"
@@ -84,8 +84,9 @@ sim::Counts simulate_scheduled_leaf(TemplateCache& cache,
 class ExecutionEngine
 {
   public:
-    /** Per-invocation observability (overwritten by each run/solve). */
-    struct Diagnostics
+    /** Per-invocation observability (overwritten by each run/solve).
+     *  The RequestCounters part is filled by solve()/resume() only. */
+    struct Diagnostics : RequestCounters
     {
         int num_subproblems = 0;     ///< 2^m
         int tasks_executed = 0;      ///< 2^{m-1} with pruning
@@ -115,56 +116,14 @@ class ExecutionEngine
          *  count under neither. */
         int leaves_scalar_backend = 0;
         int leaves_simd_backend = 0;
-        /** Scheduled-leaf template tiers (plan-time preview; see
-         *  SolveLeaf::tier): family skeleton to patch / from-scratch
-         *  build. */
-        int leaves_tier_bind = 0;
-        int leaves_tier_compile = 0;
-        /**
-         * Per-reduction-arm counters, indexed by node_kind_index() over
-         * the kind-metadata table (engine/expander.h). A scheduled
-         * leaf's arm is its parent node's kind (leaf_arm_kind):
-         * executed = leaves scheduled to run under that arm, pruned =
-         * leaves dropped by domination pruning or the circuit budget,
-         * budget units = 2^width slot cost the executed leaves spend —
-         * the observability for mixed-vocabulary trees.
-         */
-        std::array<int, kNumNodeKinds> kind_leaves_executed{};
-        std::array<int, kNumNodeKinds> kind_leaves_pruned{};
-        std::array<long long, kNumNodeKinds> kind_budget_units{};
 
         // --------------------------------- wave-synchronous epochs only --
         int epochs = 0;               ///< waves the solve rode (1 = flat batch)
-        int reranks = 0;              ///< adaptive re-ranks applied
-        int rerank_pruned = 0;        ///< stale dominated leaves dropped mid-run
-        int rerank_promoted = 0;      ///< beyond-budget leaves re-admitted
-        int rerank_demoted = 0;       ///< scheduled leaves cut by a re-rank
         /** Plan-time scheduled order (same index space as
          *  executed_subproblems), captured before any re-rank rewrote the
          *  tail — the plan side of a plan-vs-adaptive trace. Only filled
          *  when re-ranking is active. */
         std::vector<int> planned_subproblems;
-
-        // ------------------------------------------- durable solves only --
-        int checkpoints = 0;      ///< snapshots handed to the sink
-        /** Schedule cursor the solve resumed from; -1 = fresh solve. */
-        int resumed_from = -1;
-        /** Leaves demoted by the deadline trim (plan time + re-ranks). */
-        int deadline_trimmed = 0;
-
-        // -------------------------------------- distributed execution --
-        /** Leaves folded from remote worker replies (0 without a
-         *  WorkerPool attached). */
-        long long leaves_remote = 0;
-        /** Leaves the local BatchExecutor simulated (everything, when no
-         *  WorkerPool is attached). */
-        long long leaves_local = 0;
-        /** Remote leaves re-run locally after their worker died. */
-        long long leaves_redispatched = 0;
-        long long remote_bytes_sent = 0;     ///< wire bytes out
-        long long remote_bytes_received = 0; ///< wire bytes in
-        /** Per-worker leaf dispatch counts, keyed by worker address. */
-        std::vector<std::pair<std::string, long long>> worker_dispatches;
     };
 
     /** @p num_threads: 0 = auto (hardware concurrency). */
@@ -189,30 +148,21 @@ class ExecutionEngine
      * (config.max_depth), hybrid bisection (config.partition_width),
      * best-first budgeted leaf scheduling (config.max_circuits) and
      * streaming reduction. A default config (flat, unlimited) reproduces
-     * the flat engine bit for bit.
-     */
-    frozenqubits::SampledSolve solve(const ising::IsingModel& model,
-                                     const device::Device& dev,
-                                     const frozenqubits::DriverConfig&
-                                         config,
-                                     int shots, Rng& rng);
-
-    /**
-     * Durable solve: identical to the Rng overload with `Rng rng(seed)`,
-     * plus checkpointing. When @p sink is set and
-     * config.checkpoint_interval > 0, the wave loop pauses every
-     * interval folded leaves and hands @p sink a SolveCheckpoint
-     * (engine/checkpoint.h); a false return suspends the solve, which
-     * then completes with its anytime incumbent flagged degraded while
-     * the last snapshot resumes the full solve elsewhere. Checkpoint
-     * barriers never change results — this overload without a sink is
-     * bit-identical to the Rng overload.
+     * the flat engine bit for bit. The plan is derived from `Rng(seed)`
+     * and the seed is recorded in the request, so a snapshot or a remote
+     * worker can replan the identical tree.
+     *
+     * Durability: when @p sink is set and config.checkpoint_interval > 0,
+     * the wave loop pauses every interval folded leaves and hands @p sink
+     * a SolveCheckpoint (engine/checkpoint.h); a false return suspends the
+     * solve, which then completes with its anytime incumbent flagged
+     * degraded while the last snapshot resumes the full solve elsewhere.
+     * Checkpoint barriers never change results.
      *
      * Deadline admission: when config.deadline_cost_units > 0 the
      * schedule is trimmed to the leaves that fit at plan time (typed
      * DeadlineError when not even one does) and re-trimmed after each
      * adaptive re-rank; a trimmed result is flagged degraded.
-     * (The Rng overload applies the same deadline semantics.)
      */
     frozenqubits::SampledSolve solve(const ising::IsingModel& model,
                                      const device::Device& dev,
@@ -279,18 +229,20 @@ class ExecutionEngine
         const device::Device& dev,
         const frozenqubits::DriverConfig& config);
 
-    /** Shared body of the three solve entry points: plan (or replan for a
-     *  resume), optionally restore @p restore_from, run the wave loop with
-     *  an optional checkpoint sink, reduce. */
+    /** Shared body of solve() and resume(): plan (replan and restore
+     *  @p restore_from for a resume), run the wave loop with an optional
+     *  checkpoint sink, reduce. */
     frozenqubits::SampledSolve solve_impl(
         const ising::IsingModel& model, const device::Device& dev,
-        const frozenqubits::DriverConfig& config, int shots, Rng& rng,
+        const frozenqubits::DriverConfig& config, int shots,
         std::uint64_t seed, const SolveCheckpoint* restore_from,
         const CheckpointSink& sink);
 
     void start_diagnostics(const ExecutionPlan& plan);
-    void start_diagnostics(const SolveTree& tree,
-                           const LeafSchedule& schedule);
+    /** Overwrite diagnostics_ from @p plan's current schedule and the
+     *  executor's @p remote accounting. */
+    void publish_diagnostics(const PlannedRequest& plan,
+                             const LeafExecutorStats& remote);
 
     TemplateCache cache_;
     BatchExecutor executor_;

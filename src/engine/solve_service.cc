@@ -101,103 +101,14 @@ SolveService::deadline_or_throw_locked(long long deadline,
 }
 
 SolveService::Ticket
-SolveService::enqueue_request(std::unique_ptr<Request> request,
-                              bool check_deadline)
-{
-    request->submitted = Clock::now();
-    Ticket ticket;
-    ticket.future_ = request->promise.get_future();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        FQ_REQUIRE(!stopping_, "submit on a stopping SolveService");
-        if (max_queue_depth_ > 0)
-            admit_or_throw_locked();
-        if (check_deadline && request->config.deadline_cost_units > 0)
-            deadline_or_throw_locked(
-                request->config.deadline_cost_units,
-                request->pending_cost.load(std::memory_order_relaxed));
-        request->id = next_id_++;
-        ticket.id_ = request->id;
-        ++stats_.requests_submitted;
-        active_.push_back(std::move(request));
-    }
-    work_available_.notify_all();
-    return ticket;
-}
-
-SolveService::Ticket
 SolveService::submit(const ising::IsingModel& model,
                      const device::Device& dev,
                      const frozenqubits::DriverConfig& config, int shots,
                      std::uint64_t seed, CompletionCallback on_complete,
                      CheckpointCallback on_checkpoint)
 {
-    FQ_REQUIRE(shots >= 1, "need at least one shot");
-
-    // Admission pre-check before the expensive planning below; the
-    // authoritative (race-free) check repeats at enqueue time.
-    if (max_queue_depth_ > 0) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        admit_or_throw_locked();
-    }
-
-    auto request = std::make_unique<Request>();
-    request->model = model; // stable copies: the reducer and the wave items
-    request->dev = dev;     // reference the request's own storage
-    request->config = config;
-    request->shots = shots;
-    request->on_complete = std::move(on_complete);
-    request->on_checkpoint = std::move(on_checkpoint);
-
-    // Plan on the CALLING thread — the exact sequence of a solo
-    // ExecutionEngine::solve, so the schedule (and therefore every leaf's
-    // plan-derived RNG stream) is bit-identical to a standalone run.
-    // Concurrent submitters contend only on the shared template cache,
-    // which compiles outside its lock. Scoring runs serially here
-    // (executor = nullptr): per-leaf scores are a pure function of the
-    // leaf, so the scores — and the schedule — match the engine's
-    // executor-parallel scoring exactly.
-    Rng rng(seed);
-    request->tree = build_solve_tree(request->model, request->dev,
-                                     request->config, engine_.cache_, rng);
-    request->schedule = make_schedule(request->model, request->tree,
-                                      request->config,
-                                      /*force_scoring=*/false, nullptr);
-    // Plan-time deadline trim, exactly as a solo solve applies it; a
-    // deadline that covers no leaf at all is a typed rejection, counted
-    // like the backlog-projection rejections below.
-    try {
-        apply_deadline_trim(request->schedule, request->tree,
-                            request->config.deadline_cost_units,
-                            /*folded=*/0);
-    } catch (const DeadlineError&) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.requests_rejected_deadline;
-        throw;
-    }
-    request->reducer.emplace(request->model, request->tree,
-                             request->schedule);
-    // Wire the wave-loop view into the request's own (heap-pinned)
-    // storage; the assembler drives the shared epoch primitives on it.
-    request->wave.model = &request->model;
-    request->wave.tree = &request->tree;
-    request->wave.schedule = &request->schedule;
-    request->wave.reducer = &*request->reducer;
-    request->wave.dev = &request->dev;
-    request->wave.config = &request->config;
-    request->wave.shots = shots;
-    request->wave.context = request.get();
-    request->wave.seed = seed;
-    arm_rerank(request->wave);
-    // Checkpoint boundaries cost wave fragmentation, so they arm only
-    // when a sink will actually consume the snapshots.
-    if (request->on_checkpoint &&
-        request->config.checkpoint_interval > 0)
-        arm_checkpoint(request->wave);
-    request->pending_cost.store(remaining_cost(request->wave),
-                                std::memory_order_relaxed);
-
-    return enqueue_request(std::move(request), /*check_deadline=*/true);
+    return submit_impl(model, dev, config, shots, seed, nullptr,
+                       std::move(on_complete), std::move(on_checkpoint));
 }
 
 SolveService::Ticket
@@ -208,60 +119,87 @@ SolveService::submit_resume(const ising::IsingModel& model,
                             CompletionCallback on_complete,
                             CheckpointCallback on_checkpoint)
 {
-    FQ_REQUIRE(shots >= 1, "need at least one shot");
+    return submit_impl(model, dev, config, shots, snapshot.seed, &snapshot,
+                       std::move(on_complete), std::move(on_checkpoint));
+}
 
+SolveService::Ticket
+SolveService::submit_impl(const ising::IsingModel& model,
+                          const device::Device& dev,
+                          const frozenqubits::DriverConfig& config,
+                          int shots, std::uint64_t seed,
+                          const SolveCheckpoint* snapshot,
+                          CompletionCallback on_complete,
+                          CheckpointCallback on_checkpoint)
+{
+    // Admission pre-check before the expensive planning below; the
+    // authoritative (race-free) check repeats at enqueue time.
     if (max_queue_depth_ > 0) {
         std::lock_guard<std::mutex> lock(mutex_);
         admit_or_throw_locked();
     }
 
     auto request = std::make_unique<Request>();
-    request->model = model;
-    request->dev = dev;
+    request->model = model; // stable copies: the plan and the wave items
+    request->dev = dev;     // reference the request's own storage
     request->config = config;
-    request->shots = shots;
     request->on_complete = std::move(on_complete);
     request->on_checkpoint = std::move(on_checkpoint);
 
-    // Replan from the SNAPSHOT's seed; restore_checkpoint fingerprint-
-    // checks that this reproduces the plan the snapshot's cursor indexes
-    // into, then re-folds the recorded outcomes and moves the cursor. No
-    // plan-time deadline trim: the snapshot's schedule already carries
-    // every trim/re-rank decision up to its boundary.
-    Rng rng(snapshot.seed);
-    request->tree = build_solve_tree(request->model, request->dev,
-                                     request->config, engine_.cache_, rng);
-    request->schedule = make_schedule(request->model, request->tree,
-                                      request->config,
-                                      /*force_scoring=*/false, nullptr);
-    request->reducer.emplace(request->model, request->tree,
-                             request->schedule);
-    request->wave.model = &request->model;
-    request->wave.tree = &request->tree;
-    request->wave.schedule = &request->schedule;
-    request->wave.reducer = &*request->reducer;
-    request->wave.dev = &request->dev;
-    request->wave.config = &request->config;
-    request->wave.shots = shots;
-    request->wave.context = request.get();
-    request->wave.seed = snapshot.seed;
-    restore_checkpoint(snapshot, request->wave);
-    // The snapshot carries the pending re-rank boundary (arm_rerank would
-    // rewind it below the cursor); the checkpoint boundary re-arms at the
-    // next interval multiple past the restored cursor.
-    if (request->on_checkpoint &&
-        request->config.checkpoint_interval > 0)
-        arm_checkpoint(request->wave);
-    request->leaves_folded.store(static_cast<int>(snapshot.cursor),
-                                 std::memory_order_release);
-    request->resumed_from = static_cast<int>(snapshot.cursor);
-    request->pending_cost.store(remaining_cost(request->wave),
+    // Plan on the CALLING thread — the solo solve's own sequence, so the
+    // schedule (and therefore every leaf's plan-derived RNG stream) is
+    // bit-identical to a standalone run. Concurrent submitters contend
+    // only on the shared template cache, which compiles outside its lock.
+    // Scoring runs serially here (no executor): the engine's executor
+    // belongs to the assembler thread. A deadline that covers no leaf at
+    // all is a typed rejection, counted like the backlog rejections below.
+    try {
+        plan_request(request->plan, request->model, request->dev,
+                     request->config, shots, seed, snapshot, engine_.cache_,
+                     /*scoring=*/nullptr);
+    } catch (const DeadlineError&) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++stats_.requests_rejected_deadline;
+        throw;
+    }
+    WaveRequest& wave = request->plan.wave;
+    wave.context = request.get();
+    // A resumed request keeps the snapshot's pending re-rank boundary
+    // (arm_rerank would rewind it below the cursor); the checkpoint
+    // boundary re-arms at the next interval multiple past the cursor.
+    if (!snapshot)
+        arm_rerank(wave);
+    // Checkpoint boundaries cost wave fragmentation, so they arm only
+    // when a sink will actually consume the snapshots.
+    if (request->on_checkpoint && request->config.checkpoint_interval > 0)
+        arm_checkpoint(wave);
+    request->leaves_folded.store(static_cast<int>(wave.dispatched),
+                                 std::memory_order_relaxed);
+    request->pending_cost.store(remaining_cost(wave),
                                 std::memory_order_relaxed);
 
-    // Queue-depth check only: a migrated request was already admitted
-    // against its deadline once — re-projecting the backlog here could
-    // bounce it between shards forever.
-    return enqueue_request(std::move(request), /*check_deadline=*/false);
+    request->submitted = Clock::now();
+    Ticket ticket;
+    ticket.future_ = request->promise.get_future();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        FQ_REQUIRE(!stopping_, "submit on a stopping SolveService");
+        if (max_queue_depth_ > 0)
+            admit_or_throw_locked();
+        // Fresh submits only: a migrated request was already admitted
+        // against its deadline once — re-projecting the backlog here
+        // could bounce it between shards forever.
+        if (!snapshot && request->config.deadline_cost_units > 0)
+            deadline_or_throw_locked(
+                request->config.deadline_cost_units,
+                request->pending_cost.load(std::memory_order_relaxed));
+        request->id = next_id_++;
+        ticket.id_ = request->id;
+        ++stats_.requests_submitted;
+        active_.push_back(std::move(request));
+    }
+    work_available_.notify_all();
+    return ticket;
 }
 
 std::vector<WaveSlot>
@@ -277,7 +215,7 @@ SolveService::assemble_wave_locked()
     tenants.reserve(active_.size());
     for (auto& request : active_)
         if (!request->failed.load(std::memory_order_acquire))
-            tenants.push_back(&request->wave);
+            tenants.push_back(&request->plan.wave);
     if (tenants.empty())
         return wave;
 
@@ -324,7 +262,7 @@ SolveService::run_wave(const std::vector<WaveSlot>& wave)
                       TemplateTier fuse_tier) {
         Request& r = *static_cast<Request*>(slot.request->context);
         const auto& leaf =
-            r.tree.leaves[static_cast<std::size_t>(slot.leaf_id)];
+            r.plan.tree.leaves[static_cast<std::size_t>(slot.leaf_id)];
         if (leaf.fuse) {
             r.fused_lookups.fetch_add(1, std::memory_order_relaxed);
             if (fuse_tier == TemplateTier::Bind)
@@ -354,69 +292,31 @@ SolveService::Outcome
 SolveService::reduce_request(Request& request)
 {
     Outcome out;
+    // The shared counters come from the final schedule and the executor
+    // seam's accounting (all zeros on the local backend). finish_request
+    // releases the backend's per-request state (sessions, stats) — the
+    // WaveRequest storage is about to be reused.
+    {
+        LeafExecutor& leaf_exec = engine_.leaf_executor();
+        const LeafExecutorStats remote =
+            leaf_exec.request_stats(&request.plan.wave);
+        leaf_exec.finish_request(&request.plan.wave);
+        fill_request_counters(request.plan.wave, remote, out.diag);
+    }
+    const LeafSchedule& schedule = request.plan.schedule;
     out.diag.request_id = request.id;
-    out.diag.leaves_scheduled =
-        static_cast<int>(request.schedule.executed.size());
+    out.diag.leaves_scheduled = static_cast<int>(schedule.executed.size());
     out.diag.leaves_executed = request.leaves_folded.load();
     out.diag.waves = request.waves;
     out.diag.fused_lookups = request.fused_lookups.load();
     out.diag.fused_lookups_scalar = request.fused_lookups_scalar.load();
     out.diag.fused_lookups_simd = request.fused_lookups_simd.load();
     out.diag.family_binds = request.family_binds.load();
-    // Plan-time tier split over the leaves that actually folded (the final
-    // schedule — re-ranks may have rewritten the plan-time cut).
-    for (int leaf_id : request.schedule.executed) {
-        const auto& leaf =
-            request.tree.leaves[static_cast<std::size_t>(leaf_id)];
-        switch (leaf.tier) {
-        case TemplateTier::Bind: ++out.diag.leaves_tier_bind; break;
-        case TemplateTier::Compile:
-            ++out.diag.leaves_tier_compile;
-            break;
-        }
-        const auto arm =
-            node_kind_index(leaf_arm_kind(request.tree, leaf_id));
-        ++out.diag.kind_leaves_executed[arm];
-        out.diag.kind_budget_units[arm] +=
-            leaf_slot_cost(request.tree, leaf_id);
-    }
-    for (int leaf_id : request.schedule.beyond_budget)
-        ++out.diag.kind_leaves_pruned[node_kind_index(
-            leaf_arm_kind(request.tree, leaf_id))];
-    for (int leaf_id : request.schedule.pruned)
-        ++out.diag.kind_leaves_pruned[node_kind_index(
-            leaf_arm_kind(request.tree, leaf_id))];
     out.diag.wave_occupancy =
         request.waves == 0
             ? 0.0
             : request.occupancy_sum / static_cast<double>(request.waves);
-    out.diag.reranks = request.schedule.reranks;
-    out.diag.rerank_pruned = request.schedule.rerank_pruned;
-    out.diag.rerank_promoted = request.schedule.rerank_promoted;
-    out.diag.rerank_demoted = request.schedule.rerank_demoted;
-    // Remote-execution accounting from the executor seam (all zeros on
-    // the local backend). finish_request releases the backend's
-    // per-request state (sessions, stats) — the WaveRequest storage is
-    // about to be reused.
-    {
-        LeafExecutor& leaf_exec = engine_.leaf_executor();
-        const LeafExecutorStats remote =
-            leaf_exec.request_stats(&request.wave);
-        leaf_exec.finish_request(&request.wave);
-        out.diag.leaves_remote = remote.leaves_remote;
-        out.diag.leaves_local =
-            static_cast<long long>(out.diag.leaves_executed) -
-            remote.leaves_remote;
-        out.diag.leaves_redispatched = remote.leaves_redispatched;
-        out.diag.remote_bytes_sent = remote.bytes_sent;
-        out.diag.remote_bytes_received = remote.bytes_received;
-        out.diag.worker_dispatches = remote.worker_dispatches;
-    }
-    out.diag.checkpoints = request.checkpoints;
-    out.diag.resumed_from = request.resumed_from;
-    out.diag.deadline_trimmed = request.schedule.deadline_trimmed;
-    out.diag.degraded = request.schedule.deadline_trimmed > 0 ||
-                        request.schedule.suspended;
+    out.diag.degraded = schedule.deadline_trimmed > 0 || schedule.suspended;
     const auto now = Clock::now();
     if (request.started.load(std::memory_order_acquire))
         out.diag.queue_latency_ms =
@@ -428,7 +328,7 @@ SolveService::reduce_request(Request& request)
         return out;
     }
     try {
-        out.solved = request.reducer->finish();
+        out.solved = request.plan.reducer->finish();
     } catch (...) {
         // A reduction failure poisons only this request — an escaped
         // exception on the assembler thread would std::terminate the whole
@@ -499,21 +399,20 @@ SolveService::assembler_loop()
                 live.push_back(request.get());
         lock.unlock();
         for (Request* request : live) {
-            post_barrier_rerank(request->wave);
-            // Durable requests: snapshot at an armed checkpoint boundary.
-            // The wrapper captures OUTSIDE the service lock (the snapshot
-            // copies every folded histogram) and contains callback throws
-            // — the header contract says they must not, so a violation is
+            WaveRequest& wave = request->plan.wave;
+            post_barrier_rerank(wave);
+            // Durable requests: snapshot at an armed checkpoint boundary
+            // (armed only when the request has a callback). The wrapper
+            // captures OUTSIDE the service lock (the snapshot copies
+            // every folded histogram) and contains callback throws — the
+            // header contract says they must not, so a violation is
             // treated as "continue", mirroring CompletionCallback. A
             // false return suspends the request (suspend_request inside
             // post_barrier_checkpoint); the completion scan below then
             // finishes it as a degraded anytime result.
             post_barrier_checkpoint(
-                request->wave, [request](WaveRequest& wave) {
-                    if (!request->on_checkpoint)
-                        return true;
-                    const auto snapshot = capture_checkpoint(wave);
-                    ++request->checkpoints;
+                wave, [request](WaveRequest& w) {
+                    const auto snapshot = capture_checkpoint(w);
                     try {
                         return request->on_checkpoint(request->id,
                                                       snapshot);
@@ -523,7 +422,7 @@ SolveService::assembler_loop()
                 });
             // Re-ranks and suspensions rewrite the schedule tail; refresh
             // the deadline backlog projection to match.
-            request->pending_cost.store(remaining_cost(request->wave),
+            request->pending_cost.store(remaining_cost(wave),
                                         std::memory_order_release);
         }
         lock.lock();
@@ -536,7 +435,7 @@ SolveService::assembler_loop()
             const bool done =
                 r.failed.load(std::memory_order_acquire) ||
                 r.leaves_folded.load(std::memory_order_acquire) ==
-                    static_cast<int>(r.schedule.executed.size());
+                    static_cast<int>(r.plan.schedule.executed.size());
             if (done) {
                 finished.push_back(std::move(*it));
                 it = active_.erase(it);

@@ -61,7 +61,6 @@
 #ifndef FQ_ENGINE_SOLVE_SERVICE_H
 #define FQ_ENGINE_SOLVE_SERVICE_H
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -71,7 +70,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -117,8 +115,10 @@ class SolveService
         int max_queue_depth = 0;
     };
 
-    /** Per-request observability, available once the request completed. */
-    struct TenantDiagnostics
+    /** Per-request observability, available once the request completed.
+     *  The RequestCounters part equals what a solo solve of the same
+     *  request reports in ExecutionEngine::last_diagnostics(). */
+    struct TenantDiagnostics : RequestCounters
     {
         std::uint64_t request_id = 0;
         /** Final schedule size: the plan-time budget cut, minus leaves an
@@ -136,19 +136,6 @@ class SolveService
          *  skeleton instead of rebuilding circuits (exec-time count; a
          *  subset of fused_lookups). */
         std::uint64_t family_binds = 0;
-        /** Plan-time template-tier split of this tenant's executed leaves
-         *  (SolveLeaf::tier: family-patch / from-scratch). */
-        int leaves_tier_bind = 0;
-        int leaves_tier_compile = 0;
-        /** Per-reduction-arm split of this tenant's leaves, indexed by
-         *  node_kind_index() over the kind-metadata table
-         *  (engine/expander.h; arm = parent node kind, leaf_arm_kind):
-         *  leaves run / leaves planned-but-dropped (domination + budget) /
-         *  2^width wave-slot units the executed leaves spent. The
-         *  serve-batch trace surface for mixed-vocabulary trees. */
-        std::array<int, kNumNodeKinds> kind_leaves_executed{};
-        std::array<int, kNumNodeKinds> kind_leaves_pruned{};
-        std::array<long long, kNumNodeKinds> kind_budget_units{};
         /**
          * Mean share of the wave slots this tenant held across the waves it
          * rode (1.0 = had every wave to itself; 1/K under K equal tenants)
@@ -159,34 +146,9 @@ class SolveService
         double queue_latency_ms = 0.0;
         /** submit() return -> completion (reduction included). */
         double wall_ms = 0.0;
-        /** Adaptive re-ranking activity (0 when rerank_interval is off). */
-        int reranks = 0;
-        int rerank_pruned = 0;   ///< stale dominated leaves never executed
-        int rerank_promoted = 0; ///< beyond-budget leaves re-admitted
-        int rerank_demoted = 0;  ///< scheduled leaves cut by a re-rank
-
-        // ------------------------------------------------- durability --
-        int checkpoints = 0;     ///< snapshots handed to on_checkpoint
-        /** Schedule cursor the request resumed from; -1 = fresh submit. */
-        int resumed_from = -1;
-        /** Leaves demoted by the deadline trim (plan time + re-ranks). */
-        int deadline_trimmed = 0;
         /** Completed early (deadline trim or checkpoint suspension): the
          *  result is the anytime incumbent, not the full schedule. */
         bool degraded = false;
-
-        // -------------------------------------- distributed execution --
-        /** Leaves folded from remote worker replies (0 unless a
-         *  net::WorkerPool is attached to the engine). */
-        long long leaves_remote = 0;
-        /** Leaves the local BatchExecutor simulated for this request. */
-        long long leaves_local = 0;
-        /** Remote leaves re-run locally after their worker died. */
-        long long leaves_redispatched = 0;
-        long long remote_bytes_sent = 0;     ///< wire bytes out
-        long long remote_bytes_received = 0; ///< wire bytes in
-        /** Per-worker leaf dispatch counts, keyed by worker address. */
-        std::vector<std::pair<std::string, long long>> worker_dispatches;
     };
 
     /** Service-wide counters (snapshot; monotone while the service lives). */
@@ -267,10 +229,10 @@ class SolveService
      * Submit one solve request. Planning (tree construction, scheduling,
      * template-cache resolution) runs on the CALLING thread before this
      * returns — concurrent submitters plan concurrently against the shared
-     * cache. @p seed plays the role of the Rng argument of a solo
-     * ExecutionEngine::solve: a request's result is bit-identical to
-     * `Rng rng(seed); engine.solve(model, dev, config, shots, rng)` —
-     * including adaptive re-ranking (config.rerank_interval), whose epoch
+     * cache. The request takes the solo solve's path (plan_request,
+     * wave_loop.h), so its result is bit-identical to
+     * `engine.solve(model, dev, config, shots, seed)` — including
+     * adaptive re-ranking (config.rerank_interval), whose epoch
      * boundaries depend only on this request's own fold count.
      * Throws on planning failure (nothing is enqueued), AdmissionError
      * when Config::max_queue_depth requests are already in flight, and
@@ -321,7 +283,7 @@ class SolveService
   private:
     using Clock = std::chrono::steady_clock;
 
-    /** One in-flight request; heap-pinned so the reducer's references into
+    /** One in-flight request; heap-pinned so the plan's references into
      *  the owning struct stay valid for the request's lifetime. */
     struct Request
     {
@@ -329,17 +291,10 @@ class SolveService
         ising::IsingModel model;
         device::Device dev;
         frozenqubits::DriverConfig config;
-        int shots = 0;
 
-        SolveTree tree;
-        LeafSchedule schedule;
-        /** Constructed after tree/schedule are in their final location. */
-        std::optional<StreamingReducer> reducer;
-
-        /** Wave-loop view of this request (dispatch cursor, re-rank
-         *  boundaries, epoch count); pointers wired into the fields above
-         *  once they reached their final heap location. */
-        WaveRequest wave;
+        /** Tree, schedule, reducer and the wave-loop view over them,
+         *  planned in place from the fields above. */
+        PlannedRequest plan;
 
         std::promise<frozenqubits::SampledSolve> promise;
         CompletionCallback on_complete;
@@ -350,8 +305,6 @@ class SolveService
          *  and boundary scan; read by submit()'s deadline backlog
          *  projection from other threads, hence atomic. */
         std::atomic<long long> pending_cost{0};
-        int checkpoints = 0;   ///< assembler-thread only
-        int resumed_from = -1; ///< schedule cursor restored from (-1 = fresh)
 
         /** First failure among this request's leaves (poisons only this
          *  request; the wave and other tenants are unaffected). */
@@ -390,11 +343,17 @@ class SolveService
      *  tenants' pending cost plus @p own_cost exceeds @p deadline. Call
      *  with mutex_ held, deadline > 0. */
     void deadline_or_throw_locked(long long deadline, long long own_cost);
-    /** Shared enqueue tail of submit / submit_resume: re-check admission
-     *  (and, for fresh submits, the deadline backlog) under the lock,
-     *  assign the id, publish to active_. */
-    Ticket enqueue_request(std::unique_ptr<Request> request,
-                           bool check_deadline);
+    /** Shared body of submit / submit_resume: plan (replan and restore
+     *  @p snapshot for a resume) on the calling thread, arm the request's
+     *  boundaries, re-check admission (and, for fresh submits, the
+     *  deadline backlog) under the lock, assign the id, publish to
+     *  active_. */
+    Ticket submit_impl(const ising::IsingModel& model,
+                       const device::Device& dev,
+                       const frozenqubits::DriverConfig& config, int shots,
+                       std::uint64_t seed, const SolveCheckpoint* snapshot,
+                       CompletionCallback on_complete,
+                       CheckpointCallback on_checkpoint);
     void assembler_loop();
     /** Drive the shared wave-loop assembly over the live tenants (fair
      *  round-robin + wave_share + cost weighting + re-rank boundary caps)

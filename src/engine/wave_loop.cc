@@ -5,6 +5,8 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/rng.h"
+#include "engine/checkpoint.h"
 #include "engine/engine.h"
 
 namespace fq::engine {
@@ -22,6 +24,86 @@ long long
 leaf_slot_cost(const SolveTree& tree, int leaf_id)
 {
     return 1LL << std::min(tree.leaf_width(leaf_id), kMaxCostExponent);
+}
+
+void
+plan_request(PlannedRequest& out, const ising::IsingModel& model,
+             const device::Device& dev,
+             const frozenqubits::DriverConfig& config, int shots,
+             std::uint64_t seed, const SolveCheckpoint* snapshot,
+             TemplateCache& cache, BatchExecutor* scoring)
+{
+    FQ_REQUIRE(shots >= 1, "need at least one shot");
+    // Both stages are serial and fix every order-dependent decision
+    // (leaf RNG streams, ranking, budget cut) before a single circuit
+    // runs; an adaptive re-rank may later rewrite the schedule's
+    // un-dispatched tail, but only as a pure function of this request's
+    // own fold count.
+    Rng rng(seed);
+    out.tree = build_solve_tree(model, dev, config, cache, rng);
+    out.schedule = make_schedule(model, out.tree, config,
+                                 /*force_scoring=*/false, scoring);
+    // A resume takes the snapshot's already trimmed-and-re-ranked
+    // schedule wholesale instead.
+    if (!snapshot)
+        apply_deadline_trim(out.schedule, out.tree,
+                            config.deadline_cost_units, /*folded=*/0);
+    if (config.rerank_interval > 0)
+        out.planned_order = out.schedule.executed;
+
+    out.reducer.emplace(model, out.tree, out.schedule);
+    WaveRequest& wave = out.wave;
+    wave.model = &model;
+    wave.tree = &out.tree;
+    wave.schedule = &out.schedule;
+    wave.reducer = &*out.reducer;
+    wave.dev = &dev;
+    wave.config = &config;
+    wave.shots = shots;
+    wave.seed = seed;
+    if (snapshot) {
+        restore_checkpoint(*snapshot, wave);
+        wave.resumed_from = static_cast<int>(snapshot->cursor);
+    }
+}
+
+void
+fill_request_counters(const WaveRequest& request,
+                      const LeafExecutorStats& remote, RequestCounters& out)
+{
+    const SolveTree& tree = *request.tree;
+    const LeafSchedule& schedule = *request.schedule;
+    out = RequestCounters{};
+    for (int leaf_id : schedule.executed) {
+        switch (tree.leaves[static_cast<std::size_t>(leaf_id)].tier) {
+        case TemplateTier::Bind: ++out.leaves_tier_bind; break;
+        case TemplateTier::Compile: ++out.leaves_tier_compile; break;
+        }
+        const auto arm = node_kind_index(leaf_arm_kind(tree, leaf_id));
+        ++out.kind_leaves_executed[arm];
+        out.kind_budget_units[arm] += leaf_slot_cost(tree, leaf_id);
+    }
+    // Per-arm pruned = domination-pruned + budget-cut: the leaves each
+    // reduction arm planned but will never run.
+    for (const auto* cut : {&schedule.beyond_budget, &schedule.pruned})
+        for (int leaf_id : *cut)
+            ++out.kind_leaves_pruned[node_kind_index(
+                leaf_arm_kind(tree, leaf_id))];
+    out.reranks = schedule.reranks;
+    out.rerank_pruned = schedule.rerank_pruned;
+    out.rerank_promoted = schedule.rerank_promoted;
+    out.rerank_demoted = schedule.rerank_demoted;
+    out.checkpoints = request.checkpoints;
+    out.resumed_from = request.resumed_from;
+    out.deadline_trimmed = schedule.deadline_trimmed;
+    out.leaves_remote = remote.leaves_remote;
+    out.leaves_local =
+        static_cast<long long>(schedule.executed.size()) -
+        remote.leaves_remote;
+    out.leaves_redispatched = remote.leaves_redispatched;
+    out.remote_bytes_sent = remote.bytes_sent;
+    out.remote_bytes_received = remote.bytes_received;
+    out.worker_dispatches = remote.worker_dispatches;
 }
 
 std::vector<WaveSlot>
@@ -177,8 +259,10 @@ post_barrier_checkpoint(WaveRequest& request, const CheckpointHook& hook)
         request.dispatched != request.next_checkpoint || request.done())
         return true;
     bool keep_going = true;
-    if (hook)
+    if (hook) {
+        ++request.checkpoints;
         keep_going = hook(request);
+    }
     request.next_checkpoint +=
         static_cast<std::size_t>(request.config->checkpoint_interval);
     if (!keep_going)

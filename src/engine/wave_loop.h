@@ -3,7 +3,8 @@
  * Wave-synchronous execution epochs: the ONE schedule→dispatch→fold→barrier
  * cycle, shared by the solo ExecutionEngine::solve and the multi-tenant
  * SolveService (which used to duplicate it as a flat batch and an assembler
- * loop respectively).
+ * loop respectively). Both drivers also plan every request through
+ * plan_request and report it through one RequestCounters record.
  *
  * An epoch is one wave: dispatch a slice of each participating request's
  * ranked leaf schedule onto the executor, run it to the fork-join barrier,
@@ -35,15 +36,18 @@
 #ifndef FQ_ENGINE_WAVE_LOOP_H
 #define FQ_ENGINE_WAVE_LOOP_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "engine/batch_executor.h"
+#include "engine/expander.h"
 #include "engine/reducer.h"
 #include "engine/scheduler.h"
 #include "engine/solve_tree.h"
@@ -51,6 +55,7 @@
 namespace fq::engine {
 
 class TemplateCache;
+struct SolveCheckpoint;
 
 /**
  * One request's execution state inside the wave loop. Plain pointers into
@@ -70,9 +75,8 @@ struct WaveRequest
     /** Driver-owned back-pointer (e.g. the SolveService's Request). */
     void* context = nullptr;
     /** Seed the plan was derived from (`Rng rng(seed)` before
-     *  build_solve_tree) — the checkpoint identity field that lets a
-     *  resume replan the identical tree in another process. Unused (0)
-     *  when the solve is not durable. */
+     *  build_solve_tree) — the identity field that lets a resume or a
+     *  remote worker replan the identical tree in another process. */
     std::uint64_t seed = 0;
 
     /** Cursor into schedule->executed: leaves before it are dispatched. */
@@ -88,6 +92,10 @@ struct WaveRequest
     std::size_t next_checkpoint = 0;
     /** Waves this request rode (telemetry). */
     int epochs = 0;
+    /** Snapshots handed to the checkpoint hook (telemetry). */
+    int checkpoints = 0;
+    /** Schedule cursor the request was restored at; -1 = fresh plan. */
+    int resumed_from = -1;
 
     bool done() const { return dispatched >= schedule->executed.size(); }
 
@@ -136,6 +144,50 @@ arm_checkpoint(WaveRequest& request)
     const std::size_t step = static_cast<std::size_t>(interval);
     request.next_checkpoint = (request.dispatched / step + 1) * step;
 }
+
+/**
+ * One request's plan wired for the wave loop: the solve tree, its ranked
+ * schedule, the streaming reducer over both and the WaveRequest view of
+ * all three. The reducer and the view point into the struct's own
+ * members, so it is pinned: plan_request() fills it in place, and it
+ * stays where it is for the request's lifetime (on the solo engine's
+ * stack, inside the SolveService's heap-pinned request).
+ */
+struct PlannedRequest
+{
+    PlannedRequest() = default;
+    PlannedRequest(const PlannedRequest&) = delete;
+    PlannedRequest& operator=(const PlannedRequest&) = delete;
+
+    SolveTree tree;
+    LeafSchedule schedule;
+    std::optional<StreamingReducer> reducer;
+    WaveRequest wave;
+    /** Scheduled order as planned, before a restore or a re-rank rewrote
+     *  it; recorded only when re-ranking is on (the plan side of a
+     *  plan-vs-adaptive trace). */
+    std::vector<int> planned_order;
+};
+
+/**
+ * The ONE planning sequence of every request, solo or served: build the
+ * solve tree from `Rng rng(seed)`, rank and budget-cut its leaves (leaf
+ * scores run on @p scoring when non-null, serially otherwise — a score is
+ * a pure function of its leaf, so both give the same schedule), trim a
+ * fresh plan to config.deadline_cost_units (DeadlineError when not even
+ * one leaf fits), build the streaming reducer and wire out.wave.
+ *
+ * With @p snapshot, @p seed must be the snapshot's: instead of the
+ * deadline trim the snapshot's schedule, cursor and folded outcomes are
+ * restored (restore_checkpoint — CheckpointError on any identity
+ * mismatch). Re-rank and checkpoint boundaries are left for the caller to
+ * arm. @p model, @p dev and @p config must outlive @p out.
+ */
+void plan_request(PlannedRequest& out, const ising::IsingModel& model,
+                  const device::Device& dev,
+                  const frozenqubits::DriverConfig& config, int shots,
+                  std::uint64_t seed, const SolveCheckpoint* snapshot,
+                  TemplateCache& cache, BatchExecutor* scoring);
 
 /**
  * Slot cost of one leaf for cost-weighted wave packing: 2^width units
@@ -218,6 +270,63 @@ struct LeafExecutorStats
     /** Per-worker leaf dispatch counts, keyed by worker address. */
     std::vector<std::pair<std::string, long long>> worker_dispatches;
 };
+
+/**
+ * The per-request counters every driver reports — the shared part of
+ * ExecutionEngine::Diagnostics and SolveService::TenantDiagnostics, which
+ * both inherit it. fill_request_counters is the one place that computes
+ * them, so a solo solve and the same request served report equal values.
+ */
+struct RequestCounters
+{
+    /** Template-tier split of the executed leaves (plan-time
+     *  SolveLeaf::tier: family-skeleton patch / from-scratch build). */
+    int leaves_tier_bind = 0;
+    int leaves_tier_compile = 0;
+    /**
+     * Per-reduction-arm counters, indexed by node_kind_index() over the
+     * kind-metadata table (engine/expander.h). A scheduled leaf's arm is
+     * its parent node's kind (leaf_arm_kind): executed = leaves scheduled
+     * to run under that arm, pruned = leaves dropped by domination pruning
+     * or the circuit budget, budget units = 2^width slot cost the executed
+     * leaves spend — the observability for mixed-vocabulary trees.
+     */
+    std::array<int, kNumNodeKinds> kind_leaves_executed{};
+    std::array<int, kNumNodeKinds> kind_leaves_pruned{};
+    std::array<long long, kNumNodeKinds> kind_budget_units{};
+
+    // ------------------- adaptive re-ranking (0 when rerank_interval off) --
+    int reranks = 0;         ///< re-ranks applied
+    int rerank_pruned = 0;   ///< stale dominated leaves dropped mid-run
+    int rerank_promoted = 0; ///< beyond-budget leaves re-admitted
+    int rerank_demoted = 0;  ///< scheduled leaves cut by a re-rank
+
+    // ------------------------------------------------------ durability --
+    int checkpoints = 0; ///< snapshots handed to the checkpoint sink
+    /** Schedule cursor the request resumed from; -1 = fresh. */
+    int resumed_from = -1;
+    /** Leaves demoted by the deadline trim (plan time + re-ranks). */
+    int deadline_trimmed = 0;
+
+    // ------------------------------------------ distributed execution --
+    /** Leaves folded from remote worker replies (0 unless a
+     *  net::WorkerPool is attached to the engine). */
+    long long leaves_remote = 0;
+    /** Scheduled leaves the local BatchExecutor simulated. */
+    long long leaves_local = 0;
+    /** Remote leaves re-run locally after their worker died. */
+    long long leaves_redispatched = 0;
+    long long remote_bytes_sent = 0;     ///< wire bytes out
+    long long remote_bytes_received = 0; ///< wire bytes in
+    /** Per-worker leaf dispatch counts, keyed by worker address. */
+    std::vector<std::pair<std::string, long long>> worker_dispatches;
+};
+
+/** Overwrite @p out from @p request's tree and (final) schedule, its
+ *  checkpoint/resume telemetry and the executor's @p remote accounting. */
+void fill_request_counters(const WaveRequest& request,
+                           const LeafExecutorStats& remote,
+                           RequestCounters& out);
 
 /**
  * The executor seam every wave dispatches through. ONE implementation
@@ -315,8 +424,9 @@ void suspend_request(WaveRequest& request);
 /**
  * Post-barrier scan step for one request's checkpoint boundary: when its
  * fold count sits exactly on next_checkpoint (and the request is not
- * done), fire @p hook and advance the boundary; a false return suspends
- * the request. Returns false exactly when the request was suspended.
+ * done), fire @p hook (counted in request.checkpoints) and advance the
+ * boundary; a false return suspends the request. Returns false exactly
+ * when the request was suspended.
  * A null hook just advances the boundary (keeps the loop from stalling on
  * an armed boundary nobody consumes).
  */

@@ -40,10 +40,10 @@ run_pipeline(const ising::IsingModel& model, const device::Device& dev,
 
 SampledSolve
 solve_with_sampling(const ising::IsingModel& model, const device::Device& dev,
-                    const DriverConfig& config, int shots, Rng& rng)
+                    const DriverConfig& config, int shots, std::uint64_t seed)
 {
     engine::ExecutionEngine eng(config.threads);
-    return eng.solve(model, dev, config, shots, rng);
+    return eng.solve(model, dev, config, shots, seed);
 }
 
 } // namespace fq::frozenqubits

@@ -15,6 +15,7 @@
 #ifndef FQ_FROZENQUBITS_DRIVER_H
 #define FQ_FROZENQUBITS_DRIVER_H
 
+#include <cstdint>
 #include <vector>
 
 #include "device/catalog.h"
@@ -288,10 +289,15 @@ struct SampledSolve
     int deadline_trimmed = 0;
 };
 
+/**
+ * Sampled end-to-end solve: ExecutionEngine::solve on a fresh engine. The
+ * plan derives from `Rng(seed)`, so equal seeds give bit-identical
+ * results at any thread count.
+ */
 SampledSolve solve_with_sampling(const ising::IsingModel& model,
                                  const device::Device& dev,
                                  const DriverConfig& config, int shots,
-                                 Rng& rng);
+                                 std::uint64_t seed);
 
 } // namespace fq::frozenqubits
 

@@ -269,6 +269,7 @@ encode_open_session(const OpenSession& msg)
     put_u64(out, msg.model_hash);
     put_u64(out, msg.config_hash);
     put_u64(out, msg.plan_hash);
+    put_u64(out, msg.device_hash);
     return out;
 }
 
@@ -291,6 +292,7 @@ decode_open_session(const std::vector<std::uint8_t>& payload)
     msg.model_hash = in.u64();
     msg.config_hash = in.u64();
     msg.plan_hash = in.u64();
+    msg.device_hash = in.u64();
     in.finish();
     return msg;
 }

@@ -14,9 +14,11 @@
  *                                            connect, not mid-solve
  *   OpenSession {model, device, config,
  *                seed, shots, fingerprints} ->
- *                                            replans build_solve_tree
- *                                            from (model, config, seed),
- *                                            verifies all three
+ *                                            rebuilds the device from
+ *                                            its catalog name, replans
+ *                                            build_solve_tree from
+ *                                            (model, config, seed),
+ *                                            verifies all four
  *                                            fingerprints match
  *                                         <- SessionReady {threads}
  *   ExecBatch [(session, leaf_id), ...]   ->
@@ -51,7 +53,7 @@
 namespace fq::net {
 
 /** Bumped on any wire-format change; a worker refuses other versions. */
-constexpr std::uint32_t kProtocolVersion = 3;
+constexpr std::uint32_t kProtocolVersion = 4;
 
 enum MessageType : std::uint32_t {
     kMsgOpenSession = 1,
@@ -85,6 +87,9 @@ struct OpenSession
     std::uint64_t model_hash = 0;  ///< engine::model_fingerprint
     std::uint64_t config_hash = 0; ///< engine::config_fingerprint
     std::uint64_t plan_hash = 0;   ///< engine::plan_fingerprint
+    /** engine::device_fingerprint(dev, 0): topology and calibration, so a
+     *  device the worker's catalog rebuilds differently is rejected. */
+    std::uint64_t device_hash = 0;
 };
 
 struct SessionReady

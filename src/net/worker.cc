@@ -167,6 +167,12 @@ WorkerServer::serve_connection(Fd client)
                     s.config = open.config;
                     s.shots = open.shots;
                     s.dev = device::make_device(open.device_name);
+                    if (engine::device_fingerprint(s.dev, 0) !=
+                        open.device_hash)
+                        throw NetError(
+                            "worker: device fingerprint mismatch (the "
+                            "catalog device differs from the "
+                            "coordinator's)");
                     // The replan IS the work descriptor decompression: the
                     // tree rebuilt from (model, config, seed) carries every
                     // leaf's sub-model, RNG stream seed and template key.

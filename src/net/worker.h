@@ -2,10 +2,11 @@
  * @file
  * WorkerServer: the leaf-execution half of the distributed protocol —
  * `fqtool worker --listen <addr>` in-process. A worker PLANS NOTHING: it
- * never ranks, budgets or re-ranks a schedule. On OpenSession it replans
- * the solve tree from (model, config, seed) — build_solve_tree is a pure
- * function, the same property checkpoint resume relies on — verifies the
- * coordinator's model/config/plan fingerprints against its own replan,
+ * never ranks, budgets or re-ranks a schedule. On OpenSession it rebuilds
+ * the device from its catalog name and replans the solve tree from
+ * (model, config, seed) — build_solve_tree is a pure function, the same
+ * property checkpoint resume relies on — verifies the coordinator's
+ * device/model/config/plan fingerprints against its own rebuild,
  * and from then on executes leaves named by bare leaf_id against its OWN
  * TemplateCache and BatchExecutor. Because simulate_scheduled_leaf is a
  * pure function of (cache contents, tree, leaf, dev, config, shots),

@@ -113,6 +113,7 @@ WorkerPool::ensure_session(Worker& worker,
     open.model_hash = engine::model_fingerprint(*request->model);
     open.config_hash = engine::config_fingerprint(*request->config);
     open.plan_hash = engine::plan_fingerprint(*request->tree);
+    open.device_hash = engine::device_fingerprint(*request->dev, 0);
 
     auto& stat = stats_for(request);
     try {
@@ -125,10 +126,11 @@ WorkerPool::ensure_session(Worker& worker,
         stat.bytes_received += static_cast<long long>(
             frame_wire_size(reply.payload.size()));
         if (reply.type == kMsgError) {
-            // The worker replanned a DIFFERENT tree (or could not replan
-            // at all): this request cannot run there — e.g. a plan seeded
-            // through a caller-owned Rng (seed unknown, recorded as 0).
-            // The worker itself is healthy; pin the request local.
+            // The worker cannot reproduce this request: it rebuilds the
+            // device from its catalog name, so a custom device (unknown
+            // name, or a catalog name with its own calibration) fails
+            // there, as would a replan that diverged. The worker itself
+            // is healthy; pin the request local.
             worker.rejected.push_back(request);
             return OpenResult::RequestRejected;
         }

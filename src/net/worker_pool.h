@@ -18,12 +18,15 @@
  * (cache contents, tree, leaf, dev, config, shots), a re-dispatched leaf
  * folds byte-identical counts — worker death is invisible in the results,
  * which is the determinism contract's distributed extension. A worker
- * that REJECTS a session (fingerprint mismatch) is not dead: only that
- * request is pinned local. A worker-reported leaf failure (kMsgLeafFailed)
- * is not a transport fault either — the worker stays alive, and the
- * failure propagates exactly as a local leaf throw would: through
- * WaveHooks::failed when set, else out of execute_wave once the wave has
- * fully drained (the BatchExecutor barrier semantics).
+ * that REJECTS a session is not dead: only that request is pinned local.
+ * Workers rebuild the device from its catalog name, so every request on a
+ * custom device (an unknown name, or a catalog name with a calibration of
+ * its own — caught by the device fingerprint) takes this path. A
+ * worker-reported leaf failure (kMsgLeafFailed) is not a transport fault
+ * either — the worker stays alive, and the failure propagates exactly as
+ * a local leaf throw would: through WaveHooks::failed when set, else out
+ * of execute_wave once the wave has fully drained (the BatchExecutor
+ * barrier semantics).
  *
  * Threading: drive from ONE thread at a time (the engine's caller or the
  * service's assembler), the same contract as ExecutionEngine.
@@ -83,8 +86,9 @@ class WorkerPool final : public engine::LeafExecutor
         int threads = 1; ///< advertised by the connect-time WorkerHello
         /** Open sessions keyed by the request they execute for. */
         std::map<const engine::WaveRequest*, std::uint64_t> sessions;
-        /** Requests this worker rejected (fingerprint mismatch) — pinned
-         *  to the local arm instead of killing the worker. */
+        /** Requests this worker rejected (a device it cannot rebuild or a
+         *  fingerprint mismatch) — pinned to the local arm instead of
+         *  killing the worker. */
         std::vector<const engine::WaveRequest*> rejected;
     };
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "device/catalog.h"
+#include "engine/wave_loop.h"
 #include "frozenqubits/driver.h"
 #include "graph/generators.h"
 #include "ising/ising_model.h"
@@ -57,6 +58,33 @@ expect_solves_identical(const frozenqubits::SampledSolve& a,
                          b.anytime[p].incumbent_cost);
         EXPECT_EQ(a.anytime[p].leaf, b.anytime[p].leaf);
     }
+}
+
+/** Field-by-field equality of the counters record the solo engine and the
+ *  SolveService share — solo and served runs of one request must report
+ *  the same values. */
+inline void
+expect_counters_identical(const engine::RequestCounters& a,
+                          const engine::RequestCounters& b)
+{
+    EXPECT_EQ(a.leaves_tier_bind, b.leaves_tier_bind);
+    EXPECT_EQ(a.leaves_tier_compile, b.leaves_tier_compile);
+    EXPECT_EQ(a.kind_leaves_executed, b.kind_leaves_executed);
+    EXPECT_EQ(a.kind_leaves_pruned, b.kind_leaves_pruned);
+    EXPECT_EQ(a.kind_budget_units, b.kind_budget_units);
+    EXPECT_EQ(a.reranks, b.reranks);
+    EXPECT_EQ(a.rerank_pruned, b.rerank_pruned);
+    EXPECT_EQ(a.rerank_promoted, b.rerank_promoted);
+    EXPECT_EQ(a.rerank_demoted, b.rerank_demoted);
+    EXPECT_EQ(a.checkpoints, b.checkpoints);
+    EXPECT_EQ(a.resumed_from, b.resumed_from);
+    EXPECT_EQ(a.deadline_trimmed, b.deadline_trimmed);
+    EXPECT_EQ(a.leaves_remote, b.leaves_remote);
+    EXPECT_EQ(a.leaves_local, b.leaves_local);
+    EXPECT_EQ(a.leaves_redispatched, b.leaves_redispatched);
+    EXPECT_EQ(a.remote_bytes_sent, b.remote_bytes_sent);
+    EXPECT_EQ(a.remote_bytes_received, b.remote_bytes_received);
+    EXPECT_EQ(a.worker_dispatches, b.worker_dispatches);
 }
 
 /**

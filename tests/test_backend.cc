@@ -225,15 +225,13 @@ TEST(Backend, SolvesBitIdenticalAcrossBackends)
 
     config.backend = sim::BackendSelection::Scalar;
     engine::ExecutionEngine scalar_engine(2);
-    Rng rng_scalar(33);
     const auto scalar_solve =
-        scalar_engine.solve(model, dev, config, 2048, rng_scalar);
+        scalar_engine.solve(model, dev, config, 2048, 33);
 
     config.backend = sim::BackendSelection::Simd;
     engine::ExecutionEngine simd_engine(2);
-    Rng rng_simd(33);
     const auto simd_solve =
-        simd_engine.solve(model, dev, config, 2048, rng_simd);
+        simd_engine.solve(model, dev, config, 2048, 33);
 
     expect_solves_identical(scalar_solve, simd_solve);
 }
@@ -253,9 +251,8 @@ TEST(Backend, AutoSelectionIsThreadCountInvariant)
 
     engine::ExecutionEngine serial(1);
     engine::ExecutionEngine parallel(4);
-    Rng rng_a(17), rng_b(17);
-    const auto a = serial.solve(model, dev, config, 1024, rng_a);
-    const auto b = parallel.solve(model, dev, config, 1024, rng_b);
+    const auto a = serial.solve(model, dev, config, 1024, 17);
+    const auto b = parallel.solve(model, dev, config, 1024, 17);
     expect_solves_identical(a, b);
 
     const auto& diag = parallel.last_diagnostics();

@@ -112,15 +112,19 @@ collect_snapshots(const DurableWorkload& w,
     return snapshots;
 }
 
-TEST(Checkpoint, SeedOverloadMatchesRngOverload)
+TEST(Checkpoint, SinkDoesNotChangeResults)
 {
+    // Same durable config with and without a sink: only the sink arms
+    // the checkpoint barriers, and they must not change any result.
     DurableWorkload w;
+    frozenqubits::SampledSolve with_sink;
+    EXPECT_FALSE(collect_snapshots(w, &with_sink).empty());
     const auto dev = device::make_device("ibm-montreal");
     ExecutionEngine eng(1);
-    Rng rng(w.seed);
-    const auto via_rng = eng.solve(w.model, dev, w.config, w.shots, rng);
-    const auto via_seed = eng.solve(w.model, dev, w.config, w.shots, w.seed);
-    expect_solves_identical(via_rng, via_seed);
+    const auto without_sink =
+        eng.solve(w.model, dev, w.config, w.shots, w.seed);
+    expect_solves_identical(without_sink, with_sink);
+    EXPECT_EQ(eng.last_diagnostics().checkpoints, 0);
 }
 
 TEST(Checkpoint, CheckpointBarriersDoNotChangeResults)

@@ -139,9 +139,8 @@ TEST(ExecutionEngine, ParallelSampledSolveBitIdenticalToSerial)
 
     ExecutionEngine serial(1);
     ExecutionEngine parallel(4);
-    Rng rng_a(33), rng_b(33);
-    const auto a = serial.solve(model, dev, config, 2048, rng_a);
-    const auto b = parallel.solve(model, dev, config, 2048, rng_b);
+    const auto a = serial.solve(model, dev, config, 2048, 33);
+    const auto b = parallel.solve(model, dev, config, 2048, 33);
 
     EXPECT_DOUBLE_EQ(a.best_cost, b.best_cost);
     EXPECT_EQ(a.best_assignment, b.best_assignment);
@@ -326,9 +325,8 @@ TEST(ExecutionEngine, PartialExecutionRunsExactlyTheBudget)
 
     ExecutionEngine serial(1);
     ExecutionEngine parallel(4);
-    Rng rng_a(33), rng_b(33);
-    const auto a = serial.solve(model, dev, config, 2048, rng_a);
-    const auto b = parallel.solve(model, dev, config, 2048, rng_b);
+    const auto a = serial.solve(model, dev, config, 2048, 33);
+    const auto b = parallel.solve(model, dev, config, 2048, 33);
 
     EXPECT_EQ(a.leaves_total, 4);
     EXPECT_EQ(a.leaves_executed, 2);
@@ -364,17 +362,15 @@ TEST(ExecutionEngine, RecursiveDepth2BitIdenticalAcrossThreads)
 
     ExecutionEngine serial(1);
     ExecutionEngine parallel(4);
-    Rng rng_a(17), rng_b(17);
-    const auto a = serial.solve(model, dev, config, 1024, rng_a);
-    const auto b = parallel.solve(model, dev, config, 1024, rng_b);
+    const auto a = serial.solve(model, dev, config, 1024, 17);
+    const auto b = parallel.solve(model, dev, config, 1024, 17);
     EXPECT_EQ(serial.last_diagnostics().tree_depth, 2);
     EXPECT_GT(serial.last_diagnostics().leaves_total, 4);
     expect_solves_identical(a, b);
 
     config.max_circuits = 5; // partial execution through the deep tree
-    Rng rng_c(17), rng_d(17);
-    const auto c = serial.solve(model, dev, config, 1024, rng_c);
-    const auto d = parallel.solve(model, dev, config, 1024, rng_d);
+    const auto c = serial.solve(model, dev, config, 1024, 17);
+    const auto d = parallel.solve(model, dev, config, 1024, 17);
     EXPECT_EQ(c.leaves_executed, 5);
     expect_solves_identical(c, d);
     // The budgeted run solves a subset of the full run's leaves; its best
@@ -396,9 +392,8 @@ TEST(ExecutionEngine, HybridPartitionSolveIsValidAndDeterministic)
 
     ExecutionEngine serial(1);
     ExecutionEngine parallel(4);
-    Rng rng_a(3), rng_b(3);
-    const auto a = serial.solve(model, dev, config, 1024, rng_a);
-    const auto b = parallel.solve(model, dev, config, 1024, rng_b);
+    const auto a = serial.solve(model, dev, config, 1024, 3);
+    const auto b = parallel.solve(model, dev, config, 1024, 3);
 
     ASSERT_EQ(a.best_assignment.size(),
               static_cast<std::size_t>(model.num_spins()));
@@ -449,9 +444,8 @@ TEST(ExecutionEngine, FamilyTierSolvesBitIdenticalAcrossThreadsAndWarmth)
     config.num_freeze = 2;
 
     ExecutionEngine eng_serial(1), eng_pool(4);
-    Rng r1(77), r2(77);
-    const auto a = eng_serial.solve(model, dev, config, 1024, r1);
-    const auto b = eng_pool.solve(model, dev, config, 1024, r2);
+    const auto a = eng_serial.solve(model, dev, config, 1024, 77);
+    const auto b = eng_pool.solve(model, dev, config, 1024, 77);
     expect_solves_identical(a, b);
 
     // Tier preview accounting: a fresh engine binds the structural
@@ -461,8 +455,7 @@ TEST(ExecutionEngine, FamilyTierSolvesBitIdenticalAcrossThreadsAndWarmth)
 
     // A repeat on the warm engine binds every leaf from the resident
     // family — none compiles from scratch — with the result unchanged.
-    Rng r3(77);
-    const auto c = eng_pool.solve(model, dev, config, 1024, r3);
+    const auto c = eng_pool.solve(model, dev, config, 1024, 77);
     expect_solves_identical(a, c);
     EXPECT_EQ(eng_pool.last_diagnostics().leaves_tier_compile, 0);
     EXPECT_GT(eng_pool.last_diagnostics().leaves_tier_bind, 0);

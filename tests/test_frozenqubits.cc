@@ -481,9 +481,8 @@ TEST(Driver, SampledSolveFindsOptimumUnderLowNoise)
 
     DriverConfig config;
     config.num_freeze = 1;
-    Rng solve_rng(17);
     const auto solved =
-        solve_with_sampling(model, dev, config, 4096, solve_rng);
+        solve_with_sampling(model, dev, config, 4096, 17);
 
     EXPECT_NEAR(solved.best_cost, exact.min_cost, 1e-9);
     EXPECT_NEAR(model.evaluate(solved.best_assignment), solved.best_cost,

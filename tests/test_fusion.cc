@@ -532,9 +532,8 @@ TEST(ExecutionEngine, FusedSolveBitIdenticalAcrossThreads)
 
     ExecutionEngine serial(1);
     ExecutionEngine parallel(4);
-    Rng rng_a(91), rng_b(91);
-    const auto a = serial.solve(model, dev, config, 1024, rng_a);
-    const auto b = parallel.solve(model, dev, config, 1024, rng_b);
+    const auto a = serial.solve(model, dev, config, 1024, 91);
+    const auto b = parallel.solve(model, dev, config, 1024, 91);
 
     EXPECT_TRUE(serial.last_diagnostics().fused_simulation);
     EXPECT_DOUBLE_EQ(a.best_cost, b.best_cost);
@@ -567,9 +566,8 @@ TEST(ExecutionEngine, FusionOffMatchesFusionOnSolution)
 
     ExecutionEngine eng_fused(2);
     ExecutionEngine eng_naive(2);
-    Rng rng_a(5), rng_b(5);
-    const auto a = eng_fused.solve(model, dev, fused_config, 4096, rng_a);
-    const auto b = eng_naive.solve(model, dev, naive_config, 4096, rng_b);
+    const auto a = eng_fused.solve(model, dev, fused_config, 4096, 5);
+    const auto b = eng_naive.solve(model, dev, naive_config, 4096, 5);
 
     EXPECT_TRUE(eng_fused.last_diagnostics().fused_simulation);
     EXPECT_FALSE(eng_naive.last_diagnostics().fused_simulation);
@@ -596,8 +594,7 @@ TEST(ExecutionEngine, RepeatedSolveRebindsFromResidentFamily)
     config.num_freeze = 2;
 
     ExecutionEngine eng(2);
-    Rng rng_a(3), rng_b(3);
-    const auto a = eng.solve(model, dev, config, 512, rng_a);
+    const auto a = eng.solve(model, dev, config, 512, 3);
     const auto first = eng.template_cache().stats();
     // Every executed leaf bound its tables from the family skeleton.
     const auto leaves = static_cast<std::uint64_t>(
@@ -607,7 +604,7 @@ TEST(ExecutionEngine, RepeatedSolveRebindsFromResidentFamily)
 
     // The repeat pays no structural compile: the family stays resident
     // and each leaf rebinds its (dropped) tables from it.
-    const auto b = eng.solve(model, dev, config, 512, rng_b);
+    const auto b = eng.solve(model, dev, config, 512, 3);
     const auto second = eng.template_cache().stats();
     EXPECT_EQ(second.family_structural_compiles,
               first.family_structural_compiles);

@@ -153,6 +153,7 @@ TEST(NetWire, OpenSessionRoundTrip)
     msg.model_hash = 0xAABB;
     msg.config_hash = 0xCCDD;
     msg.plan_hash = 0xEEFF;
+    msg.device_hash = 0x1122;
 
     const auto back = net::decode_open_session(
         net::encode_open_session(msg));
@@ -172,6 +173,7 @@ TEST(NetWire, OpenSessionRoundTrip)
     EXPECT_EQ(back.model_hash, 0xAABBu);
     EXPECT_EQ(back.config_hash, 0xCCDDu);
     EXPECT_EQ(back.plan_hash, 0xEEFFu);
+    EXPECT_EQ(back.device_hash, 0x1122u);
 }
 
 TEST(NetWire, LeafCountsRoundTrip)
@@ -350,31 +352,48 @@ TEST(Distributed, WorkerDeathMidWaveIsInvisible)
     EXPECT_EQ(eng.last_diagnostics().leaves_remote, 0);
 }
 
-TEST(Distributed, RngSeededPlanPinsLocal)
+/** Solve through a one-worker pool whose worker must reject the session:
+ *  the request is pinned local (result identical, no remote leaf) and the
+ *  worker stays live. */
+void
+expect_worker_rejects(const ising::IsingModel& model,
+                      const device::Device& dev,
+                      const frozenqubits::DriverConfig& config, int shots)
 {
-    // The Rng overload records no replayable seed (request.seed = 0), so
-    // the worker's replan diverges, it REJECTS the session, and the pool
-    // pins the request local — without killing the worker.
-    const auto model = test::ba_model(14, 3, 19);
-    const auto dev = device::make_device("ibm-montreal");
-    const auto config = small_config(1);
-
-    engine::ExecutionEngine baseline(config.threads);
-    Rng rng_a(99);
-    const auto expected =
-        baseline.solve(model, dev, config, 512, rng_a);
+    const auto expected = local_solve(model, dev, config, shots);
 
     WorkerFleet fleet(1);
     engine::ExecutionEngine eng(config.threads);
     net::WorkerPool pool(eng.local_leaf_executor(), eng.num_threads(),
                          fleet.addresses);
     eng.set_leaf_executor(&pool);
-    Rng rng_b(99);
-    const auto got = eng.solve(model, dev, config, 512, rng_b);
+    const auto got = eng.solve(model, dev, config, shots, config.seed);
 
     test::expect_solves_identical(expected, got);
     EXPECT_EQ(eng.last_diagnostics().leaves_remote, 0);
     EXPECT_EQ(pool.live_workers(), 1);
+}
+
+TEST(Distributed, UnknownDeviceNamePinsLocal)
+{
+    // Workers rebuild the device from its catalog name; a custom device
+    // has none, so the worker rejects the session.
+    auto dev = device::make_grid_device(4, 4);
+    dev.name = "grid";
+    expect_worker_rejects(test::ba_model(14, 3, 19), dev, small_config(1),
+                          512);
+}
+
+TEST(Distributed, CustomCalibrationPinsLocal)
+{
+    // A catalog name with a calibration of its own: the worker's catalog
+    // device would sample different noise, so the device fingerprint
+    // must reject the session rather than let it run there.
+    auto dev = device::make_device("ibm-montreal");
+    dev.calibration =
+        device::Calibration::uniform(dev.topology, 3e-2, 1e-1, 80.0);
+    expect_worker_rejects(test::ba_model(16, 3, 11), dev, small_config(1),
+                          1024);
 }
 
 TEST(Distributed, AllowRemoteFalsePinsLocal)
@@ -475,9 +494,10 @@ TEST(Distributed, StaleProtocolWorkerRejectedAtConnect)
 {
     // Workers speaking an older protocol greet and are refused with a
     // typed error before any session opens: version 1 (whose config
-    // frames still carried the template-editing bytes) and version 2
-    // (whose leaf counts still carried a fused-hit byte).
-    for (const std::uint32_t stale_version : {1u, 2u}) {
+    // frames still carried the template-editing bytes), version 2 (whose
+    // leaf counts still carried a fused-hit byte) and version 3 (whose
+    // session open carried no device fingerprint).
+    for (const std::uint32_t stale_version : {1u, 2u, 3u}) {
         ASSERT_NE(net::kProtocolVersion, stale_version);
         const auto address = unique_address();
         net::Fd listen_fd = net::listen_on(address);

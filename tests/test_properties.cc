@@ -337,9 +337,8 @@ TEST(QuboThroughFrozenQubits, EndToEndOptimum)
 
     frozenqubits::DriverConfig config;
     config.num_freeze = 1;
-    Rng solve_rng(96);
     const auto solved = frozenqubits::solve_with_sampling(
-        model, dev, config, 8192, solve_rng);
+        model, dev, config, 8192, 96);
 
     double best = 1e300;
     for (std::uint64_t bits = 0; bits < 1024; ++bits) {

@@ -11,8 +11,11 @@
 
 #include <atomic>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/error.h"
 #include "device/catalog.h"
@@ -20,6 +23,8 @@
 #include "engine/solve_service.h"
 #include "graph/generators.h"
 #include "ising/ising_model.h"
+#include "net/worker.h"
+#include "net/worker_pool.h"
 #include "solve_test_util.h"
 
 namespace {
@@ -27,6 +32,7 @@ namespace {
 using namespace fq;
 using namespace fq::engine;
 using fq::test::ba_model;
+using fq::test::expect_counters_identical;
 using fq::test::expect_solves_identical;
 
 /** One tenant's workload: every SolveTree mode the engine supports. */
@@ -98,8 +104,7 @@ solo_references(const std::vector<Workload>& workloads,
     std::vector<frozenqubits::SampledSolve> refs;
     for (const auto& w : workloads) {
         ExecutionEngine solo(1);
-        Rng rng(w.seed);
-        refs.push_back(solo.solve(w.model, dev, w.config, w.shots, rng));
+        refs.push_back(solo.solve(w.model, dev, w.config, w.shots, w.seed));
     }
     return refs;
 }
@@ -109,9 +114,8 @@ TEST(SolveService, SingleRequestBitIdenticalToEngineSolve)
     const auto dev = device::make_device("ibm-montreal");
     for (const auto& w : mixed_workloads()) {
         ExecutionEngine solo(1);
-        Rng rng(w.seed);
         const auto expected =
-            solo.solve(w.model, dev, w.config, w.shots, rng);
+            solo.solve(w.model, dev, w.config, w.shots, w.seed);
 
         ExecutionEngine eng(4);
         SolveService service(eng);
@@ -255,9 +259,8 @@ TEST(SolveService, FailedTenantDoesNotPoisonTheWave)
     const auto dev = device::make_device("ibm-montreal");
     const auto good = mixed_workloads()[0];
     ExecutionEngine solo(1);
-    Rng rng(good.seed);
     const auto expected =
-        solo.solve(good.model, dev, good.config, good.shots, rng);
+        solo.solve(good.model, dev, good.config, good.shots, good.seed);
 
     device::Device wide_dev;
     wide_dev.topology = device::make_grid(4, 7); // 28 qubits
@@ -359,15 +362,21 @@ TEST(SolveService, RerankParityWithSoloUnderAdversarialInterleaving)
     // Adaptive re-ranking must survive multi-tenancy: a request with
     // rerank on, interleaved with co-tenants in tiny shared waves (the
     // adversarial composition — its epoch boundaries land mid-wave), is
-    // bit-identical to the same request on a solo serial engine. The
-    // epoch snapshot and the dispatch_limit cap are exactly what makes
-    // this hold.
+    // bit-identical to the same request on a solo serial engine, and
+    // reports the same counters record. The epoch snapshot and the
+    // dispatch_limit cap are exactly what makes this hold.
     const auto dev = device::make_device("ibm-montreal");
     auto workloads = mixed_workloads();
     workloads[1].config.rerank_interval = 1; // flat budgeted tenant
     workloads[2].config.rerank_interval = 2; // recursive depth-2 tenant
     workloads[3].config.rerank_interval = 1; // hybrid partition tenant
-    const auto refs = solo_references(workloads, dev);
+    std::vector<frozenqubits::SampledSolve> refs;
+    std::vector<RequestCounters> solo_counters;
+    for (const auto& w : workloads) {
+        ExecutionEngine solo(1);
+        refs.push_back(solo.solve(w.model, dev, w.config, w.shots, w.seed));
+        solo_counters.push_back(solo.last_diagnostics());
+    }
 
     for (int threads : {1, 4}) {
         ExecutionEngine eng(threads);
@@ -390,20 +399,76 @@ TEST(SolveService, RerankParityWithSoloUnderAdversarialInterleaving)
             expect_solves_identical(tickets[k].get(), refs[k]);
         service.drain();
 
-        // Re-rank telemetry must match the solo engine's too: boundaries
-        // depend on the request's own fold count, not the service's waves.
-        for (std::size_t k = 1; k < workloads.size(); ++k) {
-            const auto& w = workloads[k];
-            ExecutionEngine solo(1);
-            Rng rng(w.seed);
-            (void)solo.solve(w.model, dev, w.config, w.shots, rng);
-            const auto diag = service.diagnostics(tickets[k].id());
-            EXPECT_EQ(diag.reranks, solo.last_diagnostics().reranks);
-            EXPECT_EQ(diag.rerank_pruned,
-                      solo.last_diagnostics().rerank_pruned);
-            EXPECT_EQ(diag.rerank_promoted,
-                      solo.last_diagnostics().rerank_promoted);
+        // Boundaries depend on the request's own fold count, not the
+        // service's waves, so every shared counter matches the solo run.
+        for (std::size_t k = 0; k < workloads.size(); ++k)
+            expect_counters_identical(service.diagnostics(tickets[k].id()),
+                                      solo_counters[k]);
+    }
+
+    // Resumed: the same snapshot resumed solo and served, each re-arming
+    // checkpoints, reports the same record (resumed_from included).
+    {
+        auto w = workloads[2];
+        w.config.checkpoint_interval = 1;
+        std::vector<SolveCheckpoint> snapshots;
+        ExecutionEngine solo(1);
+        (void)solo.solve(w.model, dev, w.config, w.shots, w.seed,
+                         [&](const SolveCheckpoint& ck) {
+                             snapshots.push_back(ck);
+                             return true;
+                         });
+        ASSERT_FALSE(snapshots.empty());
+        const auto& snapshot = snapshots.front();
+        const auto resumed =
+            solo.resume(w.model, dev, w.config, w.shots, snapshot,
+                        [](const SolveCheckpoint&) { return true; });
+        EXPECT_EQ(solo.last_diagnostics().resumed_from,
+                  static_cast<int>(snapshot.cursor));
+
+        ExecutionEngine eng(2);
+        SolveService service(eng, SolveService::Config{2, 0});
+        auto ticket = service.submit_resume(
+            w.model, dev, w.config, w.shots, snapshot, nullptr,
+            [](std::uint64_t, const SolveCheckpoint&) { return true; });
+        expect_solves_identical(ticket.get(), resumed);
+        service.drain();
+        expect_counters_identical(service.diagnostics(ticket.id()),
+                                  solo.last_diagnostics());
+    }
+
+    // One worker: a request alone in the service rides the solo solve's
+    // waves, so the remote split and wire bytes match too.
+    {
+        const auto address = "unix:/tmp/fq_test_service_" +
+                             std::to_string(::getpid()) + ".sock";
+        net::WorkerServer worker(address);
+        worker.start();
+        ExecutionEngine eng(2);
+        net::WorkerPool pool(eng.local_leaf_executor(), eng.num_threads(),
+                             {address});
+        eng.set_leaf_executor(&pool);
+        std::vector<RequestCounters> pooled;
+        for (const auto& w : workloads) {
+            (void)eng.solve(w.model, dev, w.config, w.shots, w.seed);
+            pooled.push_back(eng.last_diagnostics());
         }
+        long long remote = 0;
+        {
+            SolveService service(eng, SolveService::Config{64, 0});
+            for (std::size_t k = 0; k < workloads.size(); ++k) {
+                const auto& w = workloads[k];
+                auto ticket =
+                    service.submit(w.model, dev, w.config, w.shots, w.seed);
+                expect_solves_identical(ticket.get(), refs[k]);
+                service.drain();
+                const auto diag = service.diagnostics(ticket.id());
+                expect_counters_identical(diag, pooled[k]);
+                remote += diag.leaves_remote;
+            }
+        }
+        EXPECT_GT(remote, 0);
+        worker.stop();
     }
 }
 
@@ -480,9 +545,8 @@ TEST(SolveService, MigrationUnderCoTenantsBitIdenticalToSolo)
     w.seed = 17;
 
     ExecutionEngine solo(1);
-    Rng rng(w.seed);
     const auto reference =
-        solo.solve(w.model, dev, w.config, w.shots, rng);
+        solo.solve(w.model, dev, w.config, w.shots, w.seed);
     ASSERT_GT(reference.leaves_executed, 1);
 
     ExecutionEngine eng(4);
@@ -527,9 +591,8 @@ TEST(SolveService, DeadlineBacklogRejectionIsDeterministic)
     w.config.checkpoint_interval = 1;
 
     ExecutionEngine solo(1);
-    Rng rng(w.seed);
     const auto reference =
-        solo.solve(w.model, dev, w.config, w.shots, rng);
+        solo.solve(w.model, dev, w.config, w.shots, w.seed);
     ASSERT_GT(reference.leaves_executed, 1);
     const long long leaf_cost =
         1LL << (w.model.num_spins() - w.config.num_freeze);

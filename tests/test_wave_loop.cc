@@ -99,10 +99,9 @@ TEST(WaveLoop, RerankOnBitIdenticalAcrossThreadCounts)
     for (const auto& w : rerank_workloads()) {
         ExecutionEngine serial(1);
         ExecutionEngine parallel(4);
-        Rng rng_a(w.seed), rng_b(w.seed);
-        const auto a = serial.solve(w.model, dev, w.config, w.shots, rng_a);
+        const auto a = serial.solve(w.model, dev, w.config, w.shots, w.seed);
         const auto b =
-            parallel.solve(w.model, dev, w.config, w.shots, rng_b);
+            parallel.solve(w.model, dev, w.config, w.shots, w.seed);
         expect_solves_identical(a, b);
         EXPECT_EQ(serial.last_diagnostics().reranks,
                   parallel.last_diagnostics().reranks);
@@ -146,8 +145,7 @@ TEST(WaveLoop, RerankOffMatchesSingleFlatBatchReference)
         const auto reference = reducer.finish();
 
         ExecutionEngine eng(2);
-        Rng rng(config.seed);
-        const auto solved = eng.solve(model, dev, config, 2048, rng);
+        const auto solved = eng.solve(model, dev, config, 2048, config.seed);
         expect_solves_identical(solved, reference);
         EXPECT_EQ(eng.last_diagnostics().epochs, 1);
         EXPECT_EQ(eng.last_diagnostics().reranks, 0);
@@ -215,12 +213,11 @@ TEST(WaveLoop, RerankPrunesStaleDominatedLeaves)
     base.num_freeze = 3;
 
     ExecutionEngine off_eng(2), on_eng(2);
-    Rng rng_off(base.seed), rng_on(base.seed);
-    const auto off = off_eng.solve(model, dev, base, 2048, rng_off);
+    const auto off = off_eng.solve(model, dev, base, 2048, base.seed);
 
     auto adaptive = base;
     adaptive.rerank_interval = 1;
-    const auto on = on_eng.solve(model, dev, adaptive, 2048, rng_on);
+    const auto on = on_eng.solve(model, dev, adaptive, 2048, base.seed);
 
     const auto& diag = on_eng.last_diagnostics();
     EXPECT_GT(diag.reranks, 0);

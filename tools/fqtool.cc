@@ -486,20 +486,20 @@ cmd_plan(const Options& opts)
  *  that planned any work, keyed by the metadata table's diagnostics key
  *  — so a new expander shows up here without printer changes. */
 void
-print_kind_stats(
-    const std::array<int, engine::kNumNodeKinds>& executed,
-    const std::array<int, engine::kNumNodeKinds>& pruned,
-    const std::array<long long, engine::kNumNodeKinds>& units)
+print_kind_stats(const engine::RequestCounters& d)
 {
     Table t("reduction arms");
     t.set_header({"arm", "leaves executed", "leaves pruned",
                   "budget units"});
     for (const auto& info : engine::node_kind_table()) {
         const auto k = engine::node_kind_index(info.kind);
-        if (executed[k] == 0 && pruned[k] == 0 && units[k] == 0)
+        const auto executed = d.kind_leaves_executed[k];
+        const auto pruned = d.kind_leaves_pruned[k];
+        const auto units = d.kind_budget_units[k];
+        if (executed == 0 && pruned == 0 && units == 0)
             continue;
-        t.add_row({info.diagnostics_key, Table::num(executed[k]),
-                   Table::num(pruned[k]), Table::num(units[k])});
+        t.add_row({info.diagnostics_key, Table::num(executed),
+                   Table::num(pruned), Table::num(units)});
     }
     t.print(std::cout);
 }
@@ -577,10 +577,9 @@ attach_workers(const Options& opts, engine::ExecutionEngine& eng)
 }
 
 void
-print_distributed(const engine::ExecutionEngine& eng,
+print_distributed(const engine::RequestCounters& d,
                   const net::WorkerPool& pool)
 {
-    const auto& d = eng.last_diagnostics();
     std::cout << "distributed: " << d.leaves_remote << " remote / "
               << d.leaves_local << " local leaves";
     if (d.leaves_redispatched > 0)
@@ -682,9 +681,6 @@ cmd_solve(const Options& opts)
         std::cout << "resumed from checkpoint " << resume_path
                   << " (cursor " << snapshot.cursor << ")\n";
     } else {
-        // The seed overload records config.seed in the request, which is
-        // what lets a remote worker replan the identical tree; it is
-        // bit-identical to the Rng overload with Rng(config.seed).
         solved = eng.solve(model, dev, config, shots, config.seed, sink);
     }
     // Plan-vs-adaptive trace: the engine snapshots the plan-time order
@@ -734,10 +730,9 @@ cmd_solve(const Options& opts)
                   << "\n";
     print_wall_clock(eng);
     if (pool)
-        print_distributed(eng, *pool);
+        print_distributed(diag, *pool);
     if (opts.find("stats") != opts.end()) {
-        print_kind_stats(diag.kind_leaves_executed,
-                         diag.kind_leaves_pruned, diag.kind_budget_units);
+        print_kind_stats(diag);
         print_cache_stats(eng);
     }
     return 0;
@@ -893,8 +888,6 @@ cmd_serve_batch(const Options& opts)
         for (std::size_t k = 0; k < requests.size(); ++k) {
             auto& req = requests[k];
             const auto dev = device::make_device(req.device);
-            // Seed overload so a worker pool can replan remotely;
-            // bit-identical to the Rng overload with Rng(req.seed).
             const auto solved =
                 eng.solve(req.model, dev, req.config, req.shots, req.seed);
             t.add_row({Table::num(k + 1), req.model_file,
