@@ -235,11 +235,12 @@ config_fingerprint(const frozenqubits::DriverConfig& config)
     h = mix(h, static_cast<std::uint64_t>(config.num_freeze));
     h = mix(h, static_cast<std::uint64_t>(config.policy));
     h = mix(h, config.symmetry_pruning ? 1 : 0);
-    // Template editing is always on; the constant keeps every snapshot
-    // written while it was a config field restoring.
+    // Template editing and fused simulation are always on, and the kernel
+    // backend is always the width rule (the old Auto = 0); the constants
+    // keep every snapshot written while they were config fields restoring.
     h = mix(h, 1);
-    h = mix(h, config.fuse_simulation ? 1 : 0);
-    h = mix(h, static_cast<std::uint64_t>(config.backend));
+    h = mix(h, 1);
+    h = mix(h, 0);
     h = mix(h, static_cast<std::uint64_t>(config.compile.layout));
     h = mix(h, static_cast<std::uint64_t>(config.compile.router.lookahead));
     h = mix_double(h, config.compile.router.lookahead_weight);
@@ -495,11 +496,8 @@ restore_checkpoint(const SolveCheckpoint& ck, WaveRequest& request)
 // --------------------------------------------------------- wire format --
 
 std::vector<std::uint8_t>
-encode_checkpoint(const SolveCheckpoint& ck, std::uint32_t version)
+encode_checkpoint(const SolveCheckpoint& ck)
 {
-    FQ_REQUIRE(version >= kMinCheckpointFormatVersion &&
-                   version <= kCheckpointFormatVersion,
-               "encode_checkpoint: unsupported format version");
     ByteWriter payload;
     payload.put_u64(ck.model_hash);
     payload.put_u64(ck.config_hash);
@@ -525,8 +523,7 @@ encode_checkpoint(const SolveCheckpoint& ck, std::uint32_t version)
     for (const auto& rec : ck.folded) {
         payload.put_i32(rec.leaf_id);
         payload.put_i32(rec.width);
-        if (version >= 2)
-            payload.put_u8(rec.arm_tag);
+        payload.put_u8(rec.arm_tag);
         payload.put_u32(static_cast<std::uint32_t>(rec.histogram.size()));
         for (const auto& [state, count] : rec.histogram) {
             payload.put_u64(state);
@@ -545,7 +542,7 @@ encode_checkpoint(const SolveCheckpoint& ck, std::uint32_t version)
     const auto& body = payload.bytes();
     ByteWriter framed;
     framed.put_u32(kMagic);
-    framed.put_u32(version);
+    framed.put_u32(kCheckpointFormatVersion);
     framed.put_u64(static_cast<std::uint64_t>(body.size()));
     framed.put_u32(crc32(body.data(), body.size()));
     auto out = framed.take();

@@ -70,7 +70,7 @@ class CheckpointError : public fq::Error
     explicit CheckpointError(const std::string& what) : fq::Error(what) {}
 };
 
-/** Current on-disk format version (encode writes this by default).
+/** Current on-disk format version (the only one encode writes).
  *  Decode also accepts version 1 (pre-arm-tag snapshots). */
 constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
@@ -183,16 +183,9 @@ void restore_checkpoint(const SolveCheckpoint& snapshot,
 
 // --------------------------------------------------------- wire format --
 
-/**
- * Serialize with CRC-checked framing (magic, version, length, CRC32).
- * @p version selects the wire layout (version 1 omits the per-record arm
- * tags — the legacy emitter, kept so compatibility tests can produce
- * genuine v1 bytes); FQ_REQUIRE on a version outside
- * [kMinCheckpointFormatVersion, kCheckpointFormatVersion].
- */
-std::vector<std::uint8_t> encode_checkpoint(
-    const SolveCheckpoint& ck,
-    std::uint32_t version = kCheckpointFormatVersion);
+/** Serialize as format kCheckpointFormatVersion with CRC-checked framing
+ *  (magic, version, length, CRC32). */
+std::vector<std::uint8_t> encode_checkpoint(const SolveCheckpoint& ck);
 
 /** Parse framed bytes; CheckpointError on truncation, bad magic, unknown
  *  version, unknown node-kind tag, length mismatch or CRC failure. */

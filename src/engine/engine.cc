@@ -129,7 +129,6 @@ ExecutionEngine::start_diagnostics(const ExecutionPlan& plan)
     diagnostics_.num_subproblems = plan.num_subproblems();
     diagnostics_.tasks_executed = plan.num_executed();
     diagnostics_.template_cache_hit = plan.template_cache_hit;
-    diagnostics_.fused_simulation = plan.fuse_simulation;
     diagnostics_.threads = executor_.num_threads();
     for (const auto& task : plan.tasks) {
         diagnostics_.executed_subproblems.push_back(task.solve);
@@ -151,10 +150,6 @@ ExecutionEngine::run(const ising::IsingModel& model,
     Rng rng(config.seed);
     const auto plan = make_plan(model, dev, config, cache_, rng);
     start_diagnostics(plan);
-    // The report arms are evaluated analytically (p=1 closed form + noise
-    // model) — no statevector runs here, so fusion cannot apply and must
-    // not be advertised; only solve() simulates.
-    diagnostics_.fused_simulation = false;
 
     // Task 0 is the baseline arm; tasks 1..k are the planned sub-problems.
     const int count = 1 + plan.num_executed();
@@ -211,30 +206,21 @@ simulate_scheduled_leaf(TemplateCache& cache, const SolveTree& tree,
                "circuit wider than target device");
 
     // Ideal state on the LOGICAL register, in this worker's reusable
-    // scratch buffer. The fused path replays the leaf's compiled diagonal
-    // weight tables at this leaf's angles — one pass per cost layer —
-    // instead of applying |E|+|V| gates; the naive path remains as the
-    // --no-fusion escape hatch.
-    if (leaf.fuse) {
-        // The family skeleton (when the plan attached one) lets the leaf
-        // materialize its tables by patching coefficients into the cached
-        // fusion skeleton instead of rebuilding the circuit — bit-identical
-        // tables either way (asserted in tests), only the build cost
-        // differs. The program is this leaf's alone and dies with it.
-        const auto program = cache.get_or_fuse(sub.model, build, nullptr,
-                                               leaf.family.get(), fuse_tier);
-        // The kernel backend was chosen at plan time (leaf.backend, a pure
-        // function of config and width) — execution only looks it up, so
-        // scheduling order can never change a leaf's kernels.
-        program->run({tuned.angles.gamma}, {tuned.angles.beta},
-                     scratch.statevector,
-                     sim::BackendRegistry::instance().get(leaf.backend));
-    } else {
-        const auto bound = qaoa::build_qaoa_circuit(sub.model, build)
-                               .bind({tuned.angles.gamma},
-                                     {tuned.angles.beta});
-        sim::run_circuit(bound, scratch.statevector);
-    }
+    // scratch buffer: the leaf's diagonal weight tables replayed at its
+    // angles — one pass per cost layer instead of |E|+|V| gates. The
+    // family skeleton (when the plan attached one) lets the leaf
+    // materialize its tables by patching coefficients into the cached
+    // fusion skeleton instead of rebuilding the circuit — bit-identical
+    // tables either way (asserted in tests), only the build cost differs.
+    // The program is this leaf's alone and dies with it.
+    const auto program = cache.get_or_fuse(sub.model, build, nullptr,
+                                           leaf.family.get(), fuse_tier);
+    // The kernel backend was chosen at plan time (leaf.backend, a pure
+    // function of the leaf width) — execution only looks it up, so
+    // scheduling order can never change a leaf's kernels.
+    program->run({tuned.angles.gamma}, {tuned.angles.beta},
+                 scratch.statevector,
+                 sim::BackendRegistry::instance().get(leaf.backend));
 
     // Private stream: determined at plan time by the leaf's root path, so
     // any thread count samples identically.
@@ -274,8 +260,6 @@ ExecutionEngine::publish_diagnostics(const PlannedRequest& plan,
         const auto& leaf =
             tree.leaves[static_cast<std::size_t>(leaf_id)];
         diagnostics_.executed_subproblems.push_back(leaf_id);
-        diagnostics_.fused_simulation =
-            diagnostics_.fused_simulation || leaf.fuse;
         if (leaf.fuse) {
             if (leaf.backend == sim::BackendKind::VectorizedFused)
                 ++diagnostics_.leaves_simd_backend;

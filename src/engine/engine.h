@@ -58,19 +58,19 @@ class SolveService;
 /**
  * Simulate one scheduled leaf of @p tree: tune its angles, read noise
  * quantities from the leaf's shared template (a leaf wider than the device
- * has none and throws), run the fused or gate-by-gate statevector into
- * @p scratch and sample noisy counts on the leaf's private plan-derived RNG
- * stream. @p dev is not consulted: the leaf's template was compiled for it
- * at plan time.
+ * has none and throws), run its fused program on the leaf's plan-time
+ * backend into @p scratch and sample noisy counts on the leaf's private
+ * plan-derived RNG stream. @p dev is not consulted: the leaf's template
+ * was compiled for it at plan time.
  *
  * The ONE leaf-execution definition, shared by ExecutionEngine::solve and
  * the SolveService's cross-request waves: a pure function of
  * (cache contents, tree, leaf, config, shots), so WHERE a leaf runs —
  * which worker, which wave, alongside whose leaves — can never change its
  * counts. @p fuse_tier, when non-null, reports HOW the fused program
- * materialized (Bind / Compile — see TemplateTier); gate-by-gate leaves
- * report Compile. @p fused_hit is a placeholder kept for source
- * compatibility with perfbench; when non-null it is always set to false.
+ * materialized (Bind / Compile — see TemplateTier). @p fused_hit is a
+ * placeholder kept for source compatibility with perfbench; when non-null
+ * it is always set to false.
  */
 sim::Counts simulate_scheduled_leaf(TemplateCache& cache,
                                     const SolveTree& tree, int leaf_id,
@@ -95,10 +95,6 @@ class ExecutionEngine
          *  Section 3.7.1) instead of their own transpiler run. */
         int template_edits = 0;
         bool template_cache_hit = false;
-        /** Sampled tasks simulated through the fused QAOA fast path.
-         *  Only solve() simulates; run()/evaluate() are analytic and
-         *  always report false. */
-        bool fused_simulation = false;
         std::vector<int> executed_subproblems; ///< solved indices
         std::vector<int> pruned_subproblems;   ///< mirror (never-run) indices
         double wall_ms = 0.0;
@@ -112,8 +108,8 @@ class ExecutionEngine
         int leaves_pruned = 0;        ///< dropped by bound domination
         bool scheduler_scored = false;///< SA-ranked (vs plan order)
         /** Scheduled-leaf kernel backends (plan-time choice; see
-         *  SolveLeaf::backend). Non-fused leaves run gate-by-gate and
-         *  count under neither. */
+         *  SolveLeaf::backend). A leaf too wide to simulate counts
+         *  under neither. */
         int leaves_scalar_backend = 0;
         int leaves_simd_backend = 0;
 

@@ -168,10 +168,8 @@ TreeBuild::make_leaf(int ni, const LeafContext& ctx,
     leaf.local_solve = ctx.local_solve;
     leaf.rng_seed = ctx.rng_seed;
     leaf.needs_repair = node.partition_lineage;
-    leaf.fuse = config_.fuse_simulation &&
-                node.sub.model.num_spins() <= sim::kMaxSimQubits;
-    leaf.backend =
-        sim::select_backend(config_.backend, node.sub.model.num_spins());
+    leaf.fuse = node.sub.model.num_spins() <= sim::kMaxSimQubits;
+    leaf.backend = sim::select_backend(node.sub.model.num_spins());
     leaf.build = ctx.build;
     leaf.tpl = ctx.tpl;
     leaf.tpl_compatible = ctx.tpl_compatible;
@@ -184,7 +182,7 @@ TreeBuild::make_leaf(int ni, const LeafContext& ctx,
         ctx.family->matches(node.sub.model))
         leaf.family = ctx.family;
     // Plan-time tier preview for diagnostics and the fqtool plan
-    // column. Unfused leaves always rebuild gate-by-gate (tier Compile).
+    // column. A leaf too wide to simulate previews tier Compile.
     leaf.tier = leaf.fuse && leaf.family != nullptr ? TemplateTier::Bind
                                                     : TemplateTier::Compile;
     tree_.leaves.push_back(std::move(leaf));

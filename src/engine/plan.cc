@@ -2,7 +2,6 @@
 
 #include "common/error.h"
 #include "frozenqubits/hotspot.h"
-#include "sim/statevector.h"
 
 namespace fq::engine {
 
@@ -44,15 +43,6 @@ make_plan(const ising::IsingModel& model, const device::Device& dev,
     }
 
     plan.build = default_build_options();
-
-    // Mark the plan fusable: every sub-problem of one freeze shares the
-    // template's quadratic structure, so if one fits the fused-simulation
-    // table width they all do. Each executed sibling binds its own weight
-    // tables from the family skeleton and drops them when it is done.
-    plan.fuse_simulation =
-        config.fuse_simulation &&
-        (plan.subproblems.empty() ||
-         plan.subproblems.front().model.num_spins() <= sim::kMaxSimQubits);
 
     // Pre-resolve the shared template serially so parallel tasks never race
     // to compile: every sibling is edit-compatible with the first planned

@@ -79,15 +79,6 @@ struct ExecutionPlan
     /** Build options every per-task circuit construction must use. */
     qaoa::BuildOptions build;
 
-    /**
-     * Planner verdict: tasks may simulate through the fused QAOA fast path
-     * (diagonal weight tables + mixer kernels, cache-shared per
-     * sub-problem). Set when the config enables fusion and every planned
-     * sub-problem fits the table width; the executor falls back to
-     * gate-by-gate simulation when clear (the --no-fusion escape hatch).
-     */
-    bool fuse_simulation = false;
-
     int num_subproblems() const
     {
         return static_cast<int>(subproblems.size());

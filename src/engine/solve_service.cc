@@ -263,16 +263,14 @@ SolveService::run_wave(const std::vector<WaveSlot>& wave)
         Request& r = *static_cast<Request*>(slot.request->context);
         const auto& leaf =
             r.plan.tree.leaves[static_cast<std::size_t>(slot.leaf_id)];
-        if (leaf.fuse) {
-            r.fused_lookups.fetch_add(1, std::memory_order_relaxed);
-            if (fuse_tier == TemplateTier::Bind)
-                r.family_binds.fetch_add(1, std::memory_order_relaxed);
-            // Attribute the traffic to the leaf's plan-time backend tag.
-            auto& lookups = leaf.backend == sim::BackendKind::VectorizedFused
-                                ? r.fused_lookups_simd
-                                : r.fused_lookups_scalar;
-            lookups.fetch_add(1, std::memory_order_relaxed);
-        }
+        r.fused_lookups.fetch_add(1, std::memory_order_relaxed);
+        if (fuse_tier == TemplateTier::Bind)
+            r.family_binds.fetch_add(1, std::memory_order_relaxed);
+        // Attribute the traffic to the leaf's plan-time backend tag.
+        auto& lookups = leaf.backend == sim::BackendKind::VectorizedFused
+                            ? r.fused_lookups_simd
+                            : r.fused_lookups_scalar;
+        lookups.fetch_add(1, std::memory_order_relaxed);
         r.leaves_folded.fetch_add(1, std::memory_order_acq_rel);
     };
     hooks.failed = [](const WaveSlot& slot, std::exception_ptr error) {

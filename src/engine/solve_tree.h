@@ -110,10 +110,11 @@ struct SolveLeaf
     /** Partition lineage: decode must fill the other fragments from the
      *  presolve assignment and greedy-repair on the original model. */
     bool needs_repair = false;
-    /** Simulate through the fused QAOA fast path (width permitting). */
+    /** The leaf fits the statevector (width <= sim::kMaxSimQubits), so it
+     *  runs the fused QAOA path; a wider leaf fails at execution. */
     bool fuse = false;
     /** Kernel backend this leaf executes on — fixed at plan time as a
-     *  pure function of (config.backend, leaf width), so thread count and
+     *  pure function of the leaf width, so thread count and
      *  wave packing can never change a leaf's kernels (the determinism
      *  contract extends to backend choice). */
     sim::BackendKind backend = sim::BackendKind::ScalarFused;

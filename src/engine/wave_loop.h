@@ -234,8 +234,7 @@ struct WaveHooks
     std::function<bool(const WaveSlot&)> admit;
     /** After the slot's counts folded into its request's reducer.
      *  @p fuse_tier reports how the fused program materialized (Bind /
-     *  Compile — see TemplateTier); gate-by-gate slots report Compile.
-     *  @p fused_hit is a placeholder kept for source compatibility with
+     *  Compile — see TemplateTier). @p fused_hit is a placeholder kept for source compatibility with
      *  perfbench and is always false. */
     std::function<void(const WaveSlot&, bool fused_hit,
                        TemplateTier fuse_tier)>

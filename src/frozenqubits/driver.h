@@ -23,34 +23,23 @@
 #include "frozenqubits/hotspot.h"
 #include "ising/ising_model.h"
 #include "qaoa/analytic_p1.h"
-#include "sim/backend.h"
 #include "sim/counts.h"
 #include "transpiler/pipeline.h"
 
 namespace fq::frozenqubits {
 
-/** Driver configuration. */
+/**
+ * Driver configuration. Leaf execution has no knobs here: every
+ * executable leaf simulates through the fused QAOA path (weight tables
+ * bound from the family skeleton) on the kernel backend its width picks
+ * (sim::select_backend). The gate-by-gate simulator (sim::run_circuit)
+ * is a test oracle only.
+ */
 struct DriverConfig
 {
     int num_freeze = 1;                      ///< m
     HotspotPolicy policy = HotspotPolicy::MaxDegree;
     bool symmetry_pruning = true;            ///< Section 3.7.2
-    /**
-     * Simulate sub-circuits through the fused QAOA fast path (diagonal
-     * weight tables + cached energy tables) instead of gate-by-gate.
-     * Amplitude-exact to ~1e-12; disable (fqtool --no-fusion) only for
-     * A/B debugging against the naive path.
-     */
-    bool fuse_simulation = true;
-    /**
-     * Kernel backend policy for fused leaf simulation (fqtool --backend):
-     * Auto picks per leaf by width (scalar below
-     * sim::kAutoVectorizeMinQubits, vectorized at and above); Scalar/Simd
-     * force one backend everywhere. Recorded per leaf at PLAN time, so
-     * any thread count and solo-vs-service execution see identical
-     * kernels — and the backends agree bitwise on sampled counts anyway.
-     */
-    sim::BackendSelection backend = sim::BackendSelection::Auto;
     transpiler::CompileOptions compile{};
     int p1_grid_resolution = 32;             ///< angle-search coarse grid
     std::uint64_t seed = 7;

@@ -190,6 +190,18 @@ get_model(Reader& in)
     return model;
 }
 
+/** A u32-coded enum from the peer, checked against its last value. */
+template <typename Enum>
+Enum
+get_enum(Reader& in, Enum last, const char* what)
+{
+    const std::uint32_t raw = in.u32();
+    if (raw > static_cast<std::uint32_t>(last))
+        throw NetError(std::string("net: config carries unknown ") + what +
+                       " " + std::to_string(raw));
+    return static_cast<Enum>(raw);
+}
+
 /**
  * Result-relevant config fields: exactly the config_fingerprint set
  * (engine/checkpoint.cc). threads / wave_share / checkpoint_interval /
@@ -202,8 +214,6 @@ put_config(std::vector<std::uint8_t>& out,
     put_i32(out, config.num_freeze);
     put_u32(out, static_cast<std::uint32_t>(config.policy));
     put_u8(out, config.symmetry_pruning ? 1 : 0);
-    put_u8(out, config.fuse_simulation ? 1 : 0);
-    put_u8(out, static_cast<std::uint8_t>(config.backend));
     put_u32(out, static_cast<std::uint32_t>(config.compile.layout));
     put_i32(out, config.compile.router.lookahead);
     put_double(out, config.compile.router.lookahead_weight);
@@ -227,11 +237,11 @@ get_config(Reader& in)
 {
     frozenqubits::DriverConfig config;
     config.num_freeze = in.i32();
-    config.policy = static_cast<frozenqubits::HotspotPolicy>(in.u32());
+    config.policy = get_enum<frozenqubits::HotspotPolicy>(
+        in, frozenqubits::HotspotPolicy::Random, "hotspot policy");
     config.symmetry_pruning = in.u8() != 0;
-    config.fuse_simulation = in.u8() != 0;
-    config.backend = static_cast<sim::BackendSelection>(in.u8());
-    config.compile.layout = static_cast<transpiler::LayoutStrategy>(in.u32());
+    config.compile.layout = get_enum<transpiler::LayoutStrategy>(
+        in, transpiler::LayoutStrategy::NoiseAdaptive, "layout strategy");
     config.compile.router.lookahead = in.i32();
     config.compile.router.lookahead_weight = in.dbl();
     config.compile.router.decay = in.dbl();

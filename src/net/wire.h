@@ -53,7 +53,7 @@
 namespace fq::net {
 
 /** Bumped on any wire-format change; a worker refuses other versions. */
-constexpr std::uint32_t kProtocolVersion = 4;
+constexpr std::uint32_t kProtocolVersion = 5;
 
 enum MessageType : std::uint32_t {
     kMsgOpenSession = 1,

@@ -22,45 +22,9 @@ backend_kind_name(BackendKind kind)
     return "?";
 }
 
-const char*
-backend_selection_name(BackendSelection selection)
-{
-    switch (selection) {
-      case BackendSelection::Auto:
-        return "auto";
-      case BackendSelection::Scalar:
-        return "scalar";
-      case BackendSelection::Simd:
-        return "simd";
-    }
-    return "?";
-}
-
-bool
-parse_backend_selection(const std::string& text, BackendSelection* out)
-{
-    if (text == "auto")
-        *out = BackendSelection::Auto;
-    else if (text == "scalar")
-        *out = BackendSelection::Scalar;
-    else if (text == "simd")
-        *out = BackendSelection::Simd;
-    else
-        return false;
-    return true;
-}
-
 BackendKind
-select_backend(BackendSelection selection, int num_qubits)
+select_backend(int num_qubits)
 {
-    switch (selection) {
-      case BackendSelection::Scalar:
-        return BackendKind::ScalarFused;
-      case BackendSelection::Simd:
-        return BackendKind::VectorizedFused;
-      case BackendSelection::Auto:
-        break;
-    }
     return num_qubits >= kAutoVectorizeMinQubits
                ? BackendKind::VectorizedFused
                : BackendKind::ScalarFused;

@@ -16,21 +16,21 @@
  *
  * Determinism contract: which backend a leaf runs on is part of the PLAN,
  * not the execution — the engine records a BackendKind per leaf at plan
- * time (select_backend, a pure function of the configured selection and
- * the leaf width), so thread count, wave packing, and solo-vs-service
- * execution cannot change the kernels a leaf sees. Both backends keep the
- * same per-amplitude expression tree, so sampled counts are bit-identical
- * under fixed seeds and amplitudes agree to <= 1e-12.
+ * time (select_backend, a pure function of the leaf width), so thread
+ * count, wave packing, and solo-vs-service execution cannot change the
+ * kernels a leaf sees. Both backends keep the same per-amplitude
+ * expression tree, so sampled counts are bit-identical under fixed seeds
+ * and amplitudes agree to <= 1e-12; tests run every leaf through both as
+ * each other's oracle.
  *
  * The registry is the seam for future backends (GPU, tensor-network):
- * they slot in as new BackendKind values with their own selection policy.
+ * they slot in as new BackendKind values with their own width rule.
  */
 #ifndef FQ_SIM_BACKEND_H
 #define FQ_SIM_BACKEND_H
 
 #include <complex>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace fq::sim {
@@ -46,26 +46,11 @@ enum class BackendKind : std::uint8_t
     VectorizedFused = 1,
 };
 
-/** User-facing backend policy (fqtool --backend, DriverConfig). */
-enum class BackendSelection : std::uint8_t
-{
-    Auto = 0,   ///< pick per leaf by width (the default)
-    Scalar = 1, ///< force ScalarFused everywhere
-    Simd = 2,   ///< force VectorizedFused everywhere
-};
-
 /** Printable kind name: "scalar" / "simd". */
 const char* backend_kind_name(BackendKind kind);
 
-/** Printable selection name: "auto" / "scalar" / "simd". */
-const char* backend_selection_name(BackendSelection selection);
-
-/** Parse "auto" / "scalar" / "simd"; returns false on anything else. */
-bool parse_backend_selection(const std::string& text,
-                             BackendSelection* out);
-
 /**
- * Auto policy threshold: leaves at least this wide run vectorized. Below
+ * Width rule threshold: leaves at least this wide run vectorized. Below
  * it a statevector fits in a few cache lines and the scalar loop's lower
  * fixed overhead wins; at and above it the vector kernels' throughput
  * dominates. Part of the plan (changing it changes plans, not results —
@@ -73,9 +58,9 @@ bool parse_backend_selection(const std::string& text,
  */
 constexpr int kAutoVectorizeMinQubits = 10;
 
-/** The plan-time backend choice: a PURE function of (selection, width) so
+/** The plan-time backend choice: a PURE function of the leaf width, so
  *  every thread count and scheduling order derives the same plan. */
-BackendKind select_backend(BackendSelection selection, int num_qubits);
+BackendKind select_backend(int num_qubits);
 
 /**
  * One set of fused-path kernels. Stateless and const: one instance is

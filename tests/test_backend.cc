@@ -3,8 +3,9 @@
  * Backend registry tests: scalar-vs-vectorized parity at kernel edge
  * widths (1-qubit leaves, odd mixer walls, uncompressed tables), the
  * 63/64-bit low_bits_mask boundary, bit-identical sampled counts across
- * backends, plan-time backend selection (pure function of config and
- * width; thread-count invariant), aligned amplitude storage, and the
+ * backends for every executed leaf of a plan, plan-time backend selection
+ * (pure function of width; thread-count invariant), aligned amplitude
+ * storage, and the
  * template cache's full-footprint byte accounting for fused programs.
  */
 #include <gtest/gtest.h>
@@ -16,10 +17,13 @@
 #include "common/bitops.h"
 #include "device/catalog.h"
 #include "engine/engine.h"
+#include "engine/scheduler.h"
 #include "engine/solve_tree.h"
 #include "engine/template_cache.h"
+#include "qaoa/analytic_p1.h"
 #include "qaoa/qaoa_builder.h"
 #include "sim/backend.h"
+#include "sim/noise_model.h"
 #include "sim/qaoa_kernel.h"
 #include "sim/simd.h"
 #include "sim/statevector.h"
@@ -146,28 +150,14 @@ TEST(Backend, LowBitsMaskBoundary)
     EXPECT_EQ(low_bits_mask(0), 0ull);
 }
 
-TEST(Backend, SelectionIsAPureFunctionOfConfigAndWidth)
+TEST(Backend, SelectionIsAPureFunctionOfWidth)
 {
-    using sim::BackendKind;
-    using sim::BackendSelection;
-    for (int n = 1; n <= sim::kMaxSimQubits; ++n) {
-        EXPECT_EQ(sim::select_backend(BackendSelection::Scalar, n),
-                  BackendKind::ScalarFused);
-        EXPECT_EQ(sim::select_backend(BackendSelection::Simd, n),
-                  BackendKind::VectorizedFused);
-        EXPECT_EQ(sim::select_backend(BackendSelection::Auto, n),
+    for (int n = 1; n <= sim::kMaxSimQubits; ++n)
+        EXPECT_EQ(sim::select_backend(n),
                   n >= sim::kAutoVectorizeMinQubits
-                      ? BackendKind::VectorizedFused
-                      : BackendKind::ScalarFused);
-    }
-    sim::BackendSelection parsed;
-    EXPECT_TRUE(sim::parse_backend_selection("auto", &parsed));
-    EXPECT_EQ(parsed, BackendSelection::Auto);
-    EXPECT_TRUE(sim::parse_backend_selection("scalar", &parsed));
-    EXPECT_EQ(parsed, BackendSelection::Scalar);
-    EXPECT_TRUE(sim::parse_backend_selection("simd", &parsed));
-    EXPECT_EQ(parsed, BackendSelection::Simd);
-    EXPECT_FALSE(sim::parse_backend_selection("gpu", &parsed));
+                      ? sim::BackendKind::VectorizedFused
+                      : sim::BackendKind::ScalarFused)
+            << "width " << n;
 }
 
 TEST(Backend, RegistryServesBothKindsAndReportsIsa)
@@ -190,64 +180,89 @@ TEST(Backend, PlanRecordsBackendPerLeafAtPlanTime)
 {
     const auto model = ba_model(14, 1, 9);
     const auto dev = device::make_device("ibm-montreal");
-    frozenqubits::DriverConfig config;
-    config.num_freeze = 2;
-    config.max_depth = 2; // mixed leaf widths across levels
-
-    for (auto selection : {sim::BackendSelection::Auto,
-                           sim::BackendSelection::Scalar,
-                           sim::BackendSelection::Simd}) {
-        config.backend = selection;
+    bool scalar = false, simd = false;
+    // 12-spin leaves run vectorized, 9-spin leaves scalar.
+    for (int num_freeze : {2, 5}) {
+        frozenqubits::DriverConfig config;
+        config.num_freeze = num_freeze;
         engine::TemplateCache cache;
         Rng rng(config.seed);
         const auto tree =
             engine::build_solve_tree(model, dev, config, cache, rng);
         ASSERT_FALSE(tree.leaves.empty());
         for (const auto& leaf : tree.leaves) {
-            const int width =
-                tree.nodes[static_cast<std::size_t>(leaf.node)]
-                    .sub.model.num_spins();
-            EXPECT_EQ(leaf.backend,
-                      sim::select_backend(selection, width));
+            const int width = tree.leaf_width(leaf.leaf_id);
+            EXPECT_EQ(leaf.backend, sim::select_backend(width));
+            EXPECT_EQ(leaf.fuse, width <= sim::kMaxSimQubits);
+            scalar = scalar || leaf.backend == sim::BackendKind::ScalarFused;
+            simd = simd || leaf.backend == sim::BackendKind::VectorizedFused;
         }
     }
+    EXPECT_TRUE(scalar);
+    EXPECT_TRUE(simd);
 }
 
 TEST(Backend, SolvesBitIdenticalAcrossBackends)
 {
-    // End-to-end: forced scalar vs forced vectorized solves of the same
-    // instance (mirror decode included — the low_bits_mask flip runs over
-    // counts sampled from vectorized amplitudes) must agree bit for bit.
-    const auto model = ba_model(12, 1, 9);
+    // Oracle: every executed leaf of a plan, run through BOTH backends
+    // and sampled on its own plan-time stream, yields identical counts —
+    // and the engine's leaf execution (on the leaf's plan-time backend)
+    // reproduces them.
+    const auto model = ba_model(14, 1, 9);
     const auto dev = device::make_device("ibm-montreal");
     frozenqubits::DriverConfig config;
     config.num_freeze = 2;
+    config.max_depth = 2;
+    const int shots = 2048;
 
-    config.backend = sim::BackendSelection::Scalar;
-    engine::ExecutionEngine scalar_engine(2);
-    const auto scalar_solve =
-        scalar_engine.solve(model, dev, config, 2048, 33);
+    engine::TemplateCache cache;
+    Rng rng(config.seed);
+    const auto tree =
+        engine::build_solve_tree(model, dev, config, cache, rng);
+    const auto schedule = engine::make_schedule(model, tree, config);
+    ASSERT_FALSE(schedule.executed.empty());
 
-    config.backend = sim::BackendSelection::Simd;
-    engine::ExecutionEngine simd_engine(2);
-    const auto simd_solve =
-        simd_engine.solve(model, dev, config, 2048, 33);
-
-    expect_solves_identical(scalar_solve, simd_solve);
+    const auto& registry = sim::BackendRegistry::instance();
+    engine::BatchExecutor::Scratch scratch;
+    for (int leaf_id : schedule.executed) {
+        const auto& leaf = tree.leaves[static_cast<std::size_t>(leaf_id)];
+        const auto& sub =
+            tree.nodes[static_cast<std::size_t>(leaf.node)].sub;
+        const auto tuned = qaoa::optimize_p1(
+            leaf.proxy ? *leaf.proxy : sub.model, config.p1_grid_resolution);
+        const auto program = cache.get_or_fuse(sub.model, leaf.build,
+                                               nullptr, leaf.family.get());
+        const auto sample = [&](const sim::Backend& backend) {
+            sim::Statevector state;
+            program->run({tuned.angles.gamma}, {tuned.angles.beta}, state,
+                         backend);
+            Rng leaf_rng(leaf.rng_seed);
+            return sim::sample_noisy_counts(
+                       state, leaf.tpl->attenuation.global_state_survival(),
+                       leaf.tpl->readout_flip, shots, leaf_rng)
+                .histogram();
+        };
+        const auto scalar = sample(registry.scalar());
+        EXPECT_EQ(scalar, sample(registry.vectorized()))
+            << "leaf " << leaf_id;
+        EXPECT_EQ(scalar, engine::simulate_scheduled_leaf(
+                              cache, tree, leaf_id, dev, config, shots,
+                              scratch)
+                              .histogram())
+            << "leaf " << leaf_id;
+    }
 }
 
-TEST(Backend, AutoSelectionIsThreadCountInvariant)
+TEST(Backend, BackendChoiceIsThreadCountInvariant)
 {
-    // The determinism acceptance for --backend auto: the choice is fixed
-    // at plan time, so serial and oversubscribed engines sample
-    // identically even with scalar and vectorized leaves mixed in one
-    // tree.
+    // The backend is fixed at plan time by leaf width, so serial and
+    // oversubscribed engines run the same kernels and sample
+    // identically.
     const auto model = ba_model(14, 1, 21);
     const auto dev = device::make_device("ibm-montreal");
     frozenqubits::DriverConfig config;
     config.num_freeze = 2;
     config.max_depth = 2;
-    config.backend = sim::BackendSelection::Auto;
 
     engine::ExecutionEngine serial(1);
     engine::ExecutionEngine parallel(4);

@@ -12,6 +12,8 @@
  *     snapshot resumes the full solve;
  *   - a corrupted cursor (>= scheduled-leaf count) is rejected before
  *     any fold (the satellite regression for the restore invariant);
+ *   - a checked-in format-v1 snapshot (tests/data/checkpoint_v1.bin)
+ *     still decodes and resumes bit-identically;
  *   - deadline admission: an unmeetable budget throws DeadlineError at
  *     plan time; a trimmed solve is degraded, reports the trim, and
  *     stays bit-identical across thread counts.
@@ -396,24 +398,31 @@ TEST(Checkpoint, SparsifyTreeRoundTripsAndResumes)
 
 TEST(Checkpoint, VersionOneSnapshotsRestoreBitIdentically)
 {
+    // Golden bytes: the workload's first snapshot, written in format v1
+    // (no arm tags) by the last encoder that still emitted it. Decoding
+    // it pins the v1 reader and every fingerprint the snapshot carries.
     DurableWorkload w;
     const auto dev = device::make_device("ibm-montreal");
     frozenqubits::SampledSolve reference;
     const auto snapshots = collect_snapshots(w, &reference);
     ASSERT_FALSE(snapshots.empty());
 
-    for (const auto& ck : snapshots) {
-        // Genuine pre-PR bytes: version-1 frames carry no arm tags.
-        const auto legacy = encode_checkpoint(ck, /*version=*/1);
-        EXPECT_EQ(legacy[4], 1);
-        const auto back = decode_checkpoint(legacy.data(), legacy.size());
-        for (const auto& rec : back.folded)
-            EXPECT_EQ(rec.arm_tag, kNoKindTag);
-        // Everything but the tags survives, and the restore is exact:
-        // the arm cross-check is simply skipped for untagged records.
-        ExecutionEngine fresh(2);
+    const auto legacy = read_checkpoint_file(FQ_CHECKPOINT_V1_BLOB);
+    ASSERT_FALSE(legacy.folded.empty());
+    for (const auto& rec : legacy.folded)
+        EXPECT_EQ(rec.arm_tag, kNoKindTag);
+    // Everything but the tags matches today's capture at that boundary.
+    auto tagged = legacy;
+    for (std::size_t k = 0; k < tagged.folded.size(); ++k)
+        tagged.folded[k].arm_tag =
+            snapshots.front().folded.at(k).arm_tag;
+    expect_checkpoints_equal(snapshots.front(), tagged);
+    // The restore is exact: the arm cross-check is simply skipped for
+    // untagged records.
+    for (int threads : {1, 4}) {
+        ExecutionEngine fresh(threads);
         expect_solves_identical(
-            reference, fresh.resume(w.model, dev, w.config, w.shots, back));
+            reference, fresh.resume(w.model, dev, w.config, w.shots, legacy));
     }
 }
 

@@ -5,7 +5,7 @@
  * scoring and lift hooks — the suite that fails when a new reduction is
  * registered half-wired), the deterministic edge sparsifier, and the
  * Sparsify node kind end to end: proxy structure, plan-time determinism,
- * the --no-sparsify escape hatch and thread/service bit-identity.
+ * sparsify-off byte identity and thread/service bit-identity.
  */
 #include <gtest/gtest.h>
 
@@ -225,7 +225,7 @@ TEST(SparsifyTree, WrapsLeavesWithConnectedProxies)
 TEST(SparsifyTree, DisabledLeavesTreeByteIdentical)
 {
     const auto model = ba_model(16, 3, 7);
-    // keep = 0 (the default / --no-sparsify) and keep >= 1 (nothing to
+    // keep = 0 (the default: no --sparsify) and keep >= 1 (nothing to
     // prune) must both leave the vocabulary exactly as before the
     // Sparsify expander existed.
     for (double keep : {0.0, 1.0}) {

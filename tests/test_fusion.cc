@@ -23,6 +23,7 @@
 #include "ising/ising_model.h"
 #include "qaoa/multilayer.h"
 #include "qaoa/qaoa_builder.h"
+#include "sim/backend.h"
 #include "sim/qaoa_kernel.h"
 #include "sim/statevector.h"
 #include "solve_test_util.h"
@@ -528,14 +529,12 @@ TEST(ExecutionEngine, FusedSolveBitIdenticalAcrossThreads)
 
     frozenqubits::DriverConfig config;
     config.num_freeze = 2;
-    ASSERT_TRUE(config.fuse_simulation); // fast path is the default
 
     ExecutionEngine serial(1);
     ExecutionEngine parallel(4);
     const auto a = serial.solve(model, dev, config, 1024, 91);
     const auto b = parallel.solve(model, dev, config, 1024, 91);
 
-    EXPECT_TRUE(serial.last_diagnostics().fused_simulation);
     EXPECT_DOUBLE_EQ(a.best_cost, b.best_cost);
     EXPECT_EQ(a.best_assignment, b.best_assignment);
     ASSERT_EQ(a.distributions.size(), b.distributions.size());
@@ -544,42 +543,52 @@ TEST(ExecutionEngine, FusedSolveBitIdenticalAcrossThreads)
                   b.distributions[s].histogram());
 }
 
-TEST(ExecutionEngine, FusionOffMatchesFusionOnSolution)
+TEST(ExecutionEngine, FusedLeavesMatchGateByGateOracle)
 {
-    // --no-fusion A/B: paths differ only by ~1e-12 amplitude rounding, so
-    // the decoded solution must coincide on a well-separated instance.
+    // Every leaf of a plan: the fused program the engine runs, on the
+    // leaf's plan-time backend, against the gate-by-gate simulation of
+    // the leaf's own circuit at the same angles.
     Rng rng_model(23);
-    auto g = graph::barabasi_albert(10, 1, rng_model);
+    auto g = graph::barabasi_albert(12, 1, rng_model);
     graph::assign_random_pm1_weights(g, rng_model);
     const auto model = ising::IsingModel::from_graph(g);
+    const auto dev = device::make_device("ibm-montreal");
 
-    device::Device dev;
-    dev.topology = device::make_grid(3, 4);
-    dev.name = "grid-3x4-ab";
-    dev.calibration =
-        device::Calibration::uniform(dev.topology, 1e-3, 5e-3, 500.0);
+    // 10-spin leaves run vectorized, 8-spin leaves scalar.
+    for (int num_freeze : {2, 4}) {
+        frozenqubits::DriverConfig config;
+        config.num_freeze = num_freeze;
+        engine::TemplateCache cache;
+        Rng rng(config.seed);
+        const auto tree =
+            engine::build_solve_tree(model, dev, config, cache, rng);
+        ASSERT_FALSE(tree.leaves.empty());
+        for (const auto& leaf : tree.leaves) {
+            const auto& sub =
+                tree.nodes[static_cast<std::size_t>(leaf.node)].sub;
+            const auto tuned =
+                qaoa::optimize_p1(sub.model, config.p1_grid_resolution);
+            const std::vector<double> gammas = {tuned.angles.gamma};
+            const std::vector<double> betas = {tuned.angles.beta};
 
-    frozenqubits::DriverConfig fused_config;
-    fused_config.num_freeze = 2;
-    auto naive_config = fused_config;
-    naive_config.fuse_simulation = false;
+            sim::Statevector fused;
+            cache.get_or_fuse(sub.model, leaf.build, nullptr,
+                              leaf.family.get())
+                ->run(gammas, betas, fused,
+                      sim::BackendRegistry::instance().get(leaf.backend));
+            sim::Statevector naive;
+            sim::run_circuit(qaoa::build_qaoa_circuit(sub.model, leaf.build)
+                                 .bind(gammas, betas),
+                             naive);
 
-    ExecutionEngine eng_fused(2);
-    ExecutionEngine eng_naive(2);
-    const auto a = eng_fused.solve(model, dev, fused_config, 4096, 5);
-    const auto b = eng_naive.solve(model, dev, naive_config, 4096, 5);
-
-    EXPECT_TRUE(eng_fused.last_diagnostics().fused_simulation);
-    EXPECT_FALSE(eng_naive.last_diagnostics().fused_simulation);
-    EXPECT_DOUBLE_EQ(a.best_cost, b.best_cost);
-    EXPECT_EQ(a.best_assignment, b.best_assignment);
-
-    // Fusion-on built fused programs (via family-skeleton binds under the
-    // default parametric-template tier); fusion-off built none.
-    const auto fused_stats = eng_fused.template_cache().stats();
-    EXPECT_GT(fused_stats.sim_fusions + fused_stats.family_binds, 0u);
-    const auto naive_stats = eng_naive.template_cache().stats();
-    EXPECT_EQ(naive_stats.sim_fusions + naive_stats.family_binds, 0u);
+            ASSERT_EQ(fused.dimension(), naive.dimension());
+            for (std::uint64_t s = 0; s < fused.dimension(); ++s)
+                ASSERT_LE(std::abs(fused.data()[s] - naive.data()[s]),
+                          1e-12)
+                    << "m=" << num_freeze << " leaf " << leaf.leaf_id
+                    << " state " << s;
+        }
+    }
 }
 
 TEST(ExecutionEngine, RepeatedSolveRebindsFromResidentFamily)

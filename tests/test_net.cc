@@ -176,6 +176,37 @@ TEST(NetWire, OpenSessionRoundTrip)
     EXPECT_EQ(back.device_hash, 0x1122u);
 }
 
+TEST(NetWire, OpenSessionRejectsOutOfRangeConfigEnums)
+{
+    // A peer's enum words are range-checked, never cast blindly. Find
+    // each word as the one place where two encodings that differ only in
+    // that field differ, then write values outside the enum there.
+    net::OpenSession msg;
+    msg.model = test::ba_model(8, 1, 3);
+    msg.device_name = "ibm-montreal";
+    const auto base = net::encode_open_session(msg);
+    const auto offset_of = [&](const net::OpenSession& changed) {
+        const auto other = net::encode_open_session(changed);
+        EXPECT_EQ(other.size(), base.size());
+        std::size_t at = 0;
+        while (at < base.size() && base[at] == other[at])
+            ++at;
+        EXPECT_LT(at, base.size());
+        return at;
+    };
+    auto policy = msg;
+    policy.config.policy = frozenqubits::HotspotPolicy::Random;
+    auto layout = msg;
+    layout.config.compile.layout = transpiler::LayoutStrategy::Trivial;
+    for (const std::size_t at : {offset_of(policy), offset_of(layout)})
+        for (const std::uint8_t bad : {std::uint8_t{3}, std::uint8_t{0xff}}) {
+            auto payload = base;
+            payload[at] = bad;
+            EXPECT_THROW(net::decode_open_session(payload), net::NetError)
+                << "offset " << at << " byte " << int(bad);
+        }
+}
+
 TEST(NetWire, LeafCountsRoundTrip)
 {
     net::LeafCounts msg;
@@ -496,8 +527,9 @@ TEST(Distributed, StaleProtocolWorkerRejectedAtConnect)
     // typed error before any session opens: version 1 (whose config
     // frames still carried the template-editing bytes), version 2 (whose
     // leaf counts still carried a fused-hit byte) and version 3 (whose
-    // session open carried no device fingerprint).
-    for (const std::uint32_t stale_version : {1u, 2u, 3u}) {
+    // session open carried no device fingerprint) and version 4 (whose
+    // config frames still carried the fusion and backend bytes).
+    for (const std::uint32_t stale_version : {1u, 2u, 3u, 4u}) {
         ASSERT_NE(net::kProtocolVersion, stale_version);
         const auto address = unique_address();
         net::Fd listen_fd = net::listen_on(address);

@@ -84,11 +84,10 @@ mixed_workloads()
         d.seed = 3;
         w.push_back(std::move(d));
     }
-    { // forced vectorized backend (every leaf through the SIMD kernels)
+    { // 12-spin leaves: every leaf through the vectorized kernels
         Workload e;
         e.model = ba_model(14, 1, 11);
         e.config.num_freeze = 2;
-        e.config.backend = sim::BackendSelection::Simd;
         e.shots = 512;
         e.seed = 59;
         w.push_back(std::move(e));
@@ -215,9 +214,8 @@ TEST(SolveService, PerBackendCountersSplitFusedTraffic)
 {
     const auto dev = device::make_device("ibm-montreal");
 
-    // Forced-simd tenant: every fused lookup lands in the simd bucket.
+    // 12-spin leaves (>= kAutoVectorizeMinQubits): simd bucket only.
     const auto simd_w = mixed_workloads()[4];
-    ASSERT_EQ(simd_w.config.backend, sim::BackendSelection::Simd);
     ExecutionEngine eng(2);
     SolveService service(eng);
     auto simd_req =
@@ -225,9 +223,8 @@ TEST(SolveService, PerBackendCountersSplitFusedTraffic)
                        simd_w.seed);
     simd_req.wait();
 
-    // Forced-scalar tenant on the same service: scalar bucket only.
-    auto scalar_w = mixed_workloads()[0];
-    scalar_w.config.backend = sim::BackendSelection::Scalar;
+    // 9-spin leaves on the same service: scalar bucket only.
+    const auto scalar_w = mixed_workloads()[0];
     auto scalar_req =
         service.submit(scalar_w.model, dev, scalar_w.config,
                        scalar_w.shots, scalar_w.seed);

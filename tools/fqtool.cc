@@ -65,6 +65,9 @@
  * contract; see README "Distributed execution"). The serve-batch trace
  * accepts workers=0 to pin one request local.
  *
+ * Every command rejects an option it does not accept ("unknown option
+ * --X", exit 1).
+ *
  * run and solve execute on the ExecutionEngine: sub-problem circuits are
  * batched over a thread pool (--threads, default all cores; results are
  * identical for any thread count) and each invocation ends with a
@@ -100,6 +103,7 @@
 #include "ising/maxcut.h"
 #include "net/worker.h"
 #include "net/worker_pool.h"
+#include "sim/backend.h"
 
 namespace {
 
@@ -108,27 +112,40 @@ using namespace fq;
 /** Parsed --key value options. */
 using Options = std::map<std::string, std::string>;
 
-/** True for valueless switches (--flag rather than --key value). */
-bool
-is_flag(const std::string& key)
+/** One subcommand and the options it accepts, as space-separated names:
+ *  @c keys take a value (--key value), @c flags do not (--flag). */
+struct Command
 {
-    return key == "no-fusion" || key == "stats" ||
-           key == "prune-dominated" || key == "serial" ||
-           key == "no-sparsify";
+    const char* name;
+    int (*run)(const Options&);
+    std::string keys;
+    std::string flags;
+};
+
+/** True when @p key is one of the space-separated names in @p list. */
+bool
+listed(const std::string& list, const std::string& key)
+{
+    return !key.empty() &&
+           (" " + list + " ").find(" " + key + " ") != std::string::npos;
 }
 
+/** Parse argv[first..] against @p cmd; any key it does not accept is an
+ *  error, so a misspelled option can never be silently ignored. */
 Options
-parse_options(int argc, char** argv, int first)
+parse_options(int argc, char** argv, int first, const Command& cmd)
 {
     Options opts;
     for (int a = first; a < argc; ++a) {
         std::string key = argv[a];
         FQ_REQUIRE(key.rfind("--", 0) == 0, "expected --option, got " + key);
         key = key.substr(2);
-        if (is_flag(key)) {
+        if (listed(cmd.flags, key)) {
             opts[key] = "1";
             continue;
         }
+        if (!listed(cmd.keys, key))
+            throw Error("unknown option --" + key);
         FQ_REQUIRE(a + 1 < argc, "missing value for --" + key);
         opts[key] = argv[++a];
     }
@@ -307,8 +324,7 @@ print_wall_clock(const engine::ExecutionEngine& eng)
               << " | " << d.tasks_executed << "/" << d.num_subproblems
               << " sub-circuits executed (" << d.mirrors_inferred
               << " mirrored, " << d.template_edits << " template edits"
-              << (d.template_cache_hit ? ", template cached" : "")
-              << (d.fused_simulation ? ", fused sim" : "") << ")\n";
+              << (d.template_cache_hit ? ", template cached" : "") << ")\n";
     if (d.leaves_scalar_backend > 0 || d.leaves_simd_backend > 0)
         std::cout << "backends: " << d.leaves_scalar_backend
                   << " scalar / " << d.leaves_simd_backend
@@ -351,19 +367,13 @@ apply_tree_options(const Options& opts, frozenqubits::DriverConfig& config)
         rerank == "off" ? 0 : long_option(opts, "rerank", 0);
     FQ_REQUIRE(rerank == "off" || config.rerank_interval >= 1,
                "--rerank expects a positive interval or 'off'");
-    FQ_REQUIRE(sim::parse_backend_selection(
-                   option(opts, "backend", "auto"), &config.backend),
-               "--backend expects auto, scalar or simd");
     // --sparsify F: Red-QAOA edge sparsification — tune each leaf's
     // angles on a proxy keeping fraction F of its couplings (spanning
     // structure always retained); sampling and energies use the full
-    // model. --no-sparsify forces it off, bit-identical to omitting
-    // --sparsify entirely (the escape hatch).
+    // model. Off when omitted.
     config.sparsify_keep = double_option(opts, "sparsify", 0.0);
     FQ_REQUIRE(config.sparsify_keep >= 0.0 && config.sparsify_keep < 1.0,
                "--sparsify expects a keep fraction in [0, 1)");
-    if (opts.find("no-sparsify") != opts.end())
-        config.sparsify_keep = 0.0;
 }
 
 /** Recursive tree printer: one line per node, indented by depth. */
@@ -453,8 +463,7 @@ cmd_plan(const Options& opts)
                    Table::num(static_cast<int>(node.sub.frozen.size())),
                    Table::num(score.score, 3),
                    leaf.needs_repair ? "n/a" : Table::num(score.bound, 3),
-                   leaf.fuse ? sim::backend_kind_name(leaf.backend)
-                             : "naive",
+                   leaf.fuse ? sim::backend_kind_name(leaf.backend) : "-",
                    engine::template_tier_name(leaf.tier), status});
     };
     for (int leaf_id : schedule.executed)
@@ -604,7 +613,6 @@ cmd_run(const Options& opts)
     resolve_freeze(opts, model, config);
     config.seed = static_cast<std::uint64_t>(int_option(opts, "seed", 7));
     config.threads = int_option(opts, "threads", 0);
-    // No --no-fusion here: run evaluates analytically, nothing simulates.
 
     engine::ExecutionEngine eng(config.threads);
     const auto r = eng.run(model, dev, config);
@@ -640,7 +648,6 @@ cmd_solve(const Options& opts)
         option(opts, "device", "ibm-montreal"));
     frozenqubits::DriverConfig config;
     config.threads = int_option(opts, "threads", 0);
-    config.fuse_simulation = opts.find("no-fusion") == opts.end();
     config.seed = static_cast<std::uint64_t>(int_option(opts, "seed", 7));
     apply_tree_options(opts, config);
     resolve_freeze(opts, model, config);
@@ -788,12 +795,11 @@ load_trace(const std::string& path, const Options& opts)
                 req.device = value;
                 continue;
             }
-            if (key == "backend") { // non-numeric value
-                FQ_REQUIRE(sim::parse_backend_selection(
-                               value, &req.config.backend),
-                           "backend expects auto, scalar or simd" + where);
-                continue;
-            }
+            if (!listed("freeze shots seed max-depth max-circuits partition "
+                        "wave-share rerank deadline sparsify checkpoint "
+                        "migrate workers",
+                        key))
+                throw Error("unknown trace key '" + key + "'" + where);
             long long parsed = 0;
             try {
                 std::size_t consumed = 0;
@@ -852,8 +858,7 @@ load_trace(const std::string& path, const Options& opts)
                 // workers=0 pins this tenant's leaves to the local arm
                 // even when --workers attached a pool.
                 req.config.allow_remote = parsed != 0;
-            } else
-                FQ_REQUIRE(false, "unknown trace key '" + key + "'" + where);
+            }
         }
         req.config.seed = req.seed;
 
@@ -1102,7 +1107,7 @@ cmd_worker(const Options& opts)
 }
 
 int
-cmd_devices()
+cmd_devices(const Options&)
 {
     Table t("device catalog");
     t.set_header({"name", "qubits", "couplings", "avg CX error",
@@ -1127,26 +1132,26 @@ usage()
         "  analyze  [--file F]\n"
         "  run      [--file F] --device NAME [--freeze M|auto] [--seed S]\n"
         "           [--threads T]\n"
-        "  plan     [--file F] --device NAME [--freeze M|auto]\n"
+        "  plan     [--file F] --device NAME [--freeze M|auto] [--seed S]\n"
         "           [--max-depth D] [--max-circuits B] [--partition W]\n"
-        "           [--sparsify F] [--no-sparsify] [--prune-dominated]\n"
-        "           [--backend auto|scalar|simd]\n"
+        "           [--sparsify F] [--prune-dominated] [--rerank N|off]\n"
         "  solve    [--file F] --device NAME [--freeze M|auto] [--shots K]\n"
-        "           [--threads T] [--max-depth D] [--max-circuits B]\n"
-        "           [--partition W] [--sparsify F] [--no-sparsify]\n"
+        "           [--seed S] [--threads T] [--max-depth D]\n"
+        "           [--max-circuits B] [--partition W] [--sparsify F]\n"
         "           [--prune-dominated] [--rerank N|off]\n"
-        "           [--backend auto|scalar|simd] [--no-fusion]\n"
         "           [--deadline D] [--checkpoint FILE] [--checkpoint-every N]\n"
         "           [--resume FILE] [--suspend-after K] [--stats]\n"
         "           [--workers a,b,c]\n"
         "  serve-batch --trace FILE [--device NAME] [--threads T]\n"
         "           [--wave-size W] [--queue-depth D] [--shots K]\n"
         "           [--serial] [--stats] [--workers a,b,c]\n"
-        "           trace keys: freeze shots seed device backend max-depth\n"
+        "           trace keys: freeze shots seed device max-depth\n"
         "           max-circuits partition sparsify wave-share rerank\n"
         "           deadline checkpoint migrate workers\n"
         "  worker   --listen unix:/path.sock|host:port [--threads T]\n"
-        "  devices\n";
+        "  devices\n"
+        "  (--freeze auto also takes --budget B; any other option is an\n"
+        "  error)\n";
     return 2;
 }
 
@@ -1158,24 +1163,28 @@ main(int argc, char** argv)
     if (argc < 2)
         return usage();
     const std::string command = argv[1];
+    // Keys every command that builds a solve tree shares.
+    const std::string tree = "file device freeze budget seed max-depth "
+                             "max-circuits partition rerank sparsify";
+    const std::vector<Command> commands = {
+        {"generate", cmd_generate, "class n seed", ""},
+        {"analyze", cmd_analyze, "file", ""},
+        {"run", cmd_run, "file device freeze budget seed threads", ""},
+        {"plan", cmd_plan, tree, "prune-dominated"},
+        {"solve", cmd_solve,
+         tree + " threads shots deadline checkpoint checkpoint-every "
+                "resume suspend-after workers",
+         "prune-dominated stats"},
+        {"serve-batch", cmd_serve_batch,
+         "trace device shots threads wave-size queue-depth workers",
+         "serial stats"},
+        {"worker", cmd_worker, "listen threads die-after", ""},
+        {"devices", cmd_devices, "", ""},
+    };
     try {
-        const auto opts = parse_options(argc, argv, 2);
-        if (command == "generate")
-            return cmd_generate(opts);
-        if (command == "analyze")
-            return cmd_analyze(opts);
-        if (command == "run")
-            return cmd_run(opts);
-        if (command == "plan")
-            return cmd_plan(opts);
-        if (command == "solve")
-            return cmd_solve(opts);
-        if (command == "serve-batch")
-            return cmd_serve_batch(opts);
-        if (command == "worker")
-            return cmd_worker(opts);
-        if (command == "devices")
-            return cmd_devices();
+        for (const auto& cmd : commands)
+            if (command == cmd.name)
+                return cmd.run(parse_options(argc, argv, 2, cmd));
         return usage();
     } catch (const fq::Error& e) {
         std::cerr << "fqtool: " << e.what() << "\n";
