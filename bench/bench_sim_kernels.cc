@@ -10,16 +10,24 @@
  * The naive path is reproduced HERE verbatim (the pre-fusion library
  * loops) so the comparison stays honest as the library gets faster.
  *
+ * Also times one freeze leaf's weight-table build (the per-leaf table
+ * bind) at 16/18/20 qubits and gates its weights, bit for bit, against
+ * the per-term per-state sum.
+ *
  * Emits BENCH_sim_kernels.json (machine-readable: per-path ms/eval,
- * speedups, max amplitude deviation) so the perf trajectory is tracked
- * across PRs, then runs the registered google-benchmark timings.
+ * speedups, max amplitude deviation, table-build ms) so the perf
+ * trajectory is tracked across PRs, then runs the registered
+ * google-benchmark timings.
  */
 #include "bench_common.h"
 
+#include <algorithm>
 #include <chrono>
 #include <complex>
+#include <cstring>
 #include <fstream>
 
+#include "common/bitops.h"
 #include "frozenqubits/freeze.h"
 #include "frozenqubits/hotspot.h"
 #include "optimizer/landscape.h"
@@ -297,6 +305,86 @@ time_kernel(NaiveFn&& naive, StridedFn&& strided, int reps)
     return t;
 }
 
+// ------------------------------------------------------ table build  ----
+
+/** Terms of one freeze leaf: a BA3 +-1 instance of width + 2 spins with
+ *  its two top hotspots frozen, so the leaf carries +-1 couplings plus
+ *  the integer linear terms the frozen neighbours leave behind. */
+std::vector<circuit::ParityTerm>
+freeze_leaf_terms(int width)
+{
+    const auto model = bench::ba_model(width + 2, 3, 3);
+    Rng rng(0);
+    const auto spots = frozenqubits::select_hotspots(
+        model, 2, frozenqubits::HotspotPolicy::MaxDegree, rng);
+    const auto leaf = frozenqubits::freeze_all(model, spots)[1].model;
+    std::vector<circuit::ParityTerm> terms;
+    for (int i = 0; i < leaf.num_spins(); ++i)
+        terms.push_back({std::uint64_t(1) << i, -leaf.linear(i)});
+    for (const auto& term : leaf.quadratic_terms())
+        terms.push_back({(std::uint64_t(1) << term.i) |
+                             (std::uint64_t(1) << term.j),
+                         -term.coefficient});
+    return terms;
+}
+
+/** FNV-1a over the bit patterns of @p weight(s) for every state. */
+template <typename WeightFn>
+std::uint64_t
+weight_digest(std::uint64_t dim, const WeightFn& weight)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::uint64_t s = 0; s < dim; ++s) {
+        const double w = weight(s);
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &w, sizeof(bits));
+        for (int k = 0; k < 8; ++k) {
+            h ^= (bits >> (8 * k)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
+struct TableBuildTiming
+{
+    int width = 0;
+    double ms = 0.0;         ///< best of the timed builds
+    bool exact_digest = false; ///< table == per-term sum, bit for bit
+};
+
+/** Freeze-leaf table build (LUT form, as every leaf binds it): best wall
+ *  time, and its weights' digest against the per-term per-state sum. */
+TableBuildTiming
+time_table_build(int width, int reps)
+{
+    const auto terms = freeze_leaf_terms(width);
+    TableBuildTiming t;
+    t.width = width;
+    t.ms = 1e300;
+    for (int k = 0; k < reps; ++k) {
+        const auto start = Clock::now();
+        const sim::DiagonalTable table(terms, width, /*build_lut=*/true);
+        t.ms = std::min(t.ms, ms_since(start));
+        if (k > 0)
+            continue;
+        const auto built = weight_digest(
+            table.dimension(), [&](std::uint64_t s) { return table.weight(s); });
+        const auto naive =
+            weight_digest(table.dimension(), [&](std::uint64_t s) {
+                double w = 0.0;
+                for (const auto& term : terms)
+                    if (term.coefficient != 0.0)
+                        w += (popcount64(s & term.mask) & 1)
+                                 ? -term.coefficient
+                                 : term.coefficient;
+                return w;
+            });
+        t.exact_digest = built == naive;
+    }
+    return t;
+}
+
 // ------------------------------------------------------------- reporting --
 
 void
@@ -314,6 +402,12 @@ print_figure()
     const double deviation = max_amplitude_deviation(model);
     const auto backends = compare_backends(model, 40);
     const auto features = sim::simd::detect_cpu_features();
+    std::vector<TableBuildTiming> table_builds;
+    for (const int width : {16, 18, 20})
+        table_builds.push_back(time_table_build(width, 5));
+    const bool tables_exact =
+        std::all_of(table_builds.begin(), table_builds.end(),
+                    [](const auto& t) { return t.exact_digest; });
 
     // Cached vs naive expectation on one prepared state.
     qaoa::QaoaEvaluator evaluator(model, kLayers);
@@ -384,6 +478,13 @@ print_figure()
                Table::num(naive_ev_ms / cached_ev_ms, 2) + "x"});
     bench::emit(k);
 
+    Table tb("freeze-leaf weight-table build (LUT form, best of 5)");
+    tb.set_header({"width", "ms", "weights vs per-term sum"});
+    for (const auto& t : table_builds)
+        tb.add_row({std::to_string(t.width), Table::num(t.ms, 3),
+                    t.exact_digest ? "bit-identical" : "DIVERGED"});
+    bench::emit(tb);
+
     std::cout << "max |amp_fused - amp_naive| over optimizer points: "
               << deviation << (deviation <= 1e-12 ? "  (exact)" : "  (DRIFT!)")
               << "\nmax |amp_simd - amp_scalar|: " << backends.max_deviation
@@ -426,6 +527,11 @@ print_figure()
          << "    \"counts_bit_identical\": "
          << (backends.counts_identical ? "true" : "false") << "\n"
          << "  },\n"
+         << "  \"table_build\": {";
+    for (const auto& t : table_builds)
+        json << "\"n" << t.width << "_ms\": " << t.ms << ", ";
+    json << "\"weights_bit_identical\": " << (tables_exact ? "true" : "false")
+         << "},\n"
          << "  \"cpu_features\": {\"avx\": " << (features.avx ? "true" : "false")
          << ", \"fma\": " << (features.fma ? "true" : "false")
          << ", \"avx2\": " << (features.avx2 ? "true" : "false")
@@ -445,6 +551,11 @@ print_figure()
     if (deviation > 1e-12) {
         std::cerr << "FATAL: fused amplitudes drifted " << deviation
                   << " from the naive path (contract: 1e-12)\n";
+        std::exit(1);
+    }
+    if (!tables_exact) {
+        std::cerr << "FATAL: weight-table build diverged from the per-term "
+                     "per-state sum on an exact (+-1 / integer) leaf\n";
         std::exit(1);
     }
     if (backends.max_deviation > 1e-12 || !backends.counts_identical) {
@@ -537,6 +648,22 @@ BM_FusedLandscapeScan(benchmark::State& state)
     }
 }
 BENCHMARK(BM_FusedLandscapeScan)->Unit(benchmark::kMillisecond);
+
+/** One freeze leaf's weight-table build in LUT form (the per-leaf table
+ *  bind): arg = leaf width; BA3 +-1 couplings plus integer linear terms. */
+void
+BM_TableBuild(benchmark::State& state)
+{
+    const int width = static_cast<int>(state.range(0));
+    const auto terms = freeze_leaf_terms(width);
+    for (auto _ : state) {
+        const sim::DiagonalTable table(terms, width, /*build_lut=*/true);
+        benchmark::DoNotOptimize(table.dimension());
+    }
+    state.SetLabel(std::to_string(terms.size()) + " terms");
+}
+BENCHMARK(BM_TableBuild)->Arg(16)->Arg(18)->Arg(20)
+    ->Unit(benchmark::kMillisecond);
 
 /** Per-leaf p=1 angle search (grid 32, the engine default) on one leaf of
  *  freezing the 4 top hotspots of a BA3 instance: arg 16 = n=20 freeze-4,

@@ -286,6 +286,13 @@ plan_fingerprint(const SolveTree& tree)
                            leaf.proxy->num_quadratic_terms()));
         }
     }
+    // Only when some leaf's tables are inexact (SolveLeaf::exact_tables):
+    // their last bits differ from builds before the doubling table
+    // builder, so such snapshots must not resume, while every exact
+    // (+-1, integer) plan keeps its fingerprint.
+    if (std::any_of(tree.leaves.begin(), tree.leaves.end(),
+                    [](const auto& leaf) { return !leaf.exact_tables; }))
+        h = mix(h, hash_seed("fq-plan-table-build"));
     return h;
 }
 

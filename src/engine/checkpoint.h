@@ -151,8 +151,9 @@ std::uint64_t model_fingerprint(const ising::IsingModel& model);
 std::uint64_t config_fingerprint(const frozenqubits::DriverConfig& config);
 
 /** Fingerprint of a planned SolveTree (leaf count, per-leaf RNG streams,
- *  widths, repair flags) — proof that a resume's replan reproduced the
- *  plan the snapshot's cursor indexes into. */
+ *  widths, repair flags, and whether any leaf's tables are inexact) —
+ *  proof that a resume's replan reproduced the plan the snapshot's cursor
+ *  indexes into. */
 std::uint64_t plan_fingerprint(const SolveTree& tree);
 
 // --------------------------------------------------- capture / restore --

@@ -10,6 +10,7 @@
 #include "graph/sparsify.h"
 #include "partition/bisection.h"
 #include "partition/dnc_qaoa.h"
+#include "sim/qaoa_kernel.h"
 #include "sim/statevector.h"
 
 namespace fq::engine {
@@ -170,6 +171,7 @@ TreeBuild::make_leaf(int ni, const LeafContext& ctx,
     leaf.needs_repair = node.partition_lineage;
     leaf.fuse = node.sub.model.num_spins() <= sim::kMaxSimQubits;
     leaf.backend = sim::select_backend(node.sub.model.num_spins());
+    leaf.exact_tables = sim::parity_sums_exact(node.sub.model);
     leaf.build = ctx.build;
     leaf.tpl = ctx.tpl;
     leaf.tpl_compatible = ctx.tpl_compatible;

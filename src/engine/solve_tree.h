@@ -118,6 +118,10 @@ struct SolveLeaf
      *  wave packing can never change a leaf's kernels (the determinism
      *  contract extends to backend choice). */
     sim::BackendKind backend = sim::BackendKind::ScalarFused;
+    /** The leaf model passes sim::parity_sums_exact, so its tables equal
+     *  the per-term sums bit for bit; fixed at plan time for
+     *  plan_fingerprint. */
+    bool exact_tables = false;
     /** Circuit build options this leaf's template/fused program were
      *  compiled under — simulation MUST reuse them. */
     qaoa::BuildOptions build;

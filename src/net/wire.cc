@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <cmath>
 #include <cstring>
 
 namespace fq::net {
@@ -171,6 +172,17 @@ put_model(std::vector<std::uint8_t>& out, const ising::IsingModel& model)
     put_double(out, model.offset());
 }
 
+/** A model coefficient from the peer: NaN and +-inf are refused here,
+ *  before any table build sees them. */
+double
+get_coefficient(Reader& in)
+{
+    const double v = in.dbl();
+    if (!std::isfinite(v))
+        throw NetError("net: model carries a non-finite coefficient");
+    return v;
+}
+
 ising::IsingModel
 get_model(Reader& in)
 {
@@ -179,14 +191,14 @@ get_model(Reader& in)
         throw NetError("net: implausible model spin count");
     ising::IsingModel model(n);
     for (std::int32_t i = 0; i < n; ++i)
-        model.set_linear(i, in.dbl());
+        model.set_linear(i, get_coefficient(in));
     const std::size_t terms = in.count(4 + 4 + 8);
     for (std::size_t k = 0; k < terms; ++k) {
         const std::int32_t i = in.i32();
         const std::int32_t j = in.i32();
-        model.add_quadratic(i, j, in.dbl());
+        model.add_quadratic(i, j, get_coefficient(in));
     }
-    model.set_offset(in.dbl());
+    model.set_offset(get_coefficient(in));
     return model;
 }
 

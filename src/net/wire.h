@@ -52,8 +52,11 @@
 
 namespace fq::net {
 
-/** Bumped on any wire-format change; a worker refuses other versions. */
-constexpr std::uint32_t kProtocolVersion = 5;
+/** Bumped on any wire-format change, and on any change to what a worker
+ *  computes for the same frames (version 6: the doubling table build,
+ *  whose tables for non-exact models differ in the last bits); a worker
+ *  refuses other versions. */
+constexpr std::uint32_t kProtocolVersion = 6;
 
 enum MessageType : std::uint32_t {
     kMsgOpenSession = 1,

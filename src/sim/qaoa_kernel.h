@@ -12,10 +12,11 @@
  *
  *   DiagonalTable — per-state weight table w[s] for one fused diagonal
  *     layer (circuit/fusion.h), so applying the layer at ANY angle is one
- *     pass amps[s] *= polar(1, scale * w[s]). Tables whose weights take
- *     few distinct values (every +-1-weighted benchmark class) compress to
- *     a level LUT: the per-state work drops to one uint16 load and one
- *     complex multiply, with |levels| sincos calls per application.
+ *     pass amps[s] *= polar(1, scale * w[s]). Tables whose weights are
+ *     exact sums (parity_sums_exact: every +-1-weighted benchmark class)
+ *     and take few distinct values compress to a level LUT: the per-state
+ *     work drops to one uint16 load and one complex multiply, with
+ *     |levels| sincos calls per application.
  *
  *   EnergyTable — E[s] = model.evaluate_state(s) computed once; every
  *     expectation is then a dot product with the probabilities.
@@ -27,9 +28,17 @@
  *     const and thread-safe: the engine shares one program across worker
  *     threads, each writing its own scratch Statevector.
  *
- * The engine's TemplateCache owns FusedPrograms keyed by (structure,
- * coefficients, build options), extending the paper's compile-once
- * template editing (Section 3.7.1) down into the simulator.
+ * Both tables come from one doubling build: w[0] is the sum of all
+ * coefficients, and the upper half of each prefix 2^(k+1) is its lower
+ * half minus the change of flipping bit k. That change is linear in the
+ * lower bits for one- and two-bit terms, so a build costs O(2^n) plus
+ * small per-bit delta tables instead of one O(2^n) pass per term; a term
+ * of three or more bits adds an O(2^k) pass at each of its bits k above
+ * the lowest two.
+ *
+ * The engine's TemplateCache builds each leaf's FusedProgram by binding
+ * its coefficients into a cached family skeleton, extending the paper's
+ * compile-once template editing (Section 3.7.1) down into the simulator.
  */
 #ifndef FQ_SIM_QAOA_KERNEL_H
 #define FQ_SIM_QAOA_KERNEL_H
@@ -46,6 +55,21 @@ namespace fq::sim {
 class Backend;
 
 /**
+ * True when sum_t c_t * parity_sign(s & mask_t) (plus @p base) is exact
+ * in double for every state and every summation order: all coefficients
+ * are finite integer multiples of one 2^-q (q <= 30) and
+ * 2 * sum|c| * 2^q <= 2^52. Every table built from such terms is
+ * bit-identical to the term-by-term per-state sum, signed zeros included;
+ * other tables keep the raw double form and may differ in the last bits.
+ */
+bool parity_sums_exact(const std::vector<circuit::ParityTerm>& terms,
+                       double base = 0.0);
+
+/** parity_sums_exact over @p model's linear and quadratic terms and its
+ *  offset — the inputs of every table built for it. */
+bool parity_sums_exact(const ising::IsingModel& model);
+
+/**
  * Per-state weight table for one fused diagonal layer:
  * phase(s) = scale * weight(s). Immutable after construction.
  */
@@ -54,10 +78,12 @@ class DiagonalTable
   public:
     /**
      * Build the table for @p terms over @p num_qubits qubits. With
-     * @p build_lut set, weights collapsing to at most kMaxLevels distinct
-     * values are stored as (levels, per-state level index); the raw table
-     * is kept otherwise. Skip the LUT for one-shot use — its build cost
-     * only amortizes when the table is applied many times.
+     * @p build_lut set, exact weights (parity_sums_exact) collapsing to at
+     * most kMaxLevels distinct values are stored as (ascending levels,
+     * per-state level index); the raw table is kept otherwise. Skip the
+     * LUT for one-shot use — its build cost only amortizes when the table
+     * is applied many times. Non-finite coefficients, a non-finite
+     * sum|c| or a mask past the register throw fq::Error.
      */
     DiagonalTable(const std::vector<circuit::ParityTerm>& terms,
                   int num_qubits, bool build_lut);
@@ -74,7 +100,7 @@ class DiagonalTable
 
     /// @name Raw storage views (backend kernels; see sim/backend.h)
     /// @{
-    /** Distinct weight values (empty unless compressed()). */
+    /** Distinct weight values, ascending (empty unless compressed()). */
     const std::vector<double>& levels() const { return levels_; }
     /** Per-state level slot (empty unless compressed()). */
     const std::vector<std::uint16_t>& level_index() const
@@ -104,10 +130,10 @@ class DiagonalTable
 };
 
 /**
- * Cached per-state energies E[s] = model.evaluate_state(s), built once in
- * O((|V|+|E|) 2^n) branch-free passes and reused for every expectation
- * (one dot product) — versus re-evaluating the model O(n+|E|) per state
- * per optimizer iteration.
+ * Cached per-state energies E[s] = model.evaluate_state(s), built once by
+ * the O(2^n) doubling build and reused for every expectation (one dot
+ * product) — versus re-evaluating the model O(n+|E|) per state per
+ * optimizer iteration. Non-finite coefficients throw fq::Error.
  */
 class EnergyTable
 {

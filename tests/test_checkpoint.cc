@@ -30,6 +30,8 @@
 #include "engine/engine.h"
 #include "engine/scheduler.h"
 #include "engine/solve_service.h"
+#include "engine/template_cache.h"
+#include "graph/generators.h"
 #include "solve_test_util.h"
 
 namespace {
@@ -442,6 +444,72 @@ TEST(Checkpoint, ConfigFingerprintIsPinned)
     config.max_circuits = 24;
     config.rerank_interval = 4;
     EXPECT_EQ(config_fingerprint(config), 0x9f74051f73004ea2ull);
+}
+
+/** A 16-spin BA3 instance, +-1 or Gaussian. */
+ising::IsingModel
+fingerprint_model(bool gaussian)
+{
+    Rng rng(7);
+    auto g = graph::barabasi_albert(16, 3, rng);
+    if (gaussian)
+        graph::assign_gaussian_weights(g, rng);
+    else
+        graph::assign_random_pm1_weights(g, rng);
+    return ising::IsingModel::from_graph(g);
+}
+
+frozenqubits::DriverConfig
+fingerprint_config()
+{
+    frozenqubits::DriverConfig config;
+    config.num_freeze = 2;
+    config.seed = 11;
+    return config;
+}
+
+/** The 2-leaf freeze plan of fingerprint_model(gaussian). */
+SolveTree
+fingerprint_plan(bool gaussian)
+{
+    TemplateCache cache;
+    Rng plan_rng(fingerprint_config().seed);
+    return build_solve_tree(fingerprint_model(gaussian),
+                            device::make_device("ibm-montreal"),
+                            fingerprint_config(), cache, plan_rng);
+}
+
+TEST(Checkpoint, PlanFingerprintMovesOnlyForInexactTables)
+{
+    // Golden value from before the doubling table builder: both plans
+    // hashed to it then (the plan does not see coupling values). The +-1
+    // plan's tables are bit-identical across that change, so its
+    // snapshots keep resuming; the Gaussian plan's tables may differ in
+    // the last bits, so its fingerprint must move.
+    constexpr std::uint64_t kBeforeDoublingBuild = 0xa4352e0b2a2cda20ull;
+    EXPECT_EQ(plan_fingerprint(fingerprint_plan(false)),
+              kBeforeDoublingBuild);
+    EXPECT_NE(plan_fingerprint(fingerprint_plan(true)),
+              kBeforeDoublingBuild);
+
+    // A Gaussian snapshot written before that change carried the old
+    // fingerprint: resuming it is a typed rejection, not a different
+    // result.
+    const auto model = fingerprint_model(true);
+    auto config = fingerprint_config();
+    config.checkpoint_interval = 1;
+    const auto dev = device::make_device("ibm-montreal");
+    SolveCheckpoint last;
+    ExecutionEngine eng(1);
+    eng.solve(model, dev, config, 256, config.seed,
+              [&](const SolveCheckpoint& ck) {
+                  last = ck;
+                  return ck.cursor < 1;
+              });
+    ASSERT_EQ(last.plan_hash, plan_fingerprint(fingerprint_plan(true)));
+    EXPECT_NO_THROW(eng.resume(model, dev, config, 256, last));
+    last.plan_hash = kBeforeDoublingBuild;
+    EXPECT_THROW(eng.resume(model, dev, config, 256, last), CheckpointError);
 }
 
 } // namespace

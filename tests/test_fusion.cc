@@ -8,18 +8,22 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "circuit/circuit.h"
 #include "circuit/fusion.h"
 #include "common/bitops.h"
+#include "common/error.h"
 #include "device/catalog.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
+#include "ising/io.h"
 #include "ising/ising_model.h"
 #include "qaoa/multilayer.h"
 #include "qaoa/qaoa_builder.h"
@@ -489,6 +493,306 @@ TEST(EnergyTable, ExpectationMatchesStatevector)
     const auto sv = sim::run_circuit(c);
     const sim::EnergyTable table(model);
     EXPECT_NEAR(table.expectation(sv), sv.expectation_ising(model), 1e-9);
+}
+
+// ------------------------------------------------------- table builder --
+
+/** The per-term reference: base, then every non-zero term in order,
+ *  summed per state — the order the pre-doubling passes used. */
+std::vector<double>
+naive_parity_sums(const std::vector<circuit::ParityTerm>& terms, int n,
+                  double base = 0.0)
+{
+    std::vector<double> w(std::uint64_t(1) << n, base);
+    for (std::uint64_t s = 0; s < w.size(); ++s)
+        for (const auto& term : terms)
+            if (term.coefficient != 0.0)
+                w[s] += (popcount64(s & term.mask) & 1) ? -term.coefficient
+                                                       : term.coefficient;
+    return w;
+}
+
+std::vector<double>
+table_weights(const sim::DiagonalTable& table)
+{
+    std::vector<double> w(table.dimension());
+    for (std::uint64_t s = 0; s < w.size(); ++s)
+        w[s] = table.weight(s);
+    return w;
+}
+
+bool
+bitwise_equal(const std::vector<double>& a, const std::vector<double>& b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+std::size_t
+distinct_values(std::vector<double> w)
+{
+    std::sort(w.begin(), w.end());
+    return static_cast<std::size_t>(std::unique(w.begin(), w.end()) -
+                                    w.begin());
+}
+
+enum class Grid { Integer, HalfInteger, Step20, Gaussian };
+
+const char*
+grid_name(Grid grid)
+{
+    switch (grid) {
+      case Grid::Integer: return "integer";
+      case Grid::HalfInteger: return "half-integer";
+      case Grid::Step20: return "2^-20 step";
+      case Grid::Gaussian: return "gaussian";
+    }
+    return "?";
+}
+
+double
+draw_coefficient(Grid grid, Rng& rng)
+{
+    switch (grid) {
+      case Grid::Integer:
+        return static_cast<double>(rng.uniform_int(-3, 3));
+      case Grid::HalfInteger:
+        return 0.5 * static_cast<double>(rng.uniform_int(-5, 5));
+      case Grid::Step20:
+        return std::ldexp(
+            static_cast<double>(rng.uniform_int(-(1 << 21), 1 << 21)), -20);
+      case Grid::Gaussian:
+        return rng.normal();
+    }
+    return 0.0;
+}
+
+/** A constant, every 1-bit mask, 2n 2-bit masks, three 3- and 4-bit masks
+ *  (as the width allows), plus explicit +0 and -0 coefficients. */
+std::vector<circuit::ParityTerm>
+random_terms(int n, Grid grid, Rng& rng)
+{
+    std::vector<circuit::ParityTerm> terms;
+    terms.push_back({0, draw_coefficient(grid, rng)});
+    for (int i = 0; i < n; ++i)
+        terms.push_back({std::uint64_t(1) << i, draw_coefficient(grid, rng)});
+    for (int bits = 2; bits <= std::min(n, 4); ++bits) {
+        for (int k = 0; k < (bits == 2 ? 2 * n : 3); ++k) {
+            std::uint64_t mask = 0;
+            while (popcount64(mask) < bits)
+                mask |= std::uint64_t(1) << rng.uniform_int(0, n - 1);
+            terms.push_back({mask, draw_coefficient(grid, rng)});
+        }
+    }
+    terms.push_back({std::uint64_t(1) << (n - 1), 0.0});
+    terms.push_back({(std::uint64_t(1) << n) - 1, -0.0});
+    return terms;
+}
+
+TEST(TableBuilder, ExactGridsMatchPerTermSumBitwise)
+{
+    // Integer, half-integer and 2^-20-step coefficients pass the
+    // exactness predicate, so the doubling build must reproduce the
+    // per-term sum bit for bit, in both storage forms.
+    Rng rng(2024);
+    for (int n = 1; n <= 14; ++n) {
+        for (const Grid grid :
+             {Grid::Integer, Grid::HalfInteger, Grid::Step20}) {
+            const auto terms = random_terms(n, grid, rng);
+            ASSERT_TRUE(sim::parity_sums_exact(terms))
+                << n << " " << grid_name(grid);
+            const auto reference = naive_parity_sums(terms, n);
+            for (const bool lut : {false, true}) {
+                const sim::DiagonalTable table(terms, n, lut);
+                ASSERT_TRUE(bitwise_equal(table_weights(table), reference))
+                    << n << " qubits, " << grid_name(grid) << ", lut "
+                    << lut;
+                EXPECT_EQ(table.compressed(),
+                          lut && distinct_values(reference) <=
+                                     sim::DiagonalTable::kMaxLevels);
+                const auto& levels = table.levels();
+                for (std::size_t k = 1; k < levels.size(); ++k)
+                    ASSERT_LT(levels[k - 1], levels[k]);
+            }
+        }
+    }
+}
+
+TEST(TableBuilder, GaussianWeightsStayWithinRoundingOfPerTermSum)
+{
+    // Off the exactness predicate the table keeps its raw double form;
+    // only the summation order differs from the per-term reference.
+    Rng rng(7);
+    for (int n = 1; n <= 14; ++n) {
+        const auto terms = random_terms(n, Grid::Gaussian, rng);
+        ASSERT_FALSE(sim::parity_sums_exact(terms));
+        double magnitude = 0.0;
+        for (const auto& term : terms)
+            magnitude += std::fabs(term.coefficient);
+        const auto reference = naive_parity_sums(terms, n);
+        const sim::DiagonalTable table(terms, n, /*build_lut=*/true);
+        EXPECT_FALSE(table.compressed());
+        for (std::uint64_t s = 0; s < reference.size(); ++s)
+            ASSERT_NEAR(table.weight(s), reference[s], 1e-12 * magnitude)
+                << n << " qubits, state " << s;
+    }
+}
+
+TEST(TableBuilder, EnergyTableMatchesPerTermSumBitwise)
+{
+    // EnergyTable sums the offset, the linear terms, then the couplings —
+    // integer and half-integer models reproduce that order bit for bit.
+    for (const Grid grid : {Grid::Integer, Grid::HalfInteger}) {
+        Rng rng(31);
+        auto g = graph::barabasi_albert(12, 3, rng);
+        auto model = ising::IsingModel::from_graph(g);
+        std::vector<circuit::ParityTerm> terms;
+        for (int i = 0; i < model.num_spins(); ++i) {
+            model.set_linear(i, draw_coefficient(grid, rng));
+            terms.push_back({std::uint64_t(1) << i, model.linear(i)});
+        }
+        for (const auto& term : model.quadratic_terms())
+            terms.push_back({(std::uint64_t(1) << term.i) |
+                                 (std::uint64_t(1) << term.j),
+                             term.coefficient});
+        model.set_offset(-2.5);
+        ASSERT_TRUE(sim::parity_sums_exact(model));
+        const sim::EnergyTable table(model);
+        EXPECT_TRUE(bitwise_equal(table.values(),
+                                  naive_parity_sums(terms, 12, -2.5)))
+            << grid_name(grid);
+    }
+}
+
+TEST(TableBuilder, SignedZerosMatchPerTermSum)
+{
+    // All-zero coefficients leave the base untouched, -0.0 included; one
+    // non-zero term turns every exact zero into +0.0.
+    ising::IsingModel zeros(5);
+    zeros.set_linear(1, -0.0);
+    zeros.add_quadratic(0, 3, 0.0);
+    zeros.set_offset(-0.0);
+    const sim::EnergyTable zero_table(zeros);
+    for (const double e : zero_table.values())
+        ASSERT_TRUE(e == 0.0 && std::signbit(e));
+
+    ising::IsingModel cancelling(5);
+    cancelling.set_linear(2, 1.0);
+    cancelling.add_quadratic(0, 1, -1.0);
+    cancelling.set_offset(-0.0);
+    const std::vector<circuit::ParityTerm> terms = {
+        {0b00001, 0.0}, {0b00010, 0.0}, {0b00100, 1.0}, {0b01000, 0.0},
+        {0b10000, 0.0}, {0b00011, -1.0}};
+    EXPECT_TRUE(bitwise_equal(sim::EnergyTable(cancelling).values(),
+                              naive_parity_sums(terms, 5, -0.0)));
+
+    const std::vector<circuit::ParityTerm> zero_terms = {
+        {0b01, -0.0}, {0b11, 0.0}, {0, -0.0}};
+    for (const bool lut : {false, true})
+        EXPECT_TRUE(bitwise_equal(
+            table_weights(sim::DiagonalTable(zero_terms, 2, lut)),
+            std::vector<double>(4, 0.0)));
+}
+
+TEST(TableBuilder, ExactnessPredicateEdges)
+{
+    using Terms = std::vector<circuit::ParityTerm>;
+    const double tiny = std::ldexp(1.0, -30);
+    // Grid step: 2^-30 is the finest admitted.
+    EXPECT_TRUE(sim::parity_sums_exact(Terms{{1, tiny}, {2, 3 * tiny}}));
+    EXPECT_FALSE(sim::parity_sums_exact(Terms{{1, tiny / 2}}));
+    // Magnitude: sum|c| * 2^q may reach 2^51, not pass it.
+    const double big = std::ldexp(1.0, 50);
+    EXPECT_TRUE(sim::parity_sums_exact(Terms{{1, big}, {2, -big}}));
+    EXPECT_FALSE(sim::parity_sums_exact(Terms{{1, big}, {2, -big}, {4, 1}}));
+    EXPECT_TRUE(sim::parity_sums_exact(
+        Terms{{1, std::ldexp(1.0, 21) - 2 * tiny}, {2, tiny}}));
+    EXPECT_FALSE(sim::parity_sums_exact(
+        Terms{{1, std::ldexp(1.0, 21)}, {2, tiny}}));
+    // The base counts toward the magnitude.
+    EXPECT_TRUE(sim::parity_sums_exact(Terms{{1, big}}, big));
+    EXPECT_FALSE(sim::parity_sums_exact(Terms{{1, big}}, big + 1));
+    EXPECT_FALSE(sim::parity_sums_exact(Terms{{1, 1.0}}, 0.1));
+    // Non-finite values are never exact.
+    EXPECT_FALSE(sim::parity_sums_exact(Terms{{1, std::nan("")}}));
+    EXPECT_FALSE(sim::parity_sums_exact(
+        Terms{{1, std::numeric_limits<double>::infinity()}}));
+    // Model overload: +-1 couplings pass, Gaussian ones do not.
+    EXPECT_TRUE(sim::parity_sums_exact(test::ba_model(12, 3, 5)));
+    Rng rng(5);
+    auto g = graph::barabasi_albert(12, 3, rng);
+    graph::assign_gaussian_weights(g, rng);
+    EXPECT_FALSE(
+        sim::parity_sums_exact(ising::IsingModel::from_graph(g)));
+
+    // The edge cases that pass still build bit-identical tables.
+    for (const Terms& terms :
+         {Terms{{1, big / 2}, {2, -big / 2}, {3, big / 2}, {0, -big / 2}},
+          Terms{{1, std::ldexp(1.0, 21) - 2 * tiny}, {2, tiny}, {3, tiny}},
+          Terms{{0b111, 3 * tiny}, {0b101, -tiny}, {0b010, 5 * tiny}}}) {
+        ASSERT_TRUE(sim::parity_sums_exact(terms));
+        for (const bool lut : {false, true})
+            EXPECT_TRUE(bitwise_equal(
+                table_weights(sim::DiagonalTable(terms, 3, lut)),
+                naive_parity_sums(terms, 3)));
+    }
+}
+
+TEST(TableBuilder, LevelFormFollowsDistinctValueCount)
+{
+    // A grid too wide to index directly (2^20 beside 2^-20) still
+    // compresses to its few levels.
+    const std::vector<circuit::ParityTerm> wide = {
+        {0b01, std::ldexp(1.0, 20)}, {0b10, std::ldexp(1.0, -20)},
+        {0b11, 1.0}};
+    const sim::DiagonalTable sparse(wide, 4, /*build_lut=*/true);
+    EXPECT_TRUE(sparse.compressed());
+    EXPECT_EQ(sparse.num_levels(), 4u);
+    EXPECT_TRUE(bitwise_equal(table_weights(sparse),
+                              naive_parity_sums(wide, 4)));
+
+    // Weights 2^i take all 2^14 values: more than kMaxLevels, raw table.
+    std::vector<circuit::ParityTerm> binary;
+    for (int i = 0; i < 14; ++i)
+        binary.push_back({std::uint64_t(1) << i, std::ldexp(1.0, i)});
+    const sim::DiagonalTable dense(binary, 14, /*build_lut=*/true);
+    EXPECT_FALSE(dense.compressed());
+    EXPECT_TRUE(bitwise_equal(table_weights(dense),
+                              naive_parity_sums(binary, 14)));
+}
+
+TEST(TableBuilder, RejectsMasksPastTheRegisterAndNonFiniteTerms)
+{
+    using Terms = std::vector<circuit::ParityTerm>;
+    for (const bool lut : {false, true}) {
+        EXPECT_THROW(sim::DiagonalTable(Terms{{0b1000, 1.0}}, 3, lut),
+                     fq::Error);
+        EXPECT_THROW(sim::DiagonalTable(Terms{{0b11, std::nan("")}}, 3, lut),
+                     fq::Error);
+        EXPECT_THROW(
+            sim::DiagonalTable(
+                Terms{{0b1, -std::numeric_limits<double>::infinity()}}, 3,
+                lut),
+            fq::Error);
+    }
+    ising::IsingModel nan_model(4);
+    nan_model.set_linear(2, std::nan(""));
+    EXPECT_THROW(sim::EnergyTable{nan_model}, fq::Error);
+
+    // Three finite couplings whose magnitudes overflow when summed: the
+    // file parses, every table build refuses it.
+    const auto overflow = ising::parse_model(
+        "ising 3\nJ 0 1 1e308\nJ 1 2 1e308\nJ 0 2 -1e308\n");
+    EXPECT_FALSE(std::isfinite(overflow.coefficient_magnitude_sum()));
+    EXPECT_THROW(sim::EnergyTable{overflow}, fq::Error);
+    Terms terms;
+    for (const auto& term : overflow.quadratic_terms())
+        terms.push_back({(std::uint64_t(1) << term.i) |
+                             (std::uint64_t(1) << term.j),
+                         term.coefficient});
+    EXPECT_THROW(sim::DiagonalTable(terms, 3, true), fq::Error);
+    EXPECT_THROW(sim::FusedProgram(qaoa::build_qaoa_circuit(overflow, {})),
+                 fq::Error);
 }
 
 // ---------------------------------------------------- evaluator + engine --

@@ -8,8 +8,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -174,6 +179,39 @@ TEST(NetWire, OpenSessionRoundTrip)
     EXPECT_EQ(back.config_hash, 0xCCDDu);
     EXPECT_EQ(back.plan_hash, 0xEEFFu);
     EXPECT_EQ(back.device_hash, 0x1122u);
+}
+
+TEST(NetWire, OpenSessionRejectsNonFiniteModelCoefficients)
+{
+    // A peer's NaN or +-inf must stop at decode, before the worker plans
+    // or builds a table from it. The linear term carries a sentinel value
+    // whose bytes are overwritten in the encoded frame.
+    constexpr double kSentinel = 0.8125;
+    for (const double bad : {std::nan(""),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        net::OpenSession msg;
+        msg.model = test::ba_model(12, 3, 5);
+        msg.model.set_linear(4, kSentinel);
+        msg.device_name = "ibm-montreal";
+        auto payload = net::encode_open_session(msg);
+        // Doubles travel as their little-endian IEEE bit pattern.
+        const auto wire_bytes = [](double v) {
+            std::uint64_t bits = 0;
+            std::memcpy(&bits, &v, sizeof(bits));
+            std::array<std::uint8_t, sizeof(bits)> bytes{};
+            for (std::size_t k = 0; k < bytes.size(); ++k)
+                bytes[k] = static_cast<std::uint8_t>(bits >> (8 * k));
+            return bytes;
+        };
+        const auto sentinel = wire_bytes(kSentinel);
+        const auto patched = wire_bytes(bad);
+        const auto at = std::search(payload.begin(), payload.end(),
+                                    std::begin(sentinel), std::end(sentinel));
+        ASSERT_NE(at, payload.end());
+        std::copy(std::begin(patched), std::end(patched), at);
+        EXPECT_THROW(net::decode_open_session(payload), net::NetError);
+    }
 }
 
 TEST(NetWire, OpenSessionRejectsOutOfRangeConfigEnums)
@@ -527,9 +565,11 @@ TEST(Distributed, StaleProtocolWorkerRejectedAtConnect)
     // typed error before any session opens: version 1 (whose config
     // frames still carried the template-editing bytes), version 2 (whose
     // leaf counts still carried a fused-hit byte) and version 3 (whose
-    // session open carried no device fingerprint) and version 4 (whose
-    // config frames still carried the fusion and backend bytes).
-    for (const std::uint32_t stale_version : {1u, 2u, 3u, 4u}) {
+    // session open carried no device fingerprint), version 4 (whose
+    // config frames still carried the fusion and backend bytes) and
+    // version 5 (whose table build differs in the last bits for
+    // non-exact models).
+    for (const std::uint32_t stale_version : {1u, 2u, 3u, 4u, 5u}) {
         ASSERT_NE(net::kProtocolVersion, stale_version);
         const auto address = unique_address();
         net::Fd listen_fd = net::listen_on(address);
