@@ -1,13 +1,11 @@
 #include "engine/checkpoint.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 
-#include "common/crc32.h"
+#include "common/bytes.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "frozenqubits/driver.h"
@@ -22,173 +20,9 @@ namespace {
 /** "FQCK" little-endian. */
 constexpr std::uint32_t kMagic = 0x4B434651u;
 
-/** Bit-exact 64-bit view of a double (NaN payloads and -0.0 included). */
-std::uint64_t
-double_bits(double v)
-{
-    std::uint64_t u = 0;
-    std::memcpy(&u, &v, sizeof(u));
-    return u;
-}
+constexpr const char* kWhat = "checkpoint";
 
-double
-bits_double(std::uint64_t u)
-{
-    double v = 0.0;
-    std::memcpy(&v, &u, sizeof(v));
-    return v;
-}
-
-using common::crc32;
-
-/** Little-endian fixed-width append-only buffer. */
-class ByteWriter
-{
-  public:
-    void
-    put_u8(std::uint8_t v)
-    {
-        bytes_.push_back(v);
-    }
-
-    void
-    put_u32(std::uint32_t v)
-    {
-        for (int k = 0; k < 4; ++k)
-            bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * k)));
-    }
-
-    void
-    put_u64(std::uint64_t v)
-    {
-        for (int k = 0; k < 8; ++k)
-            bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * k)));
-    }
-
-    void
-    put_i32(std::int32_t v)
-    {
-        put_u32(static_cast<std::uint32_t>(v));
-    }
-
-    void
-    put_double(double v)
-    {
-        put_u64(double_bits(v));
-    }
-
-    void
-    put_string(const std::string& s)
-    {
-        put_u32(static_cast<std::uint32_t>(s.size()));
-        bytes_.insert(bytes_.end(), s.begin(), s.end());
-    }
-
-    void
-    put_int_vector(const std::vector<int>& v)
-    {
-        put_u32(static_cast<std::uint32_t>(v.size()));
-        for (int x : v)
-            put_i32(x);
-    }
-
-    const std::vector<std::uint8_t>& bytes() const { return bytes_; }
-    std::vector<std::uint8_t> take() { return std::move(bytes_); }
-
-  private:
-    std::vector<std::uint8_t> bytes_;
-};
-
-/** Bounds-checked little-endian reader; every overrun is CheckpointError
- *  (a truncated or length-corrupted payload, never UB). */
-class ByteReader
-{
-  public:
-    ByteReader(const std::uint8_t* data, std::size_t size)
-        : data_(data), size_(size)
-    {
-    }
-
-    std::uint8_t
-    get_u8()
-    {
-        need(1);
-        return data_[pos_++];
-    }
-
-    std::uint32_t
-    get_u32()
-    {
-        need(4);
-        std::uint32_t v = 0;
-        for (int k = 0; k < 4; ++k)
-            v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * k);
-        return v;
-    }
-
-    std::uint64_t
-    get_u64()
-    {
-        need(8);
-        std::uint64_t v = 0;
-        for (int k = 0; k < 8; ++k)
-            v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * k);
-        return v;
-    }
-
-    std::int32_t
-    get_i32()
-    {
-        return static_cast<std::int32_t>(get_u32());
-    }
-
-    double
-    get_double()
-    {
-        return bits_double(get_u64());
-    }
-
-    std::string
-    get_string()
-    {
-        const std::uint32_t n = get_u32();
-        need(n);
-        std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-        pos_ += n;
-        return s;
-    }
-
-    std::vector<int>
-    get_int_vector()
-    {
-        const std::uint32_t n = get_u32();
-        // Each entry costs 4 bytes; pre-check so a corrupt length cannot
-        // drive a near-2^32 reserve before the first get_i32 would throw.
-        need(static_cast<std::size_t>(n) * 4);
-        std::vector<int> v;
-        v.reserve(n);
-        for (std::uint32_t k = 0; k < n; ++k)
-            v.push_back(get_i32());
-        return v;
-    }
-
-    std::size_t remaining() const { return size_ - pos_; }
-
-  private:
-    void
-    need(std::size_t n)
-    {
-        if (size_ - pos_ < n)
-            throw CheckpointError(
-                "checkpoint payload truncated: need " + std::to_string(n) +
-                " more bytes at offset " + std::to_string(pos_) + " of " +
-                std::to_string(size_));
-    }
-
-    const std::uint8_t* data_;
-    std::size_t size_;
-    std::size_t pos_ = 0;
-};
+using common::double_bits;
 
 // ------------------------------------------------- fingerprint helpers --
 
@@ -339,9 +173,7 @@ capture_checkpoint(const WaveRequest& request)
         rec.width = request.tree->leaf_width(leaf_id);
         rec.arm_tag =
             node_kind_info(leaf_arm_kind(*request.tree, leaf_id)).frame_tag;
-        rec.histogram.reserve(counts.histogram().size());
-        for (const auto& [state, count] : counts.histogram())
-            rec.histogram.emplace_back(state, count);
+        rec.histogram = sim::histogram_entries(counts);
         ck.folded.push_back(std::move(rec));
     }
 
@@ -472,12 +304,12 @@ restore_checkpoint(const SolveCheckpoint& ck, WaveRequest& request)
 
     // Re-fold the raw histograms: decode is deterministic, so this rebuilds
     // outcomes, incumbent and anytime trace bit for bit.
-    for (const auto& rec : ck.folded) {
-        sim::Counts counts(rec.width);
-        for (const auto& [state, count] : rec.histogram)
-            counts.add(state, count);
-        request.reducer->fold(rec.leaf_id, std::move(counts));
-    }
+    for (const auto& rec : ck.folded)
+        request.reducer->fold(
+            rec.leaf_id,
+            sim::checked_counts<CheckpointError>(
+                rec.width, rec.histogram,
+                static_cast<std::uint64_t>(request.shots)));
 
     request.dispatched = static_cast<std::size_t>(ck.cursor);
     request.next_rerank = static_cast<std::size_t>(ck.next_rerank);
@@ -505,66 +337,52 @@ restore_checkpoint(const SolveCheckpoint& ck, WaveRequest& request)
 std::vector<std::uint8_t>
 encode_checkpoint(const SolveCheckpoint& ck)
 {
-    ByteWriter payload;
-    payload.put_u64(ck.model_hash);
-    payload.put_u64(ck.config_hash);
-    payload.put_u64(ck.plan_hash);
-    payload.put_string(ck.device_name);
-    payload.put_u64(ck.seed);
-    payload.put_i32(ck.shots);
+    common::ByteWriter<std::uint32_t> out;
+    out.u64(ck.model_hash);
+    out.u64(ck.config_hash);
+    out.u64(ck.plan_hash);
+    out.str(ck.device_name);
+    out.u64(ck.seed);
+    out.i32(ck.shots);
 
-    payload.put_u64(ck.cursor);
-    payload.put_u64(ck.next_rerank);
-    payload.put_i32(ck.epochs);
+    out.u64(ck.cursor);
+    out.u64(ck.next_rerank);
+    out.i32(ck.epochs);
 
-    payload.put_int_vector(ck.executed);
-    payload.put_int_vector(ck.beyond_budget);
-    payload.put_int_vector(ck.pruned);
-    payload.put_i32(ck.reranks);
-    payload.put_i32(ck.rerank_pruned);
-    payload.put_i32(ck.rerank_promoted);
-    payload.put_i32(ck.rerank_demoted);
-    payload.put_i32(ck.deadline_trimmed);
+    out.i32s(ck.executed);
+    out.i32s(ck.beyond_budget);
+    out.i32s(ck.pruned);
+    out.i32(ck.reranks);
+    out.i32(ck.rerank_pruned);
+    out.i32(ck.rerank_promoted);
+    out.i32(ck.rerank_demoted);
+    out.i32(ck.deadline_trimmed);
 
-    payload.put_u32(static_cast<std::uint32_t>(ck.folded.size()));
+    out.len(ck.folded.size());
     for (const auto& rec : ck.folded) {
-        payload.put_i32(rec.leaf_id);
-        payload.put_i32(rec.width);
-        payload.put_u8(rec.arm_tag);
-        payload.put_u32(static_cast<std::uint32_t>(rec.histogram.size()));
-        for (const auto& [state, count] : rec.histogram) {
-            payload.put_u64(state);
-            payload.put_u64(count);
-        }
+        out.i32(rec.leaf_id);
+        out.i32(rec.width);
+        out.u8(rec.arm_tag);
+        out.u64_pairs(rec.histogram);
     }
 
-    payload.put_u8(ck.incumbent_valid ? 1 : 0);
-    payload.put_double(ck.incumbent_cost);
-    payload.put_i32(ck.incumbent_leaf);
-    payload.put_u32(
-        static_cast<std::uint32_t>(ck.incumbent_assignment.size()));
+    out.u8(ck.incumbent_valid ? 1 : 0);
+    out.f64(ck.incumbent_cost);
+    out.i32(ck.incumbent_leaf);
+    out.len(ck.incumbent_assignment.size());
     for (std::int8_t spin : ck.incumbent_assignment)
-        payload.put_u8(static_cast<std::uint8_t>(spin));
+        out.u8(static_cast<std::uint8_t>(spin));
 
-    const auto& body = payload.bytes();
-    ByteWriter framed;
-    framed.put_u32(kMagic);
-    framed.put_u32(kCheckpointFormatVersion);
-    framed.put_u64(static_cast<std::uint64_t>(body.size()));
-    framed.put_u32(crc32(body.data(), body.size()));
-    auto out = framed.take();
-    out.insert(out.end(), body.begin(), body.end());
-    return out;
+    return common::encode_crc_frame(kMagic, kCheckpointFormatVersion,
+                                    out.take());
 }
 
 SolveCheckpoint
 decode_checkpoint(const std::uint8_t* data, std::size_t size)
 {
-    ByteReader frame(data, size);
-    const std::uint32_t magic = frame.get_u32();
-    if (magic != kMagic)
-        throw CheckpointError("not a checkpoint file (bad magic)");
-    const std::uint32_t version = frame.get_u32();
+    const auto header =
+        common::parse_frame_header<CheckpointError>(data, size, kMagic, kWhat);
+    const std::uint32_t version = header.tag;
     if (version < kMinCheckpointFormatVersion ||
         version > kCheckpointFormatVersion)
         throw CheckpointError(
@@ -572,48 +390,42 @@ decode_checkpoint(const std::uint8_t* data, std::size_t size)
             std::to_string(version) + " (this build reads versions " +
             std::to_string(kMinCheckpointFormatVersion) + ".." +
             std::to_string(kCheckpointFormatVersion) + ")");
-    const std::uint64_t length = frame.get_u64();
-    const std::uint32_t expected_crc = frame.get_u32();
-    if (length != frame.remaining())
-        throw CheckpointError(
-            "checkpoint payload length mismatch: header says " +
-            std::to_string(length) + " bytes, file holds " +
-            std::to_string(frame.remaining()));
-    const std::uint8_t* body = data + (size - frame.remaining());
-    if (crc32(body, static_cast<std::size_t>(length)) != expected_crc)
-        throw CheckpointError(
-            "checkpoint payload failed its CRC check (corrupt file)");
+    const std::uint8_t* body = data + common::kFrameHeaderBytes;
+    const std::size_t length = size - common::kFrameHeaderBytes;
+    common::verify_frame_payload<CheckpointError>(header, body, length,
+                                                  kWhat);
 
-    ByteReader payload(body, static_cast<std::size_t>(length));
+    common::ByteReader<CheckpointError, std::uint32_t> in(body, length,
+                                                          kWhat);
     SolveCheckpoint ck;
-    ck.model_hash = payload.get_u64();
-    ck.config_hash = payload.get_u64();
-    ck.plan_hash = payload.get_u64();
-    ck.device_name = payload.get_string();
-    ck.seed = payload.get_u64();
-    ck.shots = payload.get_i32();
+    ck.model_hash = in.u64();
+    ck.config_hash = in.u64();
+    ck.plan_hash = in.u64();
+    ck.device_name = in.str();
+    ck.seed = in.u64();
+    ck.shots = in.i32();
 
-    ck.cursor = payload.get_u64();
-    ck.next_rerank = payload.get_u64();
-    ck.epochs = payload.get_i32();
+    ck.cursor = in.u64();
+    ck.next_rerank = in.u64();
+    ck.epochs = in.i32();
 
-    ck.executed = payload.get_int_vector();
-    ck.beyond_budget = payload.get_int_vector();
-    ck.pruned = payload.get_int_vector();
-    ck.reranks = payload.get_i32();
-    ck.rerank_pruned = payload.get_i32();
-    ck.rerank_promoted = payload.get_i32();
-    ck.rerank_demoted = payload.get_i32();
-    ck.deadline_trimmed = payload.get_i32();
+    ck.executed = in.i32s();
+    ck.beyond_budget = in.i32s();
+    ck.pruned = in.i32s();
+    ck.reranks = in.i32();
+    ck.rerank_pruned = in.i32();
+    ck.rerank_promoted = in.i32();
+    ck.rerank_demoted = in.i32();
+    ck.deadline_trimmed = in.i32();
 
-    const std::uint32_t num_folded = payload.get_u32();
-    ck.folded.reserve(num_folded);
-    for (std::uint32_t k = 0; k < num_folded; ++k) {
-        SolveCheckpoint::FoldedLeaf rec;
-        rec.leaf_id = payload.get_i32();
-        rec.width = payload.get_i32();
+    // A folded record is at least a leaf id, a width and an entry count.
+    ck.folded.resize(in.count(4 + 4 + 4));
+    for (std::size_t k = 0; k < ck.folded.size(); ++k) {
+        auto& rec = ck.folded[k];
+        rec.leaf_id = in.i32();
+        rec.width = in.i32();
         if (version >= 2) {
-            rec.arm_tag = payload.get_u8();
+            rec.arm_tag = in.u8();
             // A tag this build's kind-metadata table cannot name means the
             // snapshot came from a newer (or corrupted) vocabulary —
             // restoring it would mis-attribute the record's arm silently.
@@ -624,30 +436,17 @@ decode_checkpoint(const std::uint8_t* data, std::size_t size)
                     std::to_string(rec.arm_tag) +
                     " (snapshot from a newer reduction vocabulary?)");
         }
-        const std::uint32_t entries = payload.get_u32();
-        rec.histogram.reserve(entries);
-        for (std::uint32_t e = 0; e < entries; ++e) {
-            const std::uint64_t state = payload.get_u64();
-            const std::uint64_t count = payload.get_u64();
-            rec.histogram.emplace_back(state, count);
-        }
-        ck.folded.push_back(std::move(rec));
+        rec.histogram = in.u64_pairs();
     }
 
-    ck.incumbent_valid = payload.get_u8() != 0;
-    ck.incumbent_cost = payload.get_double();
-    ck.incumbent_leaf = payload.get_i32();
-    const std::uint32_t spins = payload.get_u32();
-    ck.incumbent_assignment.reserve(spins);
-    for (std::uint32_t k = 0; k < spins; ++k)
-        ck.incumbent_assignment.push_back(
-            static_cast<std::int8_t>(payload.get_u8()));
+    ck.incumbent_valid = in.u8() != 0;
+    ck.incumbent_cost = in.f64();
+    ck.incumbent_leaf = in.i32();
+    ck.incumbent_assignment.resize(in.count(1));
+    for (auto& spin : ck.incumbent_assignment)
+        spin = static_cast<std::int8_t>(in.u8());
 
-    if (payload.remaining() != 0)
-        throw CheckpointError(
-            "checkpoint payload has " +
-            std::to_string(payload.remaining()) +
-            " trailing bytes (corrupt or mis-framed file)");
+    in.finish();
     return ck;
 }
 

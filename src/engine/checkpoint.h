@@ -31,8 +31,10 @@
  *                CheckpointError (corruption that CRC framing cannot see,
  *                e.g. a tampered-but-reframed payload).
  *
- * Framing: magic + version + payload length + CRC32(payload). Truncation,
- * bit flips, wrong magic and unknown versions all throw CheckpointError.
+ * Framing: the CRC frame of common/bytes.h (magic, version, length,
+ * CRC32(payload)). Truncation, bit flips, wrong magic, unknown versions
+ * and list counts the payload cannot hold all throw CheckpointError, as
+ * does restoring a histogram that is no shots-shot sample.
  *
  * Format history: version 2 adds a per-folded-record node-kind frame tag
  * (the reduction arm the leaf executed under, from the kind-metadata
@@ -52,12 +54,12 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "engine/expander.h"
 #include "engine/wave_loop.h"
+#include "sim/counts.h"
 
 namespace fq::engine {
 
@@ -110,7 +112,7 @@ struct SolveCheckpoint
         int width = 0;
         /** (state, count) pairs in ascending state order — sim::Counts'
          *  own deterministic map order, so round-trips are exact. */
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> histogram;
+        sim::HistogramEntries histogram;
         /** NodeKindInfo::frame_tag of the reduction arm (the leaf's
          *  parent node kind) — version 2 wire field. kNoKindTag for
          *  records decoded from a version-1 snapshot; restore skips the

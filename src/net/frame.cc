@@ -8,45 +8,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "common/crc32.h"
+#include "common/bytes.h"
 
 namespace fq::net {
 
 namespace {
-
-constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 4;
-
-void
-put_u32(std::vector<std::uint8_t>& out, std::uint32_t v)
-{
-    for (int k = 0; k < 4; ++k)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * k)));
-}
-
-void
-put_u64(std::vector<std::uint8_t>& out, std::uint64_t v)
-{
-    for (int k = 0; k < 8; ++k)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * k)));
-}
-
-std::uint32_t
-get_u32(const std::uint8_t* p)
-{
-    std::uint32_t v = 0;
-    for (int k = 0; k < 4; ++k)
-        v |= static_cast<std::uint32_t>(p[k]) << (8 * k);
-    return v;
-}
-
-std::uint64_t
-get_u64(const std::uint8_t* p)
-{
-    std::uint64_t v = 0;
-    for (int k = 0; k < 8; ++k)
-        v |= static_cast<std::uint64_t>(p[k]) << (8 * k);
-    return v;
-}
 
 /** Milliseconds left before @p deadline, clamped at 0; -1 = no deadline. */
 int
@@ -101,20 +67,13 @@ read_exact(int fd, std::uint8_t* buf, std::size_t size, int timeout_ms,
 std::size_t
 frame_wire_size(std::size_t payload_size)
 {
-    return kHeaderSize + payload_size;
+    return common::kFrameHeaderBytes + payload_size;
 }
 
 std::vector<std::uint8_t>
 encode_frame(std::uint32_t type, const std::vector<std::uint8_t>& payload)
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(frame_wire_size(payload.size()));
-    put_u32(out, kFrameMagic);
-    put_u32(out, type);
-    put_u64(out, payload.size());
-    put_u32(out, common::crc32(payload.data(), payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
-    return out;
+    return common::encode_crc_frame(kFrameMagic, type, payload);
 }
 
 void
@@ -125,26 +84,16 @@ write_frame(int fd, std::uint32_t type,
     std::size_t sent = 0;
     while (sent < bytes.size()) {
         // MSG_NOSIGNAL: a dead peer must surface as NetError (EPIPE), not
-        // kill the process with SIGPIPE.
-        const ssize_t n = ::send(fd, bytes.data() + sent,
-                                 bytes.size() - sent, MSG_NOSIGNAL);
+        // kill the process with SIGPIPE. Pipes (test fixtures) reject
+        // send(); they take write().
+        ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                           MSG_NOSIGNAL);
+        if (n < 0 && errno == ENOTSOCK)
+            n = ::write(fd, bytes.data() + sent, bytes.size() - sent);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            // Pipes (test fixtures) reject send(); fall back to write().
-            if (errno == ENOTSOCK) {
-                const ssize_t w = ::write(fd, bytes.data() + sent,
-                                          bytes.size() - sent);
-                if (w < 0) {
-                    if (errno == EINTR)
-                        continue;
-                    throw NetError(std::string("net: write failed: ") +
-                                   std::strerror(errno));
-                }
-                sent += static_cast<std::size_t>(w);
-                continue;
-            }
-            throw NetError(std::string("net: send failed: ") +
+            throw NetError(std::string("net: write failed: ") +
                            std::strerror(errno));
         }
         sent += static_cast<std::size_t>(n);
@@ -157,22 +106,20 @@ read_frame(int fd, int timeout_ms)
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(
                               timeout_ms >= 0 ? timeout_ms : 0);
-    std::uint8_t header[kHeaderSize];
-    read_exact(fd, header, kHeaderSize, timeout_ms, deadline);
-    if (get_u32(header) != kFrameMagic)
-        throw NetError("net: bad frame magic (stream corrupt or not a "
-                       "worker endpoint)");
-    Frame frame;
-    frame.type = get_u32(header + 4);
-    const std::uint64_t length = get_u64(header + 8);
-    const std::uint32_t crc = get_u32(header + 16);
-    if (length > kMaxFramePayload)
+    std::uint8_t header_bytes[common::kFrameHeaderBytes];
+    read_exact(fd, header_bytes, sizeof(header_bytes), timeout_ms, deadline);
+    const auto header = common::parse_frame_header<NetError>(
+        header_bytes, sizeof(header_bytes), kFrameMagic, "net: frame");
+    if (header.length > kMaxFramePayload)
         throw NetError("net: frame length exceeds limit (corrupt stream)");
-    frame.payload.resize(static_cast<std::size_t>(length));
+    Frame frame;
+    frame.type = header.tag;
+    frame.payload.resize(static_cast<std::size_t>(header.length));
     read_exact(fd, frame.payload.data(), frame.payload.size(), timeout_ms,
                deadline);
-    if (common::crc32(frame.payload.data(), frame.payload.size()) != crc)
-        throw NetError("net: frame CRC mismatch (payload corrupt)");
+    common::verify_frame_payload<NetError>(header, frame.payload.data(),
+                                           frame.payload.size(),
+                                           "net: frame");
     return frame;
 }
 

@@ -3,14 +3,9 @@
  * Wire framing for the distributed-execution protocol: length-prefixed,
  * CRC-checked message frames over a stream socket (Unix or TCP).
  *
- * Frame layout (all little-endian, mirroring the checkpoint container in
- * engine/checkpoint.cc and reusing its CRC-32):
- *
- *   magic   u32   "FQNW"
- *   type    u32   message type (net/wire.h)
- *   length  u64   payload byte count
- *   crc     u32   CRC-32 of the payload bytes
- *   payload length bytes
+ * A frame is the CRC frame of common/bytes.h, the one checkpoint files
+ * use too: magic "FQNW", the message type (net/wire.h) as its tag, then
+ * the u64 payload length, the payload's CRC-32 and the payload.
  *
  * Every defect a stream can exhibit — short read (peer died), bad magic,
  * oversized length, CRC mismatch — surfaces as a typed NetError, and a

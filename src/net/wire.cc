@@ -1,175 +1,34 @@
 #include "net/wire.h"
 
 #include <cmath>
-#include <cstring>
+
+#include "common/bytes.h"
 
 namespace fq::net {
 
 namespace {
 
-// Little-endian byte packing, the same layout discipline as the
-// checkpoint codec (engine/checkpoint.cc) but with NetError as the typed
-// failure — a truncated or over-long payload is a wire defect, not a
-// checkpoint defect.
+using Writer = common::ByteWriter<std::uint64_t>;
+using Reader = common::ByteReader<NetError, std::uint64_t>;
 
-void
-put_u8(std::vector<std::uint8_t>& out, std::uint8_t v)
-{
-    out.push_back(v);
-}
-
-void
-put_u32(std::vector<std::uint8_t>& out, std::uint32_t v)
-{
-    for (int k = 0; k < 4; ++k)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * k)));
-}
-
-void
-put_u64(std::vector<std::uint8_t>& out, std::uint64_t v)
-{
-    for (int k = 0; k < 8; ++k)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * k)));
-}
-
-void
-put_i32(std::vector<std::uint8_t>& out, std::int32_t v)
-{
-    put_u32(out, static_cast<std::uint32_t>(v));
-}
-
-void
-put_i64(std::vector<std::uint8_t>& out, std::int64_t v)
-{
-    put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void
-put_double(std::vector<std::uint8_t>& out, double v)
-{
-    std::uint64_t u = 0;
-    std::memcpy(&u, &v, sizeof(u));
-    put_u64(out, u);
-}
-
-void
-put_string(std::vector<std::uint8_t>& out, const std::string& s)
-{
-    put_u64(out, s.size());
-    out.insert(out.end(), s.begin(), s.end());
-}
-
-class Reader
-{
-  public:
-    explicit Reader(const std::vector<std::uint8_t>& bytes) : bytes_(bytes)
-    {
-    }
-
-    std::uint8_t
-    u8()
-    {
-        need(1);
-        return bytes_[pos_++];
-    }
-
-    std::uint32_t
-    u32()
-    {
-        need(4);
-        std::uint32_t v = 0;
-        for (int k = 0; k < 4; ++k)
-            v |= static_cast<std::uint32_t>(bytes_[pos_++]) << (8 * k);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        need(8);
-        std::uint64_t v = 0;
-        for (int k = 0; k < 8; ++k)
-            v |= static_cast<std::uint64_t>(bytes_[pos_++]) << (8 * k);
-        return v;
-    }
-
-    std::int32_t
-    i32()
-    {
-        return static_cast<std::int32_t>(u32());
-    }
-
-    std::int64_t
-    i64()
-    {
-        return static_cast<std::int64_t>(u64());
-    }
-
-    double
-    dbl()
-    {
-        const std::uint64_t u = u64();
-        double v = 0.0;
-        std::memcpy(&v, &u, sizeof(v));
-        return v;
-    }
-
-    std::string
-    str()
-    {
-        const std::uint64_t n = u64();
-        need(n);
-        std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_),
-                      static_cast<std::size_t>(n));
-        pos_ += static_cast<std::size_t>(n);
-        return s;
-    }
-
-    /** Element count for a list of @p elem_size-byte records. */
-    std::size_t
-    count(std::size_t elem_size)
-    {
-        const std::uint64_t n = u64();
-        if (elem_size != 0 && n > (bytes_.size() - pos_) / elem_size)
-            throw NetError("net: message list length exceeds payload");
-        return static_cast<std::size_t>(n);
-    }
-
-    void
-    finish() const
-    {
-        if (pos_ != bytes_.size())
-            throw NetError("net: trailing bytes after message payload");
-    }
-
-  private:
-    void
-    need(std::uint64_t n) const
-    {
-        if (n > bytes_.size() - pos_)
-            throw NetError("net: truncated message payload");
-    }
-
-    const std::vector<std::uint8_t>& bytes_;
-    std::size_t pos_ = 0;
-};
+constexpr const char* kWhat = "net: message";
 
 // ------------------------------------------------ model/config codecs --
 
 void
-put_model(std::vector<std::uint8_t>& out, const ising::IsingModel& model)
+put_model(Writer& out, const ising::IsingModel& model)
 {
-    put_i32(out, model.num_spins());
+    out.i32(model.num_spins());
     for (const double h : model.linear_terms())
-        put_double(out, h);
+        out.f64(h);
     const auto& quad = model.quadratic_terms();
-    put_u64(out, quad.size());
+    out.len(quad.size());
     for (const auto& term : quad) {
-        put_i32(out, term.i);
-        put_i32(out, term.j);
-        put_double(out, term.coefficient);
+        out.i32(term.i);
+        out.i32(term.j);
+        out.f64(term.coefficient);
     }
-    put_double(out, model.offset());
+    out.f64(model.offset());
 }
 
 /** A model coefficient from the peer: NaN and +-inf are refused here,
@@ -177,7 +36,7 @@ put_model(std::vector<std::uint8_t>& out, const ising::IsingModel& model)
 double
 get_coefficient(Reader& in)
 {
-    const double v = in.dbl();
+    const double v = in.f64();
     if (!std::isfinite(v))
         throw NetError("net: model carries a non-finite coefficient");
     return v;
@@ -220,28 +79,28 @@ get_enum(Reader& in, Enum last, const char* what)
  * allow_remote stay process-local, like the fingerprint excludes them.
  */
 void
-put_config(std::vector<std::uint8_t>& out,
+put_config(Writer& out,
            const frozenqubits::DriverConfig& config)
 {
-    put_i32(out, config.num_freeze);
-    put_u32(out, static_cast<std::uint32_t>(config.policy));
-    put_u8(out, config.symmetry_pruning ? 1 : 0);
-    put_u32(out, static_cast<std::uint32_t>(config.compile.layout));
-    put_i32(out, config.compile.router.lookahead);
-    put_double(out, config.compile.router.lookahead_weight);
-    put_double(out, config.compile.router.decay);
-    put_u64(out, config.compile.router.seed);
-    put_u8(out, config.compile.run_optimization_passes ? 1 : 0);
-    put_u8(out, config.compile.decompose_swaps ? 1 : 0);
-    put_i32(out, config.p1_grid_resolution);
-    put_u64(out, config.seed);
-    put_i32(out, config.max_depth);
-    put_i64(out, config.max_circuits);
-    put_i32(out, config.partition_width);
-    put_u8(out, config.prune_dominated ? 1 : 0);
-    put_i64(out, config.rerank_interval);
-    put_i64(out, config.deadline_cost_units);
-    put_double(out, config.sparsify_keep);
+    out.i32(config.num_freeze);
+    out.u32(static_cast<std::uint32_t>(config.policy));
+    out.u8(config.symmetry_pruning ? 1 : 0);
+    out.u32(static_cast<std::uint32_t>(config.compile.layout));
+    out.i32(config.compile.router.lookahead);
+    out.f64(config.compile.router.lookahead_weight);
+    out.f64(config.compile.router.decay);
+    out.u64(config.compile.router.seed);
+    out.u8(config.compile.run_optimization_passes ? 1 : 0);
+    out.u8(config.compile.decompose_swaps ? 1 : 0);
+    out.i32(config.p1_grid_resolution);
+    out.u64(config.seed);
+    out.i32(config.max_depth);
+    out.i64(config.max_circuits);
+    out.i32(config.partition_width);
+    out.u8(config.prune_dominated ? 1 : 0);
+    out.i64(config.rerank_interval);
+    out.i64(config.deadline_cost_units);
+    out.f64(config.sparsify_keep);
 }
 
 frozenqubits::DriverConfig
@@ -255,8 +114,8 @@ get_config(Reader& in)
     config.compile.layout = get_enum<transpiler::LayoutStrategy>(
         in, transpiler::LayoutStrategy::NoiseAdaptive, "layout strategy");
     config.compile.router.lookahead = in.i32();
-    config.compile.router.lookahead_weight = in.dbl();
-    config.compile.router.decay = in.dbl();
+    config.compile.router.lookahead_weight = in.f64();
+    config.compile.router.decay = in.f64();
     config.compile.router.seed = in.u64();
     config.compile.run_optimization_passes = in.u8() != 0;
     config.compile.decompose_swaps = in.u8() != 0;
@@ -268,7 +127,7 @@ get_config(Reader& in)
     config.prune_dominated = in.u8() != 0;
     config.rerank_interval = in.i64();
     config.deadline_cost_units = in.i64();
-    config.sparsify_keep = in.dbl();
+    config.sparsify_keep = in.f64();
     // Workers execute leaves only: no checkpointing, no nested remoting.
     config.threads = 1;
     config.checkpoint_interval = 0;
@@ -280,25 +139,25 @@ get_config(Reader& in)
 std::vector<std::uint8_t>
 encode_open_session(const OpenSession& msg)
 {
-    std::vector<std::uint8_t> out;
-    put_u32(out, kProtocolVersion);
-    put_u64(out, msg.session_id);
+    Writer out;
+    out.u32(kProtocolVersion);
+    out.u64(msg.session_id);
     put_model(out, msg.model);
-    put_string(out, msg.device_name);
+    out.str(msg.device_name);
     put_config(out, msg.config);
-    put_u64(out, msg.seed);
-    put_i32(out, msg.shots);
-    put_u64(out, msg.model_hash);
-    put_u64(out, msg.config_hash);
-    put_u64(out, msg.plan_hash);
-    put_u64(out, msg.device_hash);
-    return out;
+    out.u64(msg.seed);
+    out.i32(msg.shots);
+    out.u64(msg.model_hash);
+    out.u64(msg.config_hash);
+    out.u64(msg.plan_hash);
+    out.u64(msg.device_hash);
+    return out.take();
 }
 
 OpenSession
 decode_open_session(const std::vector<std::uint8_t>& payload)
 {
-    Reader in(payload);
+    Reader in(payload.data(), payload.size(), kWhat);
     const std::uint32_t version = in.u32();
     if (version != kProtocolVersion)
         throw NetError("net: protocol version mismatch (got " +
@@ -322,16 +181,16 @@ decode_open_session(const std::vector<std::uint8_t>& payload)
 std::vector<std::uint8_t>
 encode_session_ready(const SessionReady& msg)
 {
-    std::vector<std::uint8_t> out;
-    put_u64(out, msg.session_id);
-    put_i32(out, msg.threads);
-    return out;
+    Writer out;
+    out.u64(msg.session_id);
+    out.i32(msg.threads);
+    return out.take();
 }
 
 SessionReady
 decode_session_ready(const std::vector<std::uint8_t>& payload)
 {
-    Reader in(payload);
+    Reader in(payload.data(), payload.size(), kWhat);
     SessionReady msg;
     msg.session_id = in.u64();
     msg.threads = in.i32();
@@ -342,24 +201,19 @@ decode_session_ready(const std::vector<std::uint8_t>& payload)
 std::vector<std::uint8_t>
 encode_exec_batch(const ExecBatch& msg)
 {
-    std::vector<std::uint8_t> out;
-    put_u64(out, msg.session_id);
-    put_u64(out, msg.leaf_ids.size());
-    for (const std::int32_t id : msg.leaf_ids)
-        put_i32(out, id);
-    return out;
+    Writer out;
+    out.u64(msg.session_id);
+    out.i32s(msg.leaf_ids);
+    return out.take();
 }
 
 ExecBatch
 decode_exec_batch(const std::vector<std::uint8_t>& payload)
 {
-    Reader in(payload);
+    Reader in(payload.data(), payload.size(), kWhat);
     ExecBatch msg;
     msg.session_id = in.u64();
-    const std::size_t n = in.count(4);
-    msg.leaf_ids.reserve(n);
-    for (std::size_t k = 0; k < n; ++k)
-        msg.leaf_ids.push_back(in.i32());
+    msg.leaf_ids = in.i32s();
     in.finish();
     return msg;
 }
@@ -367,23 +221,19 @@ decode_exec_batch(const std::vector<std::uint8_t>& payload)
 std::vector<std::uint8_t>
 encode_leaf_counts(const LeafCounts& msg)
 {
-    std::vector<std::uint8_t> out;
-    put_u64(out, msg.session_id);
-    put_i32(out, msg.leaf_id);
-    put_u8(out, static_cast<std::uint8_t>(msg.tier));
-    put_i32(out, msg.width);
-    put_u64(out, msg.histogram.size());
-    for (const auto& [state, count] : msg.histogram) {
-        put_u64(out, state);
-        put_u64(out, count);
-    }
-    return out;
+    Writer out;
+    out.u64(msg.session_id);
+    out.i32(msg.leaf_id);
+    out.u8(static_cast<std::uint8_t>(msg.tier));
+    out.i32(msg.width);
+    out.u64_pairs(msg.histogram);
+    return out.take();
 }
 
 LeafCounts
 decode_leaf_counts(const std::vector<std::uint8_t>& payload)
 {
-    Reader in(payload);
+    Reader in(payload.data(), payload.size(), kWhat);
     LeafCounts msg;
     msg.session_id = in.u64();
     msg.leaf_id = in.i32();
@@ -394,13 +244,7 @@ decode_leaf_counts(const std::vector<std::uint8_t>& payload)
                        std::to_string(tier));
     msg.tier = static_cast<engine::TemplateTier>(tier);
     msg.width = in.i32();
-    const std::size_t n = in.count(8 + 8);
-    msg.histogram.reserve(n);
-    for (std::size_t k = 0; k < n; ++k) {
-        const std::uint64_t state = in.u64();
-        const std::uint64_t count = in.u64();
-        msg.histogram.emplace_back(state, count);
-    }
+    msg.histogram = in.u64_pairs();
     in.finish();
     return msg;
 }
@@ -408,17 +252,17 @@ decode_leaf_counts(const std::vector<std::uint8_t>& payload)
 std::vector<std::uint8_t>
 encode_leaf_failed(const LeafFailed& msg)
 {
-    std::vector<std::uint8_t> out;
-    put_u64(out, msg.session_id);
-    put_i32(out, msg.leaf_id);
-    put_string(out, msg.message);
-    return out;
+    Writer out;
+    out.u64(msg.session_id);
+    out.i32(msg.leaf_id);
+    out.str(msg.message);
+    return out.take();
 }
 
 LeafFailed
 decode_leaf_failed(const std::vector<std::uint8_t>& payload)
 {
-    Reader in(payload);
+    Reader in(payload.data(), payload.size(), kWhat);
     LeafFailed msg;
     msg.session_id = in.u64();
     msg.leaf_id = in.i32();
@@ -430,15 +274,15 @@ decode_leaf_failed(const std::vector<std::uint8_t>& payload)
 std::vector<std::uint8_t>
 encode_close_session(const CloseSession& msg)
 {
-    std::vector<std::uint8_t> out;
-    put_u64(out, msg.session_id);
-    return out;
+    Writer out;
+    out.u64(msg.session_id);
+    return out.take();
 }
 
 CloseSession
 decode_close_session(const std::vector<std::uint8_t>& payload)
 {
-    Reader in(payload);
+    Reader in(payload.data(), payload.size(), kWhat);
     CloseSession msg;
     msg.session_id = in.u64();
     in.finish();
@@ -448,16 +292,16 @@ decode_close_session(const std::vector<std::uint8_t>& payload)
 std::vector<std::uint8_t>
 encode_wire_error(const WireError& msg)
 {
-    std::vector<std::uint8_t> out;
-    put_u64(out, msg.session_id);
-    put_string(out, msg.message);
-    return out;
+    Writer out;
+    out.u64(msg.session_id);
+    out.str(msg.message);
+    return out.take();
 }
 
 WireError
 decode_wire_error(const std::vector<std::uint8_t>& payload)
 {
-    Reader in(payload);
+    Reader in(payload.data(), payload.size(), kWhat);
     WireError msg;
     msg.session_id = in.u64();
     msg.message = in.str();
@@ -468,16 +312,16 @@ decode_wire_error(const std::vector<std::uint8_t>& payload)
 std::vector<std::uint8_t>
 encode_worker_hello(const WorkerHello& msg)
 {
-    std::vector<std::uint8_t> out;
-    put_u32(out, msg.protocol_version);
-    put_i32(out, msg.threads);
-    return out;
+    Writer out;
+    out.u32(msg.protocol_version);
+    out.i32(msg.threads);
+    return out.take();
 }
 
 WorkerHello
 decode_worker_hello(const std::vector<std::uint8_t>& payload)
 {
-    Reader in(payload);
+    Reader in(payload.data(), payload.size(), kWhat);
     WorkerHello msg;
     msg.protocol_version = in.u32();
     if (msg.protocol_version != kProtocolVersion)

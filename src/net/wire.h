@@ -42,13 +42,13 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "engine/template_cache.h"
 #include "frozenqubits/driver.h"
 #include "ising/ising_model.h"
 #include "net/frame.h"
+#include "sim/counts.h"
 
 namespace fq::net {
 
@@ -114,7 +114,7 @@ struct LeafCounts
     /** One byte on the wire; any value but Compile / Bind is rejected. */
     engine::TemplateTier tier = engine::TemplateTier::Compile;
     std::int32_t width = 0;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> histogram;
+    sim::HistogramEntries histogram;
 };
 
 struct LeafFailed
@@ -136,7 +136,8 @@ struct WireError
 };
 
 // Encoders produce a frame payload; decoders throw NetError on trailing
-// garbage, truncation, a version mismatch or an out-of-range tier byte.
+// garbage, truncation, a list count the payload cannot hold, a version
+// mismatch or an out-of-range tier byte.
 std::vector<std::uint8_t> encode_open_session(const OpenSession& msg);
 OpenSession decode_open_session(const std::vector<std::uint8_t>& payload);
 

@@ -292,10 +292,7 @@ WorkerServer::serve_connection(Fd client)
                     reply.leaf_id = leaf_id;
                     reply.tier = out.tier;
                     reply.width = out.counts.num_qubits();
-                    reply.histogram.reserve(out.counts.num_distinct());
-                    for (const auto& [state, count] :
-                         out.counts.histogram())
-                        reply.histogram.emplace_back(state, count);
+                    reply.histogram = sim::histogram_entries(out.counts);
                     write_frame(client.get(), kMsgLeafCounts,
                                 encode_leaf_counts(reply));
                 }

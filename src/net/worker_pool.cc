@@ -329,9 +329,9 @@ WorkerPool::execute_wave(const std::vector<engine::WaveSlot>& wave,
                     if (msg.width != r.tree->leaf_width(slot.leaf_id))
                         throw NetError("net: reply width contradicts the "
                                        "plan");
-                    sim::Counts counts(msg.width);
-                    for (const auto& [state, count] : msg.histogram)
-                        counts.add(state, count);
+                    auto counts = sim::checked_counts<NetError>(
+                        msg.width, msg.histogram,
+                        static_cast<std::uint64_t>(r.shots));
                     entries.erase(it);
                     auto& stat = stats_for(&r);
                     stat.leaves_remote += 1;

@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -80,6 +82,54 @@ class Counts
 Counts apply_readout_errors(const Counts& counts,
                             const std::vector<double>& flip_probability,
                             Rng& rng);
+
+/** (state, count) pairs in ascending state order: a histogram as worker
+ *  replies and checkpoint records carry it. */
+using HistogramEntries = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+inline HistogramEntries
+histogram_entries(const Counts& counts)
+{
+    HistogramEntries entries;
+    entries.reserve(counts.num_distinct());
+    for (const auto& entry : counts.histogram())
+        entries.push_back(entry);
+    return entries;
+}
+
+/**
+ * Counts from entries that came from outside the process (a worker reply,
+ * a checkpoint record). Throws the caller's typed ErrorT unless they are
+ * a @p shots-shot sample over @p width qubits: width in 1..63, every
+ * state below 2^width, every count at least 1 (the fold decodes every
+ * listed state) and the counts summing to @p shots without overflow.
+ */
+template <typename ErrorT>
+Counts
+checked_counts(int width, const HistogramEntries& entries,
+               std::uint64_t shots)
+{
+    const auto reject = [](const char* why) {
+        throw ErrorT(std::string("histogram rejected: ") + why);
+    };
+    if (width < 1 || width > 63)
+        reject("register width outside 1..63");
+    Counts counts(width);
+    std::uint64_t left = shots;
+    for (const auto& [state, count] : entries) {
+        if (state >> width != 0)
+            reject("state exceeds register width");
+        if (count == 0)
+            reject("zero-count entry");
+        if (count > left)
+            reject("counts exceed the shot count");
+        left -= count;
+        counts.add(state, count);
+    }
+    if (left != 0)
+        reject("counts fall short of the shot count");
+    return counts;
+}
 
 } // namespace fq::sim
 

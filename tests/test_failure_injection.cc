@@ -12,6 +12,7 @@
 
 #include <sys/socket.h>
 
+#include "common/crc32.h"
 #include "common/error.h"
 #include "device/catalog.h"
 #include "engine/checkpoint.h"
@@ -349,6 +350,73 @@ TEST(FailureInjection, CheckpointFileCorruption)
     // The original bytes still decode — the injections above were the
     // only reason for failure.
     EXPECT_NO_THROW(engine::decode_checkpoint(bytes.data(), bytes.size()));
+
+    // A 4G list count in a CRC-valid file is a typed error, never a
+    // count-sized allocation. Each patch re-frames the payload with its
+    // true CRC, so only the count check stands in the way.
+    constexpr std::size_t kHeader = 20;
+    const auto u32_at = [&](std::size_t at) {
+        std::uint32_t v = 0;
+        for (std::size_t k = 0; k < 4; ++k)
+            v |= static_cast<std::uint32_t>(bytes[at + k]) << (8 * k);
+        return v;
+    };
+    const auto reframed = [&](std::size_t at, std::uint32_t value) {
+        auto patched = bytes;
+        for (std::size_t k = 0; k < 4; ++k)
+            patched[at + k] = static_cast<std::uint8_t>(value >> (8 * k));
+        const std::uint32_t crc = common::crc32(patched.data() + kHeader,
+                                                patched.size() - kHeader);
+        for (std::size_t k = 0; k < 4; ++k)
+            patched[16 + k] = static_cast<std::uint8_t>(crc >> (8 * k));
+        return patched;
+    };
+    const auto list_bytes = [](const std::vector<int>& v) {
+        return 4 + 4 * v.size();
+    };
+    // Payload: three u64 hashes, the device name, seed, shots, cursor,
+    // re-rank boundary and epochs, then the schedule lists.
+    const std::size_t name_at = kHeader + 3 * 8;
+    const std::size_t executed_at =
+        name_at + 4 + snapshot.device_name.size() + 8 + 4 + 8 + 8 + 4;
+    const std::size_t folded_at = executed_at + list_bytes(snapshot.executed) +
+                                  list_bytes(snapshot.beyond_budget) +
+                                  list_bytes(snapshot.pruned) + 5 * 4;
+    // First folded record: leaf id, width, arm tag, then its entries.
+    const std::size_t entries_at = folded_at + 4 + 4 + 4 + 1;
+    const std::size_t spins_at =
+        bytes.size() - snapshot.incumbent_assignment.size() - 4;
+    ASSERT_EQ(u32_at(name_at), snapshot.device_name.size());
+    ASSERT_EQ(u32_at(executed_at), snapshot.executed.size());
+    ASSERT_EQ(u32_at(folded_at), snapshot.folded.size());
+    ASSERT_EQ(u32_at(entries_at), snapshot.folded.front().histogram.size());
+    ASSERT_EQ(u32_at(spins_at), snapshot.incumbent_assignment.size());
+    for (const std::size_t at :
+         {name_at, executed_at, folded_at, entries_at, spins_at}) {
+        const auto same = reframed(at, u32_at(at));
+        EXPECT_NO_THROW(engine::decode_checkpoint(same.data(), same.size()));
+        const auto huge = reframed(at, 0xFFFFFFFFu);
+        EXPECT_THROW(engine::decode_checkpoint(huge.data(), huge.size()),
+                     engine::CheckpointError)
+            << "count at payload offset " << at - kHeader;
+    }
+
+    // A well-framed record whose histogram is no shots-shot sample over
+    // its register: restore rejects it with the same typed error.
+    const auto dev = device::make_device("ibm-montreal");
+    auto beyond_width = snapshot;
+    auto& record = beyond_width.folded.front();
+    record.histogram.front().first = std::uint64_t{1} << record.width;
+    auto short_shots = snapshot;
+    short_shots.folded.front().histogram.front().second -= 1;
+    for (const auto* bogus : {&beyond_width, &short_shots}) {
+        const auto bogus_bytes = engine::encode_checkpoint(*bogus);
+        const auto decoded = engine::decode_checkpoint(bogus_bytes.data(),
+                                                       bogus_bytes.size());
+        engine::ExecutionEngine eng(1);
+        EXPECT_THROW(eng.resume(model, dev, config, 128, decoded),
+                     engine::CheckpointError);
+    }
 
     // Unreadable path.
     EXPECT_THROW(engine::read_checkpoint_file("/nonexistent/ck.bin"),

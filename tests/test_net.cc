@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "device/catalog.h"
@@ -549,6 +550,137 @@ TEST(Distributed, WorkerSurvivesManyShortLivedConnections)
         EXPECT_EQ(pool.live_workers(), 1);
     }
 }
+
+/**
+ * A hand-written worker that greets, opens sessions and answers every
+ * dispatched leaf with a well-framed LeafCounts whose histogram is a lie
+ * — one the shared histogram check must refuse, so the coordinator marks
+ * the worker faulty and hedges its leaves locally instead of aborting.
+ */
+class LyingWorker
+{
+  public:
+    enum class Lie { StateBeyondWidth, ZeroCount, ShotMismatch, SumOverflow };
+
+    explicit LyingWorker(Lie lie)
+        : address_(unique_address()), listen_fd_(net::listen_on(address_)),
+          lie_(lie), thread_([this] { serve(); })
+    {
+    }
+
+    ~LyingWorker()
+    {
+        ::shutdown(listen_fd_.get(), SHUT_RDWR);
+        thread_.join();
+    }
+
+    const std::string& address() const { return address_; }
+
+  private:
+    sim::HistogramEntries
+    histogram(int width, std::uint64_t shots) const
+    {
+        switch (lie_) {
+        case Lie::StateBeyondWidth:
+            return {{std::uint64_t{1} << width, shots}};
+        case Lie::ZeroCount:
+            return {{0, 0}, {1, shots}};
+        case Lie::ShotMismatch:
+            return {{0, shots + 1}};
+        case Lie::SumOverflow: // wraps to exactly `shots` unchecked
+            return {{0, ~std::uint64_t{0}}, {1, shots + 1}};
+        }
+        return {};
+    }
+
+    void
+    serve()
+    {
+        try {
+            net::Fd client = net::accept_client(listen_fd_.get());
+            net::write_frame(client.get(), net::kMsgWorkerHello,
+                             net::encode_worker_hello(
+                                 {net::kProtocolVersion, 4}));
+            int width = 0;
+            std::uint64_t shots = 0;
+            for (;;) {
+                const auto frame = net::read_frame(client.get());
+                if (frame.type == net::kMsgOpenSession) {
+                    const auto open = net::decode_open_session(frame.payload);
+                    // A depth-1 freeze tree: every leaf keeps the rest.
+                    width = open.model.num_spins() - open.config.num_freeze;
+                    shots = static_cast<std::uint64_t>(open.shots);
+                    net::write_frame(
+                        client.get(), net::kMsgSessionReady,
+                        net::encode_session_ready({open.session_id, 4}));
+                } else if (frame.type == net::kMsgExecBatch) {
+                    const auto batch = net::decode_exec_batch(frame.payload);
+                    for (const std::int32_t leaf_id : batch.leaf_ids) {
+                        net::LeafCounts reply;
+                        reply.session_id = batch.session_id;
+                        reply.leaf_id = leaf_id;
+                        reply.width = width;
+                        reply.histogram = histogram(width, shots);
+                        net::write_frame(client.get(), net::kMsgLeafCounts,
+                                         net::encode_leaf_counts(reply));
+                    }
+                }
+            }
+        } catch (const net::NetError&) {
+            // The coordinator hung up on the liar.
+        }
+    }
+
+    std::string address_;
+    net::Fd listen_fd_;
+    Lie lie_;
+    std::thread thread_;
+};
+
+class LyingWorkerReplies : public ::testing::TestWithParam<LyingWorker::Lie>
+{
+};
+
+TEST_P(LyingWorkerReplies, AreHedgedLocallyAndNeverAbort)
+{
+    const auto model = test::ba_model(16, 3, 11);
+    const auto dev = device::make_device("ibm-montreal");
+    const auto config = small_config(2);
+    const auto expected = local_solve(model, dev, config, 512);
+
+    {
+        LyingWorker liar(GetParam());
+        engine::ExecutionEngine eng(config.threads);
+        net::WorkerPool pool(eng.local_leaf_executor(), eng.num_threads(),
+                             {liar.address()});
+        eng.set_leaf_executor(&pool);
+        const auto got = eng.solve(model, dev, config, 512, config.seed);
+        test::expect_solves_identical(expected, got);
+        EXPECT_GT(eng.last_diagnostics().leaves_redispatched, 0);
+        EXPECT_EQ(pool.live_workers(), 0);
+    }
+    {
+        LyingWorker liar(GetParam());
+        engine::ExecutionEngine eng(config.threads);
+        net::WorkerPool pool(eng.local_leaf_executor(), eng.num_threads(),
+                             {liar.address()});
+        eng.set_leaf_executor(&pool);
+        engine::SolveService service(eng, {});
+        auto ticket =
+            service.submit(model, dev, config, 512, config.seed);
+        service.drain();
+        test::expect_solves_identical(expected, ticket.get());
+        EXPECT_GT(service.diagnostics(ticket.id()).leaves_redispatched, 0);
+        EXPECT_EQ(pool.live_workers(), 0);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Distributed, LyingWorkerReplies,
+    ::testing::Values(LyingWorker::Lie::StateBeyondWidth,
+                      LyingWorker::Lie::ZeroCount,
+                      LyingWorker::Lie::ShotMismatch,
+                      LyingWorker::Lie::SumOverflow));
 
 TEST(Distributed, BadAddressFailsAtStartup)
 {
