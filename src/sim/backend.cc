@@ -67,12 +67,19 @@ class ScalarFusedBackend final : public Backend
     }
 };
 
-/** The simd.h kernels: AVX2 when compiled in, portable unrolled loops
- *  otherwise. Same pass order and per-amplitude expression tree as the
- *  scalar backend (bit-stable sampled counts). */
+/** The simd.h kernels, through the kernel table the registry picked.
+ *  Same pass order and per-amplitude expression tree as the scalar
+ *  backend (bit-stable sampled counts). */
 class VectorizedFusedBackend final : public Backend
 {
   public:
+    using KernelSlot = std::atomic<const simd::KernelTable*>;
+
+    explicit VectorizedFusedBackend(const KernelSlot& kernels)
+        : kernels_(kernels)
+    {
+    }
+
     BackendKind kind() const override
     {
         return BackendKind::VectorizedFused;
@@ -90,8 +97,8 @@ class VectorizedFusedBackend final : public Backend
             std::vector<Amp> phases(levels.size());
             for (std::size_t k = 0; k < levels.size(); ++k)
                 phases[k] = std::polar(1.0, scale * levels[k]);
-            simd::diag_apply_lut(amps, table.level_index().data(),
-                                 phases.data(), table.dimension());
+            kernels().diag_apply_lut(amps, table.level_index().data(),
+                                     phases.data(), table.dimension());
             return;
         }
         simd::diag_apply_raw(amps, table.raw_weights().data(), scale,
@@ -103,12 +110,12 @@ class VectorizedFusedBackend final : public Backend
                      const std::vector<int>& qubits,
                      double theta) const override
     {
+        const simd::KernelTable& kernel = kernels();
         std::size_t k = 0;
         for (; k + 1 < qubits.size(); k += 2)
-            simd::mixer_rx_pair(amps, dim, qubits[k], qubits[k + 1],
-                                theta);
+            kernel.mixer_rx_pair(amps, dim, qubits[k], qubits[k + 1], theta);
         if (k < qubits.size())
-            simd::mixer_rx(amps, dim, qubits[k], theta);
+            kernel.mixer_rx(amps, dim, qubits[k], theta);
     }
 
     double
@@ -117,17 +124,27 @@ class VectorizedFusedBackend final : public Backend
     {
         FQ_REQUIRE(state.num_qubits() == table.num_qubits(),
                    "energy table width must match state width");
-        return simd::energy_fold(state.data(), table.values().data(),
-                                 state.dimension());
+        return kernels().energy_fold(state.data(), table.values().data(),
+                                     state.dimension());
     }
+
+  private:
+    const simd::KernelTable&
+    kernels() const
+    {
+        return *kernels_.load(std::memory_order_relaxed);
+    }
+
+    const KernelSlot& kernels_;
 };
 
 } // namespace
 
 BackendRegistry::BackendRegistry()
+    : vector_kernels_(&simd::select_kernels(simd::detect_cpu_features()))
 {
     static const ScalarFusedBackend scalar_backend;
-    static const VectorizedFusedBackend vectorized_backend;
+    static const VectorizedFusedBackend vectorized_backend(vector_kernels_);
     scalar_ = &scalar_backend;
     vectorized_ = &vectorized_backend;
 }
@@ -166,7 +183,7 @@ BackendRegistry::vectorized() const
 const char*
 BackendRegistry::vector_isa()
 {
-    return simd::compiled_isa();
+    return instance().vector_kernels_.load(std::memory_order_relaxed)->isa;
 }
 
 } // namespace fq::sim

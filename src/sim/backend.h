@@ -11,8 +11,9 @@
  *   ScalarFusedBackend     — today's scalar fused loops (kernels.h +
  *                            DiagonalTable::apply), the reference;
  *   VectorizedFusedBackend — the explicitly vectorized kernels in
- *                            sim/simd.h (AVX2 when compiled in, portable
- *                            unrolled raw-double loops otherwise).
+ *                            sim/simd.h (AVX2 on CPUs that have it,
+ *                            portable unrolled raw-double loops
+ *                            otherwise; picked once per process).
  *
  * Determinism contract: which backend a leaf runs on is part of the PLAN,
  * not the execution — the engine records a BackendKind per leaf at plan
@@ -21,7 +22,9 @@
  * kernels a leaf sees. Both backends keep the same per-amplitude
  * expression tree, so sampled counts are bit-identical under fixed seeds
  * and amplitudes agree to <= 1e-12; tests run every leaf through both as
- * each other's oracle.
+ * each other's oracle. The vectorized backend's ISA is NOT part of the
+ * plan: its AVX2 and portable kernel tables agree bit for bit, so a plan
+ * runs the same on every host.
  *
  * The registry is the seam for future backends (GPU, tensor-network):
  * they slot in as new BackendKind values with their own width rule.
@@ -29,11 +32,20 @@
 #ifndef FQ_SIM_BACKEND_H
 #define FQ_SIM_BACKEND_H
 
+#include <atomic>
 #include <complex>
 #include <cstdint>
 #include <vector>
 
+namespace fq::test {
+class ScopedVectorKernels;
+} // namespace fq::test
+
 namespace fq::sim {
+
+namespace simd {
+struct KernelTable;
+} // namespace simd
 
 class DiagonalTable;
 class EnergyTable;
@@ -96,8 +108,10 @@ class Backend
 /**
  * Process-wide backend instances. Backends are stateless, so the registry
  * is a lookup table, not a factory; get() never fails (every BackendKind
- * has an instance compiled in — the vectorized backend falls back to
- * portable unrolled kernels off x86).
+ * has an instance compiled in). Construction picks the vectorized
+ * backend's kernel table once, from simd::detect_cpu_features(): AVX2
+ * where the CPU and OS support it, the portable table otherwise (and
+ * always off x86).
  */
 class BackendRegistry
 {
@@ -108,13 +122,20 @@ class BackendRegistry
     const Backend& scalar() const;
     const Backend& vectorized() const;
 
-    /** ISA the vectorized backend was compiled for ("avx2"/"portable"). */
+    /** ISA of the kernel table the vectorized backend dispatches to:
+     *  "avx2" or "portable". */
     static const char* vector_isa();
 
   private:
+    // Test-only seam, defined in tests/test_backend.cc: pins the
+    // vectorized backend to another kernel table for a scope, so the
+    // parity suite runs both tables in one binary.
+    friend class fq::test::ScopedVectorKernels;
+
     BackendRegistry();
     const Backend* scalar_ = nullptr;
     const Backend* vectorized_ = nullptr;
+    mutable std::atomic<const simd::KernelTable*> vector_kernels_;
 };
 
 } // namespace fq::sim

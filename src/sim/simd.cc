@@ -2,14 +2,16 @@
 
 #include <cmath>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
-#define FQ_SIMD_X86_CPUID 1
+#define FQ_SIMD_X86 1
 #include <cpuid.h>
+#include <immintrin.h>
+// AVX2 bodies are compiled per function, so nothing else in this file (nor
+// any inline from a header) is built for AVX2. The target is avx2 alone:
+// without fma the compiler cannot contract a*b + c, so every body keeps
+// the expression tree it shares with its portable twin.
+#define FQ_AVX2 __attribute__((target("avx2")))
 #endif
 
 namespace fq::sim::simd {
@@ -17,7 +19,7 @@ namespace fq::sim::simd {
 // ------------------------------------------------------------------------
 // CPU feature detection
 
-#if defined(FQ_SIMD_X86_CPUID)
+#if defined(FQ_SIMD_X86)
 
 namespace {
 
@@ -67,35 +69,44 @@ detect_cpu_features()
 
 #endif
 
-const char*
-compiled_isa()
-{
-#if defined(__AVX2__)
-    return "avx2";
-#else
-    return "portable";
-#endif
-}
-
-bool
-compiled_isa_supported()
-{
-#if defined(__AVX2__)
-    return detect_cpu_features().avx2;
-#else
-    return true;
-#endif
-}
-
 // ------------------------------------------------------------------------
 // Kernels
 //
 // All loops run over raw doubles (amps viewed as interleaved re/im) so the
 // complex multiplies are open-coded — no __muldc3, no NaN-recovery branch
 // — and each amplitude's update keeps the same expression tree as the
-// scalar backend (bit-stable counts under fixed seeds).
+// scalar backend (bit-stable counts under fixed seeds). Each AVX2 body
+// computes exactly what its portable twin computes, lane for lane, so the
+// two tables agree bit for bit.
 
 namespace {
+
+/** amps[t] *= phases[level_index[t]] for t in [s, dim): the scalar tail
+ *  after a vector loop. */
+inline void
+lut_tail(double* A, const std::uint16_t* level_index, const double* P,
+         std::uint64_t s, std::uint64_t dim)
+{
+    for (; s < dim; ++s) {
+        const std::uint64_t k = level_index[s];
+        const double pr = P[2 * k], pi = P[2 * k + 1];
+        const double ar = A[2 * s], ai = A[2 * s + 1];
+        A[2 * s] = ar * pr - ai * pi;
+        A[2 * s + 1] = ar * pi + ai * pr;
+    }
+}
+
+/** total + sum_{t in [s, dim)} |amp_t|^2 E[t]: the scalar tail after a
+ *  vector loop. */
+inline double
+fold_tail(const double* A, const double* energies, std::uint64_t s,
+          std::uint64_t dim, double total)
+{
+    for (; s < dim; ++s)
+        total += (A[2 * s] * A[2 * s] + A[2 * s + 1] * A[2 * s + 1]) *
+                 energies[s];
+    return total;
+}
 
 /** One RX-tensor-RX quadrant update over raw doubles. Indices are in
  *  DOUBLE units (2 * basis state). Mirrors kernels::apply_rx_pair:
@@ -134,19 +145,7 @@ rx_pair_update(double* A, std::uint64_t i0, std::uint64_t i1, double c,
     A[i1 + 1] = c * a1i - s * a0r;
 }
 
-#if defined(__AVX2__)
-
-/** Multiply each packed complex by -i: (r, i) -> (i, -r). */
-inline __m256d
-mul_neg_i(__m256d v)
-{
-    const __m256d signs = _mm256_setr_pd(1.0, -1.0, 1.0, -1.0);
-    return _mm256_mul_pd(_mm256_permute_pd(v, 0x5), signs);
-}
-
-#endif
-
-} // namespace
+namespace portable {
 
 void
 diag_apply_lut(Amp* amps, const std::uint16_t* level_index,
@@ -155,7 +154,98 @@ diag_apply_lut(Amp* amps, const std::uint16_t* level_index,
     double* A = reinterpret_cast<double*>(amps);
     const double* P = reinterpret_cast<const double*>(phases);
     std::uint64_t s = 0;
-#if defined(__AVX2__)
+    for (; s + 2 <= dim; s += 2) {
+        const std::uint64_t k0 = level_index[s], k1 = level_index[s + 1];
+        const double p0r = P[2 * k0], p0i = P[2 * k0 + 1];
+        const double p1r = P[2 * k1], p1i = P[2 * k1 + 1];
+        const double a0r = A[2 * s], a0i = A[2 * s + 1];
+        const double a1r = A[2 * s + 2], a1i = A[2 * s + 3];
+        A[2 * s] = a0r * p0r - a0i * p0i;
+        A[2 * s + 1] = a0r * p0i + a0i * p0r;
+        A[2 * s + 2] = a1r * p1r - a1i * p1i;
+        A[2 * s + 3] = a1r * p1i + a1i * p1r;
+    }
+    lut_tail(A, level_index, P, s, dim);
+}
+
+void
+mixer_rx_pair(Amp* amps, std::uint64_t dim, int qa, int qb, double theta)
+{
+    const std::uint64_t ma = std::uint64_t(1) << qa;
+    const std::uint64_t mb = std::uint64_t(1) << qb;
+    const std::uint64_t lo = ma < mb ? ma : mb;
+    const std::uint64_t hi = ma < mb ? mb : ma;
+    const double c = std::cos(theta / 2.0);
+    const double s = std::sin(theta / 2.0);
+    const double cc = c * c, cs = c * s, ss = s * s;
+    double* A = reinterpret_cast<double*>(amps);
+    for (std::uint64_t a = 0; a < dim; a += hi << 1)
+        for (std::uint64_t b = a; b < a + hi; b += lo << 1)
+            for (std::uint64_t q = b; q < b + lo; ++q)
+                rx_quad_update(A, 2 * q, 2 * (q | lo), 2 * (q | hi),
+                               2 * (q | lo | hi), cc, cs, ss);
+}
+
+void
+mixer_rx(Amp* amps, std::uint64_t dim, int q, double theta)
+{
+    const std::uint64_t bit = std::uint64_t(1) << q;
+    const double c = std::cos(theta / 2.0);
+    const double s = std::sin(theta / 2.0);
+    double* A = reinterpret_cast<double*>(amps);
+    for (std::uint64_t outer = 0; outer < dim; outer += bit << 1)
+        for (std::uint64_t inner = 0; inner < bit; ++inner) {
+            const std::uint64_t i0 = outer | inner;
+            rx_pair_update(A, 2 * i0, 2 * (i0 | bit), c, s);
+        }
+}
+
+double
+energy_fold(const Amp* amps, const double* energies, std::uint64_t dim)
+{
+    const double* A = reinterpret_cast<const double*>(amps);
+    std::uint64_t s = 0;
+    double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+    for (; s + 4 <= dim; s += 4) {
+        acc0 += (A[2 * s] * A[2 * s] + A[2 * s + 1] * A[2 * s + 1]) *
+                energies[s];
+        acc1 += (A[2 * s + 2] * A[2 * s + 2] +
+                 A[2 * s + 3] * A[2 * s + 3]) *
+                energies[s + 1];
+        acc2 += (A[2 * s + 4] * A[2 * s + 4] +
+                 A[2 * s + 5] * A[2 * s + 5]) *
+                energies[s + 2];
+        acc3 += (A[2 * s + 6] * A[2 * s + 6] +
+                 A[2 * s + 7] * A[2 * s + 7]) *
+                energies[s + 3];
+    }
+    return fold_tail(A, energies, s, dim, (acc0 + acc1) + (acc2 + acc3));
+}
+
+constexpr KernelTable kTable{"portable", diag_apply_lut, mixer_rx_pair,
+                             mixer_rx, energy_fold};
+
+} // namespace portable
+
+#if defined(FQ_SIMD_X86)
+
+namespace avx2 {
+
+/** Multiply each packed complex by -i: (r, i) -> (i, -r). */
+FQ_AVX2 inline __m256d
+mul_neg_i(__m256d v)
+{
+    const __m256d signs = _mm256_setr_pd(1.0, -1.0, 1.0, -1.0);
+    return _mm256_mul_pd(_mm256_permute_pd(v, 0x5), signs);
+}
+
+FQ_AVX2 void
+diag_apply_lut(Amp* amps, const std::uint16_t* level_index,
+               const Amp* phases, std::uint64_t dim)
+{
+    double* A = reinterpret_cast<double*>(amps);
+    const double* P = reinterpret_cast<const double*>(phases);
+    std::uint64_t s = 0;
     for (; s + 2 <= dim; s += 2) {
         const __m128d p0 = _mm_loadu_pd(P + 2 * level_index[s]);
         const __m128d p1 = _mm_loadu_pd(P + 2 * level_index[s + 1]);
@@ -170,27 +260,123 @@ diag_apply_lut(Amp* amps, const std::uint16_t* level_index,
                          _mm256_addsub_pd(_mm256_mul_pd(a, pr),
                                           _mm256_mul_pd(asw, pi)));
     }
-#else
-    for (; s + 2 <= dim; s += 2) {
-        const std::uint64_t k0 = level_index[s], k1 = level_index[s + 1];
-        const double p0r = P[2 * k0], p0i = P[2 * k0 + 1];
-        const double p1r = P[2 * k1], p1i = P[2 * k1 + 1];
-        const double a0r = A[2 * s], a0i = A[2 * s + 1];
-        const double a1r = A[2 * s + 2], a1i = A[2 * s + 3];
-        A[2 * s] = a0r * p0r - a0i * p0i;
-        A[2 * s + 1] = a0r * p0i + a0i * p0r;
-        A[2 * s + 2] = a1r * p1r - a1i * p1i;
-        A[2 * s + 3] = a1r * p1i + a1i * p1r;
-    }
-#endif
-    for (; s < dim; ++s) {
-        const std::uint64_t k = level_index[s];
-        const double pr = P[2 * k], pi = P[2 * k + 1];
-        const double ar = A[2 * s], ai = A[2 * s + 1];
-        A[2 * s] = ar * pr - ai * pi;
-        A[2 * s + 1] = ar * pi + ai * pr;
-    }
+    lut_tail(A, level_index, P, s, dim);
 }
+
+FQ_AVX2 void
+mixer_rx_pair(Amp* amps, std::uint64_t dim, int qa, int qb, double theta)
+{
+    const std::uint64_t ma = std::uint64_t(1) << qa;
+    const std::uint64_t mb = std::uint64_t(1) << qb;
+    const std::uint64_t lo = ma < mb ? ma : mb;
+    const std::uint64_t hi = ma < mb ? mb : ma;
+    // The innermost run of the quad decomposition is lo contiguous complex
+    // values, walked two complex (one ymm) at a time; a run of one has no
+    // vector body.
+    if (lo < 2)
+        return portable::mixer_rx_pair(amps, dim, qa, qb, theta);
+    const double c = std::cos(theta / 2.0);
+    const double s = std::sin(theta / 2.0);
+    const double cc = c * c, cs = c * s, ss = s * s;
+    double* A = reinterpret_cast<double*>(amps);
+    const __m256d vcc = _mm256_set1_pd(cc);
+    const __m256d vcs = _mm256_set1_pd(cs);
+    const __m256d vss = _mm256_set1_pd(ss);
+    for (std::uint64_t a = 0; a < dim; a += hi << 1)
+        for (std::uint64_t b = a; b < a + hi; b += lo << 1)
+            for (std::uint64_t q = b; q < b + lo; q += 2) {
+                double* p00 = A + 2 * q;
+                double* p01 = A + 2 * (q | lo);
+                double* p10 = A + 2 * (q | hi);
+                double* p11 = A + 2 * (q | lo | hi);
+                const __m256d v00 = _mm256_loadu_pd(p00);
+                const __m256d v01 = _mm256_loadu_pd(p01);
+                const __m256d v10 = _mm256_loadu_pd(p10);
+                const __m256d v11 = _mm256_loadu_pd(p11);
+                const __m256d jso = mul_neg_i(_mm256_add_pd(v01, v10));
+                const __m256d jsd = mul_neg_i(_mm256_add_pd(v00, v11));
+                _mm256_storeu_pd(
+                    p00, _mm256_sub_pd(
+                             _mm256_add_pd(_mm256_mul_pd(vcc, v00),
+                                           _mm256_mul_pd(vcs, jso)),
+                             _mm256_mul_pd(vss, v11)));
+                _mm256_storeu_pd(
+                    p01, _mm256_sub_pd(
+                             _mm256_add_pd(_mm256_mul_pd(vcc, v01),
+                                           _mm256_mul_pd(vcs, jsd)),
+                             _mm256_mul_pd(vss, v10)));
+                _mm256_storeu_pd(
+                    p10, _mm256_sub_pd(
+                             _mm256_add_pd(_mm256_mul_pd(vcc, v10),
+                                           _mm256_mul_pd(vcs, jsd)),
+                             _mm256_mul_pd(vss, v01)));
+                _mm256_storeu_pd(
+                    p11, _mm256_sub_pd(
+                             _mm256_add_pd(_mm256_mul_pd(vcc, v11),
+                                           _mm256_mul_pd(vcs, jso)),
+                             _mm256_mul_pd(vss, v00)));
+            }
+}
+
+FQ_AVX2 void
+mixer_rx(Amp* amps, std::uint64_t dim, int q, double theta)
+{
+    const std::uint64_t bit = std::uint64_t(1) << q;
+    if (bit < 2)
+        return portable::mixer_rx(amps, dim, q, theta);
+    const double c = std::cos(theta / 2.0);
+    const double s = std::sin(theta / 2.0);
+    double* A = reinterpret_cast<double*>(amps);
+    const __m256d vc = _mm256_set1_pd(c);
+    const __m256d vs = _mm256_set1_pd(s);
+    for (std::uint64_t outer = 0; outer < dim; outer += bit << 1)
+        for (std::uint64_t inner = 0; inner < bit; inner += 2) {
+            double* p0 = A + 2 * (outer | inner);
+            double* p1 = A + 2 * ((outer | inner) | bit);
+            const __m256d v0 = _mm256_loadu_pd(p0);
+            const __m256d v1 = _mm256_loadu_pd(p1);
+            _mm256_storeu_pd(p0,
+                             _mm256_add_pd(_mm256_mul_pd(vc, v0),
+                                           _mm256_mul_pd(vs, mul_neg_i(v1))));
+            _mm256_storeu_pd(p1,
+                             _mm256_add_pd(_mm256_mul_pd(vc, v1),
+                                           _mm256_mul_pd(vs, mul_neg_i(v0))));
+        }
+}
+
+FQ_AVX2 double
+energy_fold(const Amp* amps, const double* energies, std::uint64_t dim)
+{
+    const double* A = reinterpret_cast<const double*>(amps);
+    std::uint64_t s = 0;
+    __m256d acc = _mm256_setzero_pd();
+    for (; s + 4 <= dim; s += 4) {
+        const __m256d v0 = _mm256_loadu_pd(A + 2 * s);     // r0 i0 r1 i1
+        const __m256d v1 = _mm256_loadu_pd(A + 2 * s + 4); // r2 i2 r3 i3
+        // hadd of the squares interleaves the lanes: [p0, p2, p1, p3].
+        const __m256d probs = _mm256_hadd_pd(_mm256_mul_pd(v0, v0),
+                                             _mm256_mul_pd(v1, v1));
+        const __m256d e = _mm256_permute4x64_pd(
+            _mm256_loadu_pd(energies + s), _MM_SHUFFLE(3, 1, 2, 0));
+        acc = _mm256_add_pd(acc, _mm256_mul_pd(probs, e));
+    }
+    // The lanes hold the portable accumulators in the order
+    // [acc0, acc2, acc1, acc3]; combine them as (acc0 + acc1) + (acc2 +
+    // acc3), like the portable body.
+    alignas(32) double lanes[4];
+    _mm256_store_pd(lanes, acc);
+    return fold_tail(A, energies, s, dim,
+                     (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]));
+}
+
+constexpr KernelTable kTable{"avx2", diag_apply_lut, mixer_rx_pair,
+                             mixer_rx, energy_fold};
+
+} // namespace avx2
+
+#endif // FQ_SIMD_X86
+
+} // namespace
 
 void
 diag_apply_raw(Amp* amps, const double* weights, double scale,
@@ -208,148 +394,21 @@ diag_apply_raw(Amp* amps, const double* weights, double scale,
     }
 }
 
-void
-mixer_rx_pair(Amp* amps, std::uint64_t dim, int qa, int qb, double theta)
+const KernelTable&
+portable_kernels()
 {
-    const std::uint64_t ma = std::uint64_t(1) << qa;
-    const std::uint64_t mb = std::uint64_t(1) << qb;
-    const std::uint64_t lo = ma < mb ? ma : mb;
-    const std::uint64_t hi = ma < mb ? mb : ma;
-    const double c = std::cos(theta / 2.0);
-    const double s = std::sin(theta / 2.0);
-    const double cc = c * c, cs = c * s, ss = s * s;
-    double* A = reinterpret_cast<double*>(amps);
-
-#if defined(__AVX2__)
-    if (lo >= 2) {
-        // The innermost run of the quad decomposition is lo contiguous
-        // complex values; walk it two complex (one ymm) at a time.
-        const __m256d vcc = _mm256_set1_pd(cc);
-        const __m256d vcs = _mm256_set1_pd(cs);
-        const __m256d vss = _mm256_set1_pd(ss);
-        for (std::uint64_t a = 0; a < dim; a += hi << 1)
-            for (std::uint64_t b = a; b < a + hi; b += lo << 1)
-                for (std::uint64_t q = b; q < b + lo; q += 2) {
-                    double* p00 = A + 2 * q;
-                    double* p01 = A + 2 * (q | lo);
-                    double* p10 = A + 2 * (q | hi);
-                    double* p11 = A + 2 * (q | lo | hi);
-                    const __m256d v00 = _mm256_loadu_pd(p00);
-                    const __m256d v01 = _mm256_loadu_pd(p01);
-                    const __m256d v10 = _mm256_loadu_pd(p10);
-                    const __m256d v11 = _mm256_loadu_pd(p11);
-                    const __m256d jso =
-                        mul_neg_i(_mm256_add_pd(v01, v10));
-                    const __m256d jsd =
-                        mul_neg_i(_mm256_add_pd(v00, v11));
-                    _mm256_storeu_pd(
-                        p00, _mm256_sub_pd(
-                                 _mm256_add_pd(_mm256_mul_pd(vcc, v00),
-                                               _mm256_mul_pd(vcs, jso)),
-                                 _mm256_mul_pd(vss, v11)));
-                    _mm256_storeu_pd(
-                        p01, _mm256_sub_pd(
-                                 _mm256_add_pd(_mm256_mul_pd(vcc, v01),
-                                               _mm256_mul_pd(vcs, jsd)),
-                                 _mm256_mul_pd(vss, v10)));
-                    _mm256_storeu_pd(
-                        p10, _mm256_sub_pd(
-                                 _mm256_add_pd(_mm256_mul_pd(vcc, v10),
-                                               _mm256_mul_pd(vcs, jsd)),
-                                 _mm256_mul_pd(vss, v01)));
-                    _mm256_storeu_pd(
-                        p11, _mm256_sub_pd(
-                                 _mm256_add_pd(_mm256_mul_pd(vcc, v11),
-                                               _mm256_mul_pd(vcs, jso)),
-                                 _mm256_mul_pd(vss, v00)));
-                }
-        return;
-    }
-#endif
-    for (std::uint64_t a = 0; a < dim; a += hi << 1)
-        for (std::uint64_t b = a; b < a + hi; b += lo << 1)
-            for (std::uint64_t q = b; q < b + lo; ++q)
-                rx_quad_update(A, 2 * q, 2 * (q | lo), 2 * (q | hi),
-                               2 * (q | lo | hi), cc, cs, ss);
+    return portable::kTable;
 }
 
-void
-mixer_rx(Amp* amps, std::uint64_t dim, int q, double theta)
+const KernelTable&
+select_kernels(const CpuFeatures& cpu)
 {
-    const std::uint64_t bit = std::uint64_t(1) << q;
-    const double c = std::cos(theta / 2.0);
-    const double s = std::sin(theta / 2.0);
-    double* A = reinterpret_cast<double*>(amps);
-
-#if defined(__AVX2__)
-    if (bit >= 2) {
-        const __m256d vc = _mm256_set1_pd(c);
-        const __m256d vs = _mm256_set1_pd(s);
-        for (std::uint64_t outer = 0; outer < dim; outer += bit << 1)
-            for (std::uint64_t inner = 0; inner < bit; inner += 2) {
-                double* p0 = A + 2 * (outer | inner);
-                double* p1 = A + 2 * ((outer | inner) | bit);
-                const __m256d v0 = _mm256_loadu_pd(p0);
-                const __m256d v1 = _mm256_loadu_pd(p1);
-                _mm256_storeu_pd(
-                    p0, _mm256_add_pd(_mm256_mul_pd(vc, v0),
-                                      _mm256_mul_pd(vs, mul_neg_i(v1))));
-                _mm256_storeu_pd(
-                    p1, _mm256_add_pd(_mm256_mul_pd(vc, v1),
-                                      _mm256_mul_pd(vs, mul_neg_i(v0))));
-            }
-        return;
-    }
+#if defined(FQ_SIMD_X86)
+    if (cpu.avx2)
+        return avx2::kTable;
 #endif
-    for (std::uint64_t outer = 0; outer < dim; outer += bit << 1)
-        for (std::uint64_t inner = 0; inner < bit; ++inner) {
-            const std::uint64_t i0 = outer | inner;
-            rx_pair_update(A, 2 * i0, 2 * (i0 | bit), c, s);
-        }
-}
-
-double
-energy_fold(const Amp* amps, const double* energies, std::uint64_t dim)
-{
-    const double* A = reinterpret_cast<const double*>(amps);
-    std::uint64_t s = 0;
-    double total = 0.0;
-#if defined(__AVX2__)
-    __m256d acc = _mm256_setzero_pd();
-    for (; s + 4 <= dim; s += 4) {
-        const __m256d v0 = _mm256_loadu_pd(A + 2 * s);     // r0 i0 r1 i1
-        const __m256d v1 = _mm256_loadu_pd(A + 2 * s + 4); // r2 i2 r3 i3
-        // hadd of the squares interleaves the lanes: [p0, p2, p1, p3].
-        const __m256d probs = _mm256_hadd_pd(_mm256_mul_pd(v0, v0),
-                                             _mm256_mul_pd(v1, v1));
-        const __m256d e = _mm256_permute4x64_pd(
-            _mm256_loadu_pd(energies + s), _MM_SHUFFLE(3, 1, 2, 0));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(probs, e));
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    total = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-#else
-    double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-    for (; s + 4 <= dim; s += 4) {
-        acc0 += (A[2 * s] * A[2 * s] + A[2 * s + 1] * A[2 * s + 1]) *
-                energies[s];
-        acc1 += (A[2 * s + 2] * A[2 * s + 2] +
-                 A[2 * s + 3] * A[2 * s + 3]) *
-                energies[s + 1];
-        acc2 += (A[2 * s + 4] * A[2 * s + 4] +
-                 A[2 * s + 5] * A[2 * s + 5]) *
-                energies[s + 2];
-        acc3 += (A[2 * s + 6] * A[2 * s + 6] +
-                 A[2 * s + 7] * A[2 * s + 7]) *
-                energies[s + 3];
-    }
-    total = (acc0 + acc1) + (acc2 + acc3);
-#endif
-    for (; s < dim; ++s)
-        total += (A[2 * s] * A[2 * s] + A[2 * s + 1] * A[2 * s + 1]) *
-                 energies[s];
-    return total;
+    (void)cpu;
+    return portable::kTable;
 }
 
 } // namespace fq::sim::simd

@@ -4,9 +4,11 @@
  * widths (1-qubit leaves, odd mixer walls, uncompressed tables), the
  * 63/64-bit low_bits_mask boundary, bit-identical sampled counts across
  * backends for every executed leaf of a plan, plan-time backend selection
- * (pure function of width; thread-count invariant), aligned amplitude
- * storage, and the
- * template cache's full-footprint byte accounting for fused programs.
+ * (pure function of width; thread-count invariant), runtime kernel
+ * dispatch (the CPUID-selected table vs the portable table pinned in the
+ * same binary: bitwise amplitudes, energy folds, counts and whole
+ * solves), aligned amplitude storage, and the template cache's
+ * full-footprint byte accounting for fused programs.
  */
 #include <gtest/gtest.h>
 
@@ -29,11 +31,39 @@
 #include "sim/statevector.h"
 #include "solve_test_util.h"
 
+namespace fq::test {
+
+/** Pins the vectorized backend to @p table for this object's lifetime.
+ *  Swap only while nothing simulates: the engines a test builds inside
+ *  the scope start their threads after the pin and join them before it
+ *  lifts. */
+class ScopedVectorKernels
+{
+  public:
+    explicit ScopedVectorKernels(const sim::simd::KernelTable& table)
+        : previous_(sim::BackendRegistry::instance().vector_kernels_.exchange(
+              &table))
+    {
+    }
+    ~ScopedVectorKernels()
+    {
+        sim::BackendRegistry::instance().vector_kernels_.store(previous_);
+    }
+    ScopedVectorKernels(const ScopedVectorKernels&) = delete;
+    ScopedVectorKernels& operator=(const ScopedVectorKernels&) = delete;
+
+  private:
+    const sim::simd::KernelTable* previous_;
+};
+
+} // namespace fq::test
+
 namespace {
 
 using namespace fq;
 using fq::test::ba_model;
 using fq::test::expect_solves_identical;
+using fq::test::ScopedVectorKernels;
 
 /** Single-spin instance (the 1-qubit leaf edge case). */
 ising::IsingModel
@@ -44,8 +74,57 @@ single_spin_model()
     return model;
 }
 
-/** Run one compiled program on both backends at random angles; assert
- *  amplitudes within 1e-12 and sampled counts bit-identical. */
+/** Run @p program on the scalar backend and on the vectorized backend,
+ *  once with the dispatched kernel table and once with the portable
+ *  table pinned. Scalar and vectorized amplitudes agree within 1e-12;
+ *  the two vectorized runs agree bit for bit on amplitudes and on the
+ *  energy fold; fixed-seed counts are bit-identical across all three. */
+void
+expect_program_parity(const sim::FusedProgram& program,
+                      const ising::IsingModel& model,
+                      const std::vector<double>& gammas,
+                      const std::vector<double>& betas, std::uint64_t seed)
+{
+    SCOPED_TRACE("width " + std::to_string(model.num_spins()));
+    const auto& registry = sim::BackendRegistry::instance();
+    const auto& simd = registry.vectorized();
+    const sim::EnergyTable energies(model);
+    sim::Statevector scalar_state, simd_state, portable_state;
+    program.run(gammas, betas, scalar_state, registry.scalar());
+    program.run(gammas, betas, simd_state, simd);
+    const double simd_ev = simd.expectation(energies, simd_state);
+    double portable_ev = 0.0;
+    {
+        const ScopedVectorKernels pin(sim::simd::portable_kernels());
+        program.run(gammas, betas, portable_state, simd);
+        portable_ev = simd.expectation(energies, portable_state);
+    }
+
+    ASSERT_EQ(scalar_state.dimension(), simd_state.dimension());
+    for (std::uint64_t s = 0; s < scalar_state.dimension(); ++s)
+        EXPECT_NEAR(std::abs(scalar_state.amplitude(s) -
+                             simd_state.amplitude(s)),
+                    0.0, 1e-12)
+            << "state " << s;
+    ASSERT_EQ(simd_state.dimension(), portable_state.dimension());
+    EXPECT_EQ(std::memcmp(simd_state.data(), portable_state.data(),
+                          simd_state.dimension() * sizeof(*simd_state.data())),
+              0);
+    EXPECT_EQ(std::memcmp(&simd_ev, &portable_ev, sizeof(double)), 0)
+        << simd_ev << " vs " << portable_ev;
+
+    // The acceptance contract is stronger than amplitude closeness:
+    // fixed-seed sampling must agree BIT FOR BIT across backends and
+    // across kernel tables.
+    Rng sample_scalar(seed ^ 0xabcdef12u), sample_simd(seed ^ 0xabcdef12u),
+        sample_portable(seed ^ 0xabcdef12u);
+    const auto counts = scalar_state.sample(4096, sample_scalar);
+    EXPECT_EQ(counts, simd_state.sample(4096, sample_simd));
+    EXPECT_EQ(counts, portable_state.sample(4096, sample_portable));
+}
+
+/** expect_program_parity on a depth-@p num_layers program for @p model
+ *  at random angles. */
 void
 expect_backend_parity(const ising::IsingModel& model, int num_layers,
                       std::uint64_t seed)
@@ -61,25 +140,7 @@ expect_backend_parity(const ising::IsingModel& model, int num_layers,
         gammas.push_back(angles.uniform(-1.5, 1.5));
         betas.push_back(angles.uniform(-1.5, 1.5));
     }
-
-    const auto& registry = sim::BackendRegistry::instance();
-    sim::Statevector scalar_state, simd_state;
-    program.run(gammas, betas, scalar_state, registry.scalar());
-    program.run(gammas, betas, simd_state, registry.vectorized());
-
-    ASSERT_EQ(scalar_state.dimension(), simd_state.dimension());
-    for (std::uint64_t s = 0; s < scalar_state.dimension(); ++s)
-        EXPECT_NEAR(std::abs(scalar_state.amplitude(s) -
-                             simd_state.amplitude(s)),
-                    0.0, 1e-12)
-            << "state " << s << " width " << model.num_spins();
-
-    // The acceptance contract is stronger than amplitude closeness:
-    // fixed-seed sampling must agree BIT FOR BIT across backends.
-    Rng sample_scalar(seed ^ 0xabcdef12u), sample_simd(seed ^ 0xabcdef12u);
-    EXPECT_EQ(scalar_state.sample(4096, sample_scalar),
-              simd_state.sample(4096, sample_simd))
-        << "counts diverged at width " << model.num_spins();
+    expect_program_parity(program, model, gammas, betas, seed);
 }
 
 TEST(Backend, ParityAcrossWidthsIncludingEdges)
@@ -107,19 +168,7 @@ TEST(Backend, ParityOnUncompressedTables)
     const sim::FusedProgram program(
         qaoa::build_qaoa_circuit(model, build), /*build_luts=*/false);
 
-    const std::vector<double> gammas{0.35, -0.6}, betas{0.8, 0.25};
-    const auto& registry = sim::BackendRegistry::instance();
-    sim::Statevector scalar_state, simd_state;
-    program.run(gammas, betas, scalar_state, registry.scalar());
-    program.run(gammas, betas, simd_state, registry.vectorized());
-
-    ASSERT_EQ(scalar_state.dimension(), simd_state.dimension());
-    for (std::uint64_t s = 0; s < scalar_state.dimension(); ++s)
-        EXPECT_NEAR(std::abs(scalar_state.amplitude(s) -
-                             simd_state.amplitude(s)),
-                    0.0, 1e-12);
-    Rng a(5), b(5);
-    EXPECT_EQ(scalar_state.sample(2048, a), simd_state.sample(2048, b));
+    expect_program_parity(program, model, {0.35, -0.6}, {0.8, 0.25}, 5);
 }
 
 TEST(Backend, EnergyFoldMatchesScalarExpectation)
@@ -160,20 +209,13 @@ TEST(Backend, SelectionIsAPureFunctionOfWidth)
             << "width " << n;
 }
 
-TEST(Backend, RegistryServesBothKindsAndReportsIsa)
+TEST(Backend, RegistryServesBothKinds)
 {
     const auto& registry = sim::BackendRegistry::instance();
     EXPECT_EQ(registry.get(sim::BackendKind::ScalarFused).kind(),
               sim::BackendKind::ScalarFused);
     EXPECT_EQ(registry.get(sim::BackendKind::VectorizedFused).kind(),
               sim::BackendKind::VectorizedFused);
-    EXPECT_STREQ(sim::BackendRegistry::vector_isa(),
-                 sim::simd::compiled_isa());
-    // Whatever ISA this binary was compiled for must be runnable here —
-    // an AVX2 binary on a non-AVX2 host would die in the kernels anyway.
-    EXPECT_TRUE(sim::simd::compiled_isa_supported());
-    // Feature detection itself must be safe to call anywhere.
-    (void)sim::simd::detect_cpu_features();
 }
 
 TEST(Backend, PlanRecordsBackendPerLeafAtPlanTime)
@@ -272,6 +314,124 @@ TEST(Backend, BackendChoiceIsThreadCountInvariant)
 
     const auto& diag = parallel.last_diagnostics();
     EXPECT_GT(diag.leaves_scalar_backend + diag.leaves_simd_backend, 0);
+}
+
+// ------------------------------------------------------------------------
+// Runtime dispatch: the CPUID-selected kernel table against the portable
+// table pinned in the same binary (expect_program_parity above covers
+// whole programs). On a host without AVX2 both sides run the portable
+// table; DispatchPicksAvx2WhenCpuHasIt keeps a silent fallback on an
+// AVX2 host from passing unnoticed.
+
+TEST(KernelDispatch, DispatchPicksAvx2WhenCpuHasIt)
+{
+    const auto cpu = sim::simd::detect_cpu_features();
+    EXPECT_STREQ(sim::BackendRegistry::vector_isa(),
+                 cpu.avx2 ? "avx2" : "portable");
+    EXPECT_STREQ(sim::simd::select_kernels(cpu).isa,
+                 sim::BackendRegistry::vector_isa());
+    // A CPU without AVX2 gets the baseline table.
+    EXPECT_EQ(&sim::simd::select_kernels(sim::simd::CpuFeatures{}),
+              &sim::simd::portable_kernels());
+    EXPECT_STREQ(sim::simd::portable_kernels().isa, "portable");
+    {
+        const ScopedVectorKernels pin(sim::simd::portable_kernels());
+        EXPECT_STREQ(sim::BackendRegistry::vector_isa(), "portable");
+    }
+    EXPECT_STREQ(sim::BackendRegistry::vector_isa(),
+                 cpu.avx2 ? "avx2" : "portable");
+}
+
+TEST(KernelDispatch, EveryKernelMatchesPortableBitwiseOnRandomInputs)
+{
+    // Kernel-level probe on random amplitudes, phases and energies, at
+    // lengths that exercise every vector body and every scalar tail.
+    const auto& dispatched =
+        sim::simd::select_kernels(sim::simd::detect_cpu_features());
+    const auto& portable = sim::simd::portable_kernels();
+    using Amp = sim::simd::Amp;
+    const auto bitwise_equal = [](const std::vector<Amp>& a,
+                                  const std::vector<Amp>& b) {
+        return std::memcmp(a.data(), b.data(), a.size() * sizeof(Amp)) == 0;
+    };
+    Rng rng(2024);
+    for (int trial = 0; trial < 200; ++trial) {
+        const int width = 4 + trial % 12;
+        const std::uint64_t dim = std::uint64_t(1) << width;
+        std::vector<Amp> amps(dim);
+        std::vector<double> energies(dim);
+        for (std::uint64_t s = 0; s < dim; ++s) {
+            amps[s] = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+            energies[s] = rng.uniform(-20.0, 20.0);
+        }
+        SCOPED_TRACE("trial " + std::to_string(trial));
+
+        // energy_fold, also on prefixes with 1-3 tail states.
+        for (std::uint64_t len : {dim, dim - 1, dim - 3}) {
+            const double x =
+                dispatched.energy_fold(amps.data(), energies.data(), len);
+            const double y =
+                portable.energy_fold(amps.data(), energies.data(), len);
+            EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+                << "energy_fold length " << len;
+        }
+
+        // diag_apply_lut over a random level index (odd length too).
+        std::vector<Amp> phases(37);
+        for (auto& ph : phases)
+            ph = std::polar(1.0, rng.uniform(-3.0, 3.0));
+        std::vector<std::uint16_t> index(dim);
+        for (auto& k : index)
+            k = static_cast<std::uint16_t>(rng.uniform_int(0, 36));
+        for (std::uint64_t len : {dim, dim - 1}) {
+            auto x = amps, y = amps;
+            dispatched.diag_apply_lut(x.data(), index.data(), phases.data(),
+                                      len);
+            portable.diag_apply_lut(y.data(), index.data(), phases.data(),
+                                    len);
+            EXPECT_TRUE(bitwise_equal(x, y)) << "diag_apply_lut " << len;
+        }
+
+        // Mixer kernels on every qubit and a spread of qubit pairs.
+        const double theta = rng.uniform(-3.0, 3.0);
+        for (int q = 0; q < width; ++q) {
+            auto x = amps, y = amps;
+            dispatched.mixer_rx(x.data(), dim, q, theta);
+            portable.mixer_rx(y.data(), dim, q, theta);
+            EXPECT_TRUE(bitwise_equal(x, y)) << "mixer_rx q" << q;
+            const int other = (q + 1 + trial) % width;
+            if (other == q)
+                continue;
+            x = amps;
+            y = amps;
+            dispatched.mixer_rx_pair(x.data(), dim, q, other, theta);
+            portable.mixer_rx_pair(y.data(), dim, q, other, theta);
+            EXPECT_TRUE(bitwise_equal(x, y))
+                << "mixer_rx_pair q" << q << "," << other;
+        }
+    }
+}
+
+TEST(KernelDispatch, SolveIdenticalWithPortablePinned)
+{
+    // A BA n=20 freeze-4 instance: 16-qubit leaves, all on the vectorized
+    // backend, folded by a 4-thread engine.
+    const auto model = ba_model(20, 2, 31);
+    const auto dev = device::make_device("ibm-montreal");
+    frozenqubits::DriverConfig config;
+    config.num_freeze = 4;
+
+    engine::ExecutionEngine dispatched_engine(4);
+    const auto dispatched =
+        dispatched_engine.solve(model, dev, config, 2048, 41);
+    const auto& diag = dispatched_engine.last_diagnostics();
+    EXPECT_EQ(diag.num_subproblems, 16);
+    EXPECT_EQ(diag.leaves_scalar_backend, 0);
+    EXPECT_GT(diag.leaves_simd_backend, 0);
+    const ScopedVectorKernels pin(sim::simd::portable_kernels());
+    engine::ExecutionEngine portable_engine(4);
+    expect_solves_identical(
+        dispatched, portable_engine.solve(model, dev, config, 2048, 41));
 }
 
 TEST(StatevectorAlignment, ConstructionAndResetPreserveAlignment)
