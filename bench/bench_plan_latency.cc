@@ -1,23 +1,20 @@
 /**
  * @file
  * Cold-start planning latency study: what the parametric family tier buys.
- * For each (n, p) BA family the same leaf-materialization work is timed at
- * both template tiers:
+ * For each (n, p) BA family one member's template lookup
+ * (TemplateCache::get_or_bind) is timed at both template tiers:
  *
  *   cold compile — fresh cache: get_or_bind pays the full structural
- *     pipeline (circuit build + transpile + fusion skeleton), then the
- *     member's fused circuit is produced by a coefficient patch;
+ *     pipeline (circuit build + transpile + noise quantities);
  *   family-warm bind — the family structure is resident: get_or_bind is a
- *     hash plus an O(E) labeled verification, and the member costs one
- *     coefficient patch — no transpiler involvement.
+ *     hash plus an O(E) labeled verification — no transpiler involvement.
  *
- * The 2^n weight-table builds are excluded from both arms on purpose: they
- * are per-leaf execution-time artifacts both paths build identically
- * (bit-for-bit — see the bind-vs-recompile property tests), so including
- * them would only dilute the planning-path comparison this tentpole is
- * about. Emits BENCH_plan_latency.json and FAILS (exit 1) unless the
- * family-warm bind is at least 5x faster than the cold compile on the
- * p=2 n=20 BA family.
+ * The leaf's fused program (FusedProgram::from_model, 2^n weight tables)
+ * is excluded from both arms on purpose: it is a per-leaf execution-time
+ * artifact built identically whatever the tier, so including it would
+ * only dilute the planning-path comparison. Emits BENCH_plan_latency.json
+ * and FAILS (exit 1) unless the family-warm bind is at least 5x faster
+ * than the cold compile on the p=2 n=20 BA family.
  */
 #include <chrono>
 #include <fstream>
@@ -25,7 +22,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "circuit/fusion.h"
 #include "engine/template_cache.h"
 #include "transpiler/pipeline.h"
 
@@ -70,24 +66,15 @@ struct TierLatencies
     double speedup() const { return cold_us / bind_us; }
 };
 
-/**
- * One leaf materialization at the planning layer: resolve the family
- * artifact, then produce the member's fused circuit via the coefficient
- * patch. The returned tier reports how the lookup was satisfied.
- */
+/** One member's template lookup at the planning layer; the returned
+ *  tier reports how it was satisfied. */
 engine::TemplateTier
 materialize(engine::TemplateCache& cache, const ising::IsingModel& model,
             const device::Device& dev,
             const transpiler::CompileOptions& compile,
             const qaoa::BuildOptions& build)
 {
-    const auto binding = cache.get_or_bind(model, dev, compile, build);
-    if (binding.family->has_skeleton) {
-        const auto bound = circuit::bind_fused(
-            binding.family->skeleton, engine::fused_slot_values(model));
-        benchmark::DoNotOptimize(bound.ops.size());
-    }
-    return binding.tier;
+    return cache.get_or_bind(model, dev, compile, build).tier;
 }
 
 TierLatencies

@@ -2,8 +2,6 @@
 
 #include <unordered_map>
 
-#include "common/error.h"
-
 namespace fq::circuit {
 
 namespace {
@@ -30,7 +28,7 @@ struct DiagonalUnit
 /** Try to match a diagonal unit starting at gate index @p i. */
 bool
 match_diagonal(const std::vector<Gate>& gates, std::size_t i,
-               const FusionOptions& options, DiagonalUnit* unit)
+               DiagonalUnit* unit)
 {
     const Gate& g = gates[i];
     if (g.type == GateType::RZ) {
@@ -39,8 +37,7 @@ match_diagonal(const std::vector<Gate>& gates, std::size_t i,
         unit->gates = 1;
         return true;
     }
-    if (options.fuse_zz_sandwiches && g.type == GateType::CX &&
-        i + 2 < gates.size()) {
+    if (g.type == GateType::CX && i + 2 < gates.size()) {
         const Gate& rz = gates[i + 1];
         const Gate& cx = gates[i + 2];
         if (rz.type == GateType::RZ && rz.q0 == g.q1 &&
@@ -200,116 +197,20 @@ FusedCircuit::gates_fused() const
     return n;
 }
 
-std::size_t
-ParametricFusedCircuit::bytes() const
-{
-    std::size_t total = sizeof(ParametricFusedCircuit);
-    total += skeleton.ops.capacity() * sizeof(FusedOp);
-    for (const auto& op : skeleton.ops) {
-        total += op.terms.capacity() * sizeof(ParityTerm);
-        total += op.qubits.capacity() * sizeof(int);
-    }
-    total += patches.capacity() * sizeof(Patch);
-    return total;
-}
-
-std::optional<ParametricFusedCircuit>
-parametrize_fused(const FusedCircuit& fused, int num_spins,
-                  const std::vector<std::pair<int, int>>& quadratic_pairs)
-{
-    // Pair -> quadratic-term index, both orientations (the builder and the
-    // model normalize i < j, but the mask has no orientation anyway).
-    std::unordered_map<std::uint64_t, int> pair_slot;
-    for (std::size_t t = 0; t < quadratic_pairs.size(); ++t) {
-        const auto [i, j] = quadratic_pairs[t];
-        if (i < 0 || j < 0 || i >= num_spins || j >= num_spins || i == j)
-            return std::nullopt;
-        const std::uint64_t mask =
-            (std::uint64_t(1) << i) | (std::uint64_t(1) << j);
-        if (!pair_slot.emplace(mask, static_cast<int>(t)).second)
-            return std::nullopt; // parallel edges cannot slot-split
-    }
-
-    ParametricFusedCircuit out;
-    out.skeleton = fused;
-    out.num_slots = num_spins + static_cast<int>(quadratic_pairs.size());
-    for (std::size_t oi = 0; oi < out.skeleton.ops.size(); ++oi) {
-        auto& op = out.skeleton.ops[oi];
-        switch (op.kind) {
-        case FusedOp::Kind::Diagonal: {
-            // Only gamma-scaled diagonals are pure slot reads; a constant
-            // or beta diagonal run has values baked into its coefficients.
-            if (op.scale_kind != Parameter::Kind::Gamma)
-                return std::nullopt;
-            for (std::size_t ti = 0; ti < op.terms.size(); ++ti) {
-                auto& term = op.terms[ti];
-                const std::uint64_t mask = term.mask;
-                int slot = -1;
-                if (mask != 0 && (mask & (mask - 1)) == 0) {
-                    int bit = 0;
-                    while ((mask >> bit) != 1)
-                        ++bit;
-                    if (bit >= num_spins)
-                        return std::nullopt;
-                    slot = bit;
-                } else {
-                    const auto it = pair_slot.find(mask);
-                    if (it == pair_slot.end())
-                        return std::nullopt;
-                    slot = num_spins + it->second;
-                }
-                out.patches.push_back({static_cast<int>(oi),
-                                       static_cast<int>(ti), slot});
-                // Zero the placeholder: the stored skeleton is value-free,
-                // so identically-structured owners produce bit-identical
-                // family entries and no owner value can leak into a bind.
-                term.coefficient = 0.0;
-            }
-            break;
-        }
-        case FusedOp::Kind::Mixer:
-            break; // beta * structural coefficient; value-free
-        case FusedOp::Kind::Gate:
-            // A passthrough rotation could carry a problem value in its
-            // angle; the H walls / MEASURE / BARRIER the builder passes
-            // through cannot.
-            if (has_angle(op.gate.type))
-                return std::nullopt;
-            break;
-        }
-    }
-    return out;
-}
-
 FusedCircuit
-bind_fused(const ParametricFusedCircuit& skeleton,
-           const std::vector<double>& slot_values)
-{
-    FQ_REQUIRE(static_cast<int>(slot_values.size()) == skeleton.num_slots,
-               "bind_fused: slot-value count does not match skeleton");
-    FusedCircuit out = skeleton.skeleton;
-    for (const auto& patch : skeleton.patches) {
-        out.ops[static_cast<std::size_t>(patch.op)]
-            .terms[static_cast<std::size_t>(patch.term)]
-            .coefficient = slot_values[static_cast<std::size_t>(patch.slot)];
-    }
-    return out;
-}
-
-FusedCircuit
-fuse_diagonals(const Circuit& c, const FusionOptions& options)
+fuse_diagonals(const Circuit& c)
 {
     Builder builder(c);
     const auto& gates = c.gates();
     std::size_t i = 0;
     while (i < gates.size()) {
         DiagonalUnit unit;
-        if (match_diagonal(gates, i, options, &unit)) {
+        if (match_diagonal(gates, i, &unit)) {
             builder.add_diagonal_unit(unit);
             i += unit.gates;
             continue;
         }
-        if (options.fuse_mixer_walls && gates[i].type == GateType::RX) {
+        if (gates[i].type == GateType::RX) {
             builder.add_mixer_gate(gates[i]);
             ++i;
             continue;

@@ -15,20 +15,22 @@
  * parameter (gamma_l / beta_l). Applying the layer for ANY angle is then
  * one pass `amps[s] *= polar(1, scale * w[s])` over a per-state weight
  * table that depends only on circuit structure and coefficients — the
- * simulator side (sim/qaoa_kernel.h) compiles and caches that table so all
- * optimizer iterations, and every consumer of the same structure, reuse it.
+ * simulator side (sim/qaoa_kernel.h) compiles that table once, so every
+ * optimizer iteration reuses it.
  *
  * The pass also recognizes mixer walls — maximal runs of RX gates sharing
  * one angle parameter on distinct qubits — so the simulator can apply them
  * with two-qubit-per-pass kernels. Everything else passes through as
  * ordinary gates; fusion never changes circuit semantics.
+ *
+ * QAOA programs are built straight from the model
+ * (sim::FusedProgram::from_model); this pass compiles arbitrary circuits
+ * and is the test oracle that from_model must match bit for bit.
  */
 #ifndef FQ_CIRCUIT_FUSION_H
 #define FQ_CIRCUIT_FUSION_H
 
 #include <cstdint>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -93,15 +95,6 @@ struct FusedCircuit
     int gates_fused() const;
 };
 
-/** Pass options. */
-struct FusionOptions
-{
-    /** Recognize CX(a,b) RZ(b) CX(a,b) as a ZZ parity term. */
-    bool fuse_zz_sandwiches = true;
-    /** Recognize same-angle RX runs as mixer walls. */
-    bool fuse_mixer_walls = true;
-};
-
 /**
  * Fuse @p c. Works on parametric and bound circuits alike: a run of
  * diagonal gates joins one Diagonal op when every member shares the same
@@ -110,66 +103,7 @@ struct FusionOptions
  * mixed parameters split into adjacent Diagonal ops (diagonals commute, so
  * this is exact). MEASURE and BARRIER pass through and end the current run.
  */
-FusedCircuit fuse_diagonals(const Circuit& c,
-                            const FusionOptions& options = {});
-
-/**
- * A fused circuit with coefficient-slot indirection: the op/mask/scale
- * STRUCTURE of a FusedCircuit, with every Diagonal parity coefficient
- * replaced by an index into a per-problem slot-value vector. One skeleton
- * serves every problem instance sharing the structure — binding concrete
- * (J, h) values is a linear coefficient patch, with no circuit build and
- * no fusion scan.
- *
- * Slot convention (matching the QAOA builder's term tags): slot i in
- * [0, num_spins) is the linear term of spin i, slot num_spins + t is
- * quadratic term t in the model's quadratic_terms() order. The slot VALUE
- * is the bound parity coefficient itself (the ising-aware caller supplies
- * -h_i / -J_t per the RZ phase convention documented in fusion.cc), so
- * bind_fused stays model-agnostic.
- */
-struct ParametricFusedCircuit
-{
-    /** Op structure with placeholder (zeroed) diagonal coefficients. */
-    FusedCircuit skeleton;
-    /** One patch per diagonal parity term: ops[op].terms[term] reads
-     *  slot_values[slot] at bind time. Every Diagonal term is patched. */
-    struct Patch
-    {
-        int op = 0;
-        int term = 0;
-        int slot = 0;
-    };
-    std::vector<Patch> patches;
-    int num_slots = 0;
-
-    /** Estimated heap + struct footprint (cache accounting). */
-    std::size_t bytes() const;
-};
-
-/**
- * Derive the coefficient-slot skeleton of @p fused for the labeled
- * structure (@p num_spins spins, @p quadratic_pairs in term order).
- * Returns nullopt when the circuit's values cannot be expressed as slot
- * reads — a diagonal run not scaled by gamma (constant or beta diagonals
- * bake values the slot scheme cannot re-derive), a parity mask that is not
- * a known linear/quadratic term, or a passthrough rotation gate (its angle
- * could carry problem values). QAOA circuits from the builder always
- * parametrize.
- */
-std::optional<ParametricFusedCircuit>
-parametrize_fused(const FusedCircuit& fused, int num_spins,
-                  const std::vector<std::pair<int, int>>& quadratic_pairs);
-
-/**
- * Bind @p slot_values into @p skeleton: a copy of the skeleton ops with
- * every patched coefficient set to its slot's value. Bit-identical to
- * fusing a from-scratch circuit built with the same values (the builder's
- * -coefficient/2 arithmetic is exact in IEEE754 for the 2h / 2J angle
- * coefficients the QAOA builder emits).
- */
-FusedCircuit bind_fused(const ParametricFusedCircuit& skeleton,
-                        const std::vector<double>& slot_values);
+FusedCircuit fuse_diagonals(const Circuit& c);
 
 } // namespace fq::circuit
 

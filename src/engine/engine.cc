@@ -206,15 +206,11 @@ simulate_scheduled_leaf(TemplateCache& cache, const SolveTree& tree,
                "circuit wider than target device");
 
     // Ideal state on the LOGICAL register, in this worker's reusable
-    // scratch buffer: the leaf's diagonal weight tables replayed at its
-    // angles — one pass per cost layer instead of |E|+|V| gates. The
-    // family skeleton (when the plan attached one) lets the leaf
-    // materialize its tables by patching coefficients into the cached
-    // fusion skeleton instead of rebuilding the circuit — bit-identical
-    // tables either way (asserted in tests), only the build cost differs.
-    // The program is this leaf's alone and dies with it.
-    const auto program = cache.get_or_fuse(sub.model, build, nullptr,
-                                           leaf.family.get(), fuse_tier);
+    // scratch buffer: the leaf's diagonal weight table, built straight
+    // from its model's terms, replayed at its angles — one pass per cost
+    // layer instead of |E|+|V| gates. The program is this leaf's alone
+    // and dies with it.
+    const auto program = cache.get_or_fuse(sub.model, build);
     // The kernel backend was chosen at plan time (leaf.backend, a pure
     // function of the leaf width) — execution only looks it up, so
     // scheduling order can never change a leaf's kernels.

@@ -67,10 +67,9 @@ class SolveService;
  * the SolveService's cross-request waves: a pure function of
  * (cache contents, tree, leaf, config, shots), so WHERE a leaf runs —
  * which worker, which wave, alongside whose leaves — can never change its
- * counts. @p fuse_tier, when non-null, reports HOW the fused program
- * materialized (Bind / Compile — see TemplateTier). @p fused_hit is a
- * placeholder kept for source compatibility with perfbench; when non-null
- * it is always set to false.
+ * counts. @p fused_hit and @p fuse_tier are placeholders kept for source
+ * compatibility with perfbench: when non-null they are set to false and
+ * TemplateTier::Compile.
  */
 sim::Counts simulate_scheduled_leaf(TemplateCache& cache,
                                     const SolveTree& tree, int leaf_id,

@@ -176,17 +176,6 @@ TreeBuild::make_leaf(int ni, const LeafContext& ctx,
     leaf.tpl = ctx.tpl;
     leaf.tpl_compatible = ctx.tpl_compatible;
     leaf.proxy = std::move(proxy);
-    // The family skeleton is verified against THIS leaf's labeled
-    // structure — a sibling whose structure drifted (it cannot, by
-    // freeze construction, but the check is cheap) falls back to the
-    // from-scratch path rather than binding a wrong skeleton.
-    if (ctx.family != nullptr && ctx.family->has_skeleton &&
-        ctx.family->matches(node.sub.model))
-        leaf.family = ctx.family;
-    // Plan-time tier preview for diagnostics and the fqtool plan
-    // column. A leaf too wide to simulate previews tier Compile.
-    leaf.tier = leaf.fuse && leaf.family != nullptr ? TemplateTier::Bind
-                                                    : TemplateTier::Compile;
     tree_.leaves.push_back(std::move(leaf));
     return node.leaf_id;
 }
@@ -202,7 +191,6 @@ TreeBuild::resolve_private_templates(int ni)
     auto binding = cache_.get_or_bind(model, dev_, config_.compile,
                                       default_build_options());
     ctx.tpl = binding.family->structural;
-    ctx.family = binding.family;
     ctx.tpl_compatible = true;
     return ctx;
 }
@@ -344,7 +332,6 @@ class FreezeExpander : public NodeExpander
                                          plan.tasks.front().solve)]
                         .model,
                     local_sub.model);
-            ctx.family = plan.family;
             ctx.build = plan.build;
             const int leaf_id = b.finalize(ci, ctx);
             // Mirror sub-spaces covered by flipping this leaf's output.

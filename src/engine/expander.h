@@ -91,7 +91,6 @@ struct LeafContext
     std::uint64_t rng_seed = 0;
     std::shared_ptr<const CompiledTemplate> tpl;
     bool tpl_compatible = false;
-    std::shared_ptr<const ParametricTemplate> family;
     qaoa::BuildOptions build;
 };
 
@@ -100,7 +99,7 @@ class NodeExpander;
 /**
  * The generic tree-building driver: owns the growing SolveTree and the
  * mechanics every reduction shares (child insertion with lineage
- * bookkeeping, leaf registration with backend/tier/fuse resolution,
+ * bookkeeping, leaf registration with backend and fuse resolution,
  * private template resolution, recursive dispatch through the
  * registry). build_solve_tree is a thin wrapper over run().
  */

@@ -48,15 +48,11 @@ make_plan(const ising::IsingModel& model, const device::Device& dev,
     // to compile: every sibling is edit-compatible with the first planned
     // sub-problem (identical quadratic structure by construction). A
     // warm-family plan costs a signature hash plus an O(E) labeled
-    // verification instead of a transpile, and the family skeleton rides
-    // along so leaf execution can bind coefficients instead of rebuilding
-    // circuits.
+    // verification instead of a transpile.
     if (!plan.tasks.empty()) {
         const auto& owner = plan.subproblems[plan.tasks.front().solve];
         auto binding =
             cache.get_or_bind(owner.model, dev, config.compile, plan.build);
-        plan.family = binding.family;
-        plan.family_tier = binding.tier;
         plan.compiled_template = binding.family->structural;
         plan.template_cache_hit = binding.tier != TemplateTier::Compile;
     }

@@ -67,15 +67,6 @@ struct ExecutionPlan
     /** Whether the template came from the cache without compiling. */
     bool template_cache_hit = false;
 
-    /**
-     * Family-level parametric template for the siblings' shared structure
-     * (null only for a plan with no tasks). Leaves carry this pointer so execution-time fused-program
-     * misses become coefficient patches instead of circuit builds.
-     */
-    std::shared_ptr<const ParametricTemplate> family;
-    /** How the family lookup was satisfied at plan time. */
-    TemplateTier family_tier = TemplateTier::Compile;
-
     /** Build options every per-task circuit construction must use. */
     qaoa::BuildOptions build;
 

@@ -258,14 +258,11 @@ SolveService::run_wave(const std::vector<WaveSlot>& wave)
         }
         return true;
     };
-    hooks.folded = [](const WaveSlot& slot, bool /*fused_hit*/,
-                      TemplateTier fuse_tier) {
+    hooks.folded = [](const WaveSlot& slot, bool, TemplateTier) {
         Request& r = *static_cast<Request*>(slot.request->context);
         const auto& leaf =
             r.plan.tree.leaves[static_cast<std::size_t>(slot.leaf_id)];
         r.fused_lookups.fetch_add(1, std::memory_order_relaxed);
-        if (fuse_tier == TemplateTier::Bind)
-            r.family_binds.fetch_add(1, std::memory_order_relaxed);
         // Attribute the traffic to the leaf's plan-time backend tag.
         auto& lookups = leaf.backend == sim::BackendKind::VectorizedFused
                             ? r.fused_lookups_simd
@@ -309,7 +306,6 @@ SolveService::reduce_request(Request& request)
     out.diag.fused_lookups = request.fused_lookups.load();
     out.diag.fused_lookups_scalar = request.fused_lookups_scalar.load();
     out.diag.fused_lookups_simd = request.fused_lookups_simd.load();
-    out.diag.family_binds = request.family_binds.load();
     out.diag.wave_occupancy =
         request.waves == 0
             ? 0.0

@@ -132,10 +132,6 @@ class SolveService
          *  tags; scalar + simd == fused_lookups). */
         std::uint64_t fused_lookups_scalar = 0;
         std::uint64_t fused_lookups_simd = 0;
-        /** Fused programs this tenant materialized by patching a family
-         *  skeleton instead of rebuilding circuits (exec-time count; a
-         *  subset of fused_lookups). */
-        std::uint64_t family_binds = 0;
         /**
          * Mean share of the wave slots this tenant held across the waves it
          * rode (1.0 = had every wave to itself; 1/K under K equal tenants)
@@ -320,8 +316,6 @@ class SolveService
         /** Per-backend split (see TenantDiagnostics). */
         std::atomic<std::uint64_t> fused_lookups_scalar{0};
         std::atomic<std::uint64_t> fused_lookups_simd{0};
-        /** Exec-time family-skeleton binds (TemplateTier::Bind folds). */
-        std::atomic<std::uint64_t> family_binds{0};
         std::atomic<int> leaves_folded{0};
         int waves = 0;               ///< assembler-thread only
         double occupancy_sum = 0.0;  ///< assembler-thread only

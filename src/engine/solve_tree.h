@@ -130,18 +130,9 @@ struct SolveLeaf
     std::shared_ptr<const CompiledTemplate> tpl;
     /** Whether @p tpl's structure matches this leaf (checked at plan time). */
     bool tpl_compatible = false;
-    /** Family-level parametric template whose skeleton this leaf's fused
-     *  program can bind from (null when it has no skeleton or is
-     *  structure-incompatible — verified against THIS leaf's model at
-     *  plan time). */
+    /** Placeholder kept for source compatibility with perfbench: always
+     *  null. A leaf's fused program is built from its model alone. */
     std::shared_ptr<const ParametricTemplate> family;
-    /**
-     * Plan-time prediction of how this leaf's fused program materializes:
-     * Bind (family skeleton patch) or Compile (from-scratch build).
-     * Diagnostics only — the execution path builds bit-identical tables
-     * regardless of tier.
-     */
-    TemplateTier tier = TemplateTier::Compile;
     /**
      * Sparsify-lineage leaves: the reduced model the OPTIMIZER LOOP
      * tunes (gamma, beta) on (fixed at plan time, pure function of the

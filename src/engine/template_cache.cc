@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/rng.h"
-#include "sim/statevector.h"
 
 namespace fq::engine {
 
@@ -43,18 +42,8 @@ template_entry_bytes(const CompiledTemplate& tpl)
 }
 
 /** Byte budget for family structures. These hold compiled circuits and
- *  O(|E|) skeletons, never 2^n tables. */
+ *  noise arrays, never 2^n tables. */
 constexpr std::size_t kMaxFamilyBytes = std::size_t(64) << 20;
-
-/** True when the two builds produce the same circuit structure for the
- *  same model. */
-bool
-same_build(const qaoa::BuildOptions& a, const qaoa::BuildOptions& b)
-{
-    return a.num_layers == b.num_layers &&
-           a.include_measurements == b.include_measurements &&
-           a.keep_zero_linear_rz == b.keep_zero_linear_rz;
-}
 
 /** Per-logical-qubit readout-flip probabilities under @p compiled's
  *  final placement. */
@@ -210,36 +199,6 @@ family_signature(const ising::IsingModel& model, const device::Device& dev,
     return h;
 }
 
-std::vector<double>
-fused_slot_values(const ising::IsingModel& model)
-{
-    const auto& quadratic = model.quadratic_terms();
-    std::vector<double> values;
-    values.reserve(static_cast<std::size_t>(model.num_spins()) +
-                   quadratic.size());
-    // Parity coefficient convention (circuit/fusion.cc): the builder emits
-    // angle coefficients 2h_i / 2J_t and fusion contributes -coeff/2, so
-    // the bound value is exactly -h_i / -J_t (doubling and halving are
-    // exact in IEEE754 — bit-identical to the from-scratch path).
-    for (int i = 0; i < model.num_spins(); ++i)
-        values.push_back(-model.linear(i));
-    for (const auto& term : quadratic)
-        values.push_back(-term.coefficient);
-    return values;
-}
-
-const char*
-template_tier_name(TemplateTier tier)
-{
-    switch (tier) {
-    case TemplateTier::Compile:
-        return "compile";
-    case TemplateTier::Bind:
-        return "bind";
-    }
-    return "?";
-}
-
 bool
 ParametricTemplate::matches(const ising::IsingModel& model) const
 {
@@ -253,9 +212,9 @@ ParametricTemplate::matches(const ising::IsingModel& model) const
             terms[t].j != quadratic_pairs[t].second)
             return false;
     }
-    // Without keep_zero_linear_rz the compiled structure (and skeleton
-    // slot set) depends on which h_i are nonzero; a member whose pattern
-    // differs is a different structure.
+    // Without keep_zero_linear_rz the compiled structure depends on which
+    // h_i are nonzero; a member whose pattern differs is a different
+    // structure.
     if (!linear_present.empty()) {
         for (int i = 0; i < num_spins; ++i) {
             if ((model.linear(i) != 0.0) !=
@@ -274,8 +233,6 @@ ParametricTemplate::bytes() const
     total += linear_present.capacity() / 8;
     if (structural)
         total += template_entry_bytes(*structural);
-    if (has_skeleton)
-        total += skeleton.bytes();
     return total;
 }
 
@@ -284,35 +241,21 @@ TemplateCache::TemplateCache() : family_byte_budget_(kMaxFamilyBytes) {}
 std::shared_ptr<const sim::FusedProgram>
 TemplateCache::get_or_fuse(const ising::IsingModel& model,
                            const qaoa::BuildOptions& build, bool* was_hit,
-                           const ParametricTemplate* family,
+                           const ParametricTemplate* /*family*/,
                            TemplateTier* tier)
 {
     if (was_hit)
         *was_hit = false;
-    // Built OUTSIDE the lock: every sibling carries its own coefficients,
-    // so the O(2^n) table builds of a wave's leaves run in parallel. With
-    // a matching family skeleton the build skips the circuit construction
-    // and fusion scan entirely: patch the coefficient slots, then compile
-    // the weight tables. The tables are identical either way (asserted
-    // bit-for-bit by the bind-vs-recompile tests).
-    const bool via_bind = family != nullptr && family->has_skeleton &&
-                          same_build(family->build, build) &&
-                          family->matches(model);
     if (tier)
-        *tier = via_bind ? TemplateTier::Bind : TemplateTier::Compile;
+        *tier = TemplateTier::Compile;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (via_bind)
-            ++stats_.family_binds;
-        else
-            ++stats_.sim_fusions;
+        ++stats_.family_binds;
     }
-    if (via_bind)
-        return std::make_shared<const sim::FusedProgram>(
-            circuit::bind_fused(family->skeleton, fused_slot_values(model)),
-            /*build_luts=*/true);
+    // Built OUTSIDE the lock: every sibling carries its own coefficients,
+    // so the O(2^n) table builds of a wave's leaves run in parallel.
     return std::make_shared<const sim::FusedProgram>(
-        qaoa::build_qaoa_circuit(model, build), /*build_luts=*/true);
+        sim::FusedProgram::from_model(model, build.num_layers));
 }
 
 TemplateCache::FamilyBinding
@@ -351,8 +294,8 @@ TemplateCache::get_or_bind(const ising::IsingModel& model,
     }
 
     // Structural compile OUTSIDE the lock: build the circuit once,
-    // transpile it structure-only, derive noise quantities (all
-    // angle-independent) and the fusion skeleton.
+    // transpile it structure-only and derive its noise quantities (all
+    // angle-independent).
     auto family = std::make_shared<ParametricTemplate>();
     family->num_spins = model.num_spins();
     const auto& quadratic = model.quadratic_terms();
@@ -366,7 +309,6 @@ TemplateCache::get_or_bind(const ising::IsingModel& model,
             family->linear_present[static_cast<std::size_t>(i)] =
                 model.linear(i) != 0.0;
     }
-    family->build = build;
 
     const auto logical = qaoa::build_qaoa_circuit(model, build);
     auto structural = std::make_shared<CompiledTemplate>();
@@ -378,19 +320,6 @@ TemplateCache::get_or_bind(const ising::IsingModel& model,
     structural->readout_flip = readout_flip_for(
         structural->compiled, dev.calibration, model.num_spins());
     family->structural = structural;
-
-    // The skeleton only feeds fused simulation, which never runs wider
-    // than kMaxSimQubits; fusion's parity masks are 64-bit, so a wider
-    // structure (a full-width baseline arm) must not be fused at all.
-    if (model.num_spins() <= sim::kMaxSimQubits) {
-        auto skeleton = circuit::parametrize_fused(
-            circuit::fuse_diagonals(logical), model.num_spins(),
-            family->quadratic_pairs);
-        if (skeleton.has_value()) {
-            family->skeleton = std::move(*skeleton);
-            family->has_skeleton = true;
-        }
-    }
 
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.family_structural_compiles;

@@ -10,8 +10,8 @@
  * identity, compile + build options), everything the transpiler's output
  * structurally depends on, and nothing it doesn't (coefficient VALUES are
  * excluded on purpose; they only move RZ angles). Nothing per value is
- * kept: get_or_fuse binds each leaf's weight tables from the family
- * skeleton and hands them to the caller, which drops them when done.
+ * kept: get_or_fuse builds each leaf's fused program straight from its
+ * model and hands it to the caller, which drops it when done.
  *
  * Devices are fingerprinted structurally — name, coupling map, and full
  * calibration — so hand-built devices that alias on a name can never be
@@ -72,23 +72,11 @@ std::uint64_t family_signature(const ising::IsingModel& model,
                                const qaoa::BuildOptions& build,
                                std::uint64_t salt = 0);
 
-/**
- * Slot-value vector for binding a skeleton to @p model's coefficients:
- * slot i in [0, n) holds -h_i, slot n + t holds -J_t (the fused parity
- * coefficients under the RZ phase convention — see circuit/fusion.cc).
- * Exact: the builder emits angle coefficients 2h / 2J and fusion halves
- * and negates them, which round-trips bitwise in IEEE754.
- */
-std::vector<double> fused_slot_values(const ising::IsingModel& model);
-
-/** How a template lookup was (or will be) satisfied. */
+/** How a family lookup (get_or_bind) was satisfied. */
 enum class TemplateTier : std::uint8_t {
-    Compile, ///< full build: transpile and/or fusion scan from scratch
-    Bind,    ///< family structure resident; coefficients patched in
+    Compile, ///< this lookup paid the structure-only compile
+    Bind,    ///< family structure resident; nothing compiled
 };
-
-/** Lower-case tier mnemonic ("compile" / "bind"). */
-const char* template_tier_name(TemplateTier tier);
 
 /**
  * One cached template: the transpiled circuit plus every noise quantity
@@ -109,10 +97,8 @@ struct CompiledTemplate
  * Family-level structural artifact: everything the compile pipeline
  * produces that depends on structure but not on coefficient VALUES,
  * computed once per (graph family, p, width, device) and shared by every
- * member instance. Holds the structure-only transpiled template (noise
- * quantities included — all angle-independent) and the coefficient-slot
- * fusion skeleton that turns a member's fused-program build into a
- * parameter patch.
+ * member instance: the structure-only transpiled template, noise
+ * quantities included (all angle-independent).
  */
 struct ParametricTemplate
 {
@@ -127,10 +113,6 @@ struct ParametricTemplate
 
     /** Structure-only compile result + noise quantities. */
     std::shared_ptr<const CompiledTemplate> structural;
-    /** Value-free fused skeleton (parity masks with coefficient slots). */
-    circuit::ParametricFusedCircuit skeleton;
-    bool has_skeleton = false;
-    qaoa::BuildOptions build;
 
     /** True when @p model has exactly this labeled structure. O(E). */
     bool matches(const ising::IsingModel& model) const;
@@ -151,18 +133,14 @@ class TemplateCache
          *  tier (family_structural_compiles). Kept only because perfbench
          *  reads it. */
         std::uint64_t compiles = 0;
-        /** Fused programs get_or_fuse built from scratch (no matching
-         *  family skeleton). */
-        std::uint64_t sim_fusions = 0;
-        /** Family-tier counters (get_or_bind / skeleton binds). */
+        /** Family-tier counters (get_or_bind lookups). */
         std::uint64_t family_lookups = 0;
         /** Lookups served by a resident family structure. */
         std::uint64_t family_hits = 0;
-        /** Structure-only compiles (transpile + fusion skeleton), once
+        /** Structure-only compiles (transpile + noise quantities), once
          *  per labeled structure per family. */
         std::uint64_t family_structural_compiles = 0;
-        /** Fused programs built by patching coefficients into a resident
-         *  skeleton instead of a from-scratch circuit build + fusion. */
+        /** Fused programs get_or_fuse built (one per call). */
         std::uint64_t family_binds = 0;
         /** Family structures dropped by the byte-budget reset. */
         std::uint64_t family_evictions = 0;
@@ -188,15 +166,15 @@ class TemplateCache
     };
 
     /**
-     * Build the fused-simulation program (diagonal weight tables, mixer
-     * walls) for @p model's QAOA circuit under @p build. With a @p family
-     * whose skeleton matches @p model the build is a coefficient patch
-     * (@p tier, when non-null, reports Bind); otherwise the circuit is
-     * built and fused from scratch (Compile). Both give bit-identical
-     * tables. The program belongs to the caller: nothing is stored, so
-     * the 2^n tables live exactly as long as the leaf that uses them.
-     * @p was_hit is a placeholder kept for source compatibility with
-     * perfbench; when non-null it is always set to false.
+     * Build the fused-simulation program of @p model's QAOA circuit with
+     * build.num_layers layers (sim::FusedProgram::from_model; no other
+     * build option changes it). The program belongs to the caller:
+     * nothing is stored, so the 2^n tables live exactly as long as the
+     * leaf that uses them.
+     *
+     * @p was_hit, @p family and @p tier are placeholders kept for source
+     * compatibility with perfbench: @p family is ignored, and when
+     * non-null @p was_hit is set to false and @p tier to Compile.
      */
     std::shared_ptr<const sim::FusedProgram>
     get_or_fuse(const ising::IsingModel& model,
@@ -207,7 +185,7 @@ class TemplateCache
     /**
      * The engine's only way to a compiled template: return the shared
      * structural artifact for @p model's graph family, running the
-     * structure-only compile (transpile + fusion skeleton) exactly once
+     * structure-only compile (transpile + noise quantities) exactly once
      * per labeled structure. Warm-family lookups cost a hash plus an O(E)
      * labeled verification — no transpiler involvement — which is what
      * turns cold-start planning into a parameter patch. Misses compile
@@ -229,7 +207,7 @@ class TemplateCache
     Stats stats() const;
     /**
      * Estimated bytes currently held: each family structure's estimate
-     * (compiled circuit, noise arrays, skeleton). Cheap enough to poll
+     * (compiled circuit, noise arrays). Cheap enough to poll
      * from a --stats report after every solve.
      */
     std::size_t bytes() const;

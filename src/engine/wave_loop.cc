@@ -75,10 +75,6 @@ fill_request_counters(const WaveRequest& request,
     const LeafSchedule& schedule = *request.schedule;
     out = RequestCounters{};
     for (int leaf_id : schedule.executed) {
-        switch (tree.leaves[static_cast<std::size_t>(leaf_id)].tier) {
-        case TemplateTier::Bind: ++out.leaves_tier_bind; break;
-        case TemplateTier::Compile: ++out.leaves_tier_compile; break;
-        }
         const auto arm = node_kind_index(leaf_arm_kind(tree, leaf_id));
         ++out.kind_leaves_executed[arm];
         out.kind_budget_units[arm] += leaf_slot_cost(tree, leaf_id);
@@ -194,13 +190,12 @@ execute_wave(TemplateCache& cache, BatchExecutor& executor,
             executed.fetch_add(1, std::memory_order_relaxed);
             try {
                 WaveRequest& r = *slot.request;
-                TemplateTier fuse_tier = TemplateTier::Compile;
                 auto counts = simulate_scheduled_leaf(
                     cache, *r.tree, slot.leaf_id, *r.dev, *r.config,
-                    r.shots, scratch, nullptr, &fuse_tier);
+                    r.shots, scratch);
                 r.reducer->fold(slot.leaf_id, std::move(counts));
                 if (hooks.folded)
-                    hooks.folded(slot, false, fuse_tier);
+                    hooks.folded(slot, false, TemplateTier::Compile);
             } catch (...) {
                 if (!hooks.failed)
                     throw;

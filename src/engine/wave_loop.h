@@ -232,10 +232,9 @@ struct WaveHooks
     /** Pre-simulation gate; return false to skip the slot (dead weight of
      *  an already-failed tenant). Runs on the worker thread. */
     std::function<bool(const WaveSlot&)> admit;
-    /** After the slot's counts folded into its request's reducer.
-     *  @p fuse_tier reports how the fused program materialized (Bind /
-     *  Compile — see TemplateTier). @p fused_hit is a placeholder kept for source compatibility with
-     *  perfbench and is always false. */
+    /** After the slot's counts folded into its request's reducer. The
+     *  bool and TemplateTier arguments are placeholders kept for source
+     *  compatibility with perfbench: always false and Compile. */
     std::function<void(const WaveSlot&, bool fused_hit,
                        TemplateTier fuse_tier)>
         folded;
@@ -278,10 +277,6 @@ struct LeafExecutorStats
  */
 struct RequestCounters
 {
-    /** Template-tier split of the executed leaves (plan-time
-     *  SolveLeaf::tier: family-skeleton patch / from-scratch build). */
-    int leaves_tier_bind = 0;
-    int leaves_tier_compile = 0;
     /**
      * Per-reduction-arm counters, indexed by node_kind_index() over the
      * kind-metadata table (engine/expander.h). A scheduled leaf's arm is

@@ -31,7 +31,7 @@ namespace fq::frozenqubits {
 /**
  * Driver configuration. Leaf execution has no knobs here: every
  * executable leaf simulates through the fused QAOA path (weight tables
- * bound from the family skeleton) on the kernel backend its width picks
+ * built straight from the leaf model) on the kernel backend its width picks
  * (sim::select_backend). The gate-by-gate simulator (sim::run_circuit)
  * is a test oracle only.
  */

@@ -224,7 +224,6 @@ encode_leaf_counts(const LeafCounts& msg)
     Writer out;
     out.u64(msg.session_id);
     out.i32(msg.leaf_id);
-    out.u8(static_cast<std::uint8_t>(msg.tier));
     out.i32(msg.width);
     out.u64_pairs(msg.histogram);
     return out.take();
@@ -237,12 +236,6 @@ decode_leaf_counts(const std::vector<std::uint8_t>& payload)
     LeafCounts msg;
     msg.session_id = in.u64();
     msg.leaf_id = in.i32();
-    const std::uint8_t tier = in.u8();
-    if (tier != static_cast<std::uint8_t>(engine::TemplateTier::Compile) &&
-        tier != static_cast<std::uint8_t>(engine::TemplateTier::Bind))
-        throw NetError("net: leaf counts carry unknown template tier " +
-                       std::to_string(tier));
-    msg.tier = static_cast<engine::TemplateTier>(tier);
     msg.width = in.i32();
     msg.histogram = in.u64_pairs();
     in.finish();

@@ -30,9 +30,8 @@
  * is just (session, leaf_id) — its sub-model, RNG stream seed and template
  * key all come out of the worker's own replanned tree, and the
  * fingerprint check proves that tree is byte-equivalent to the
- * coordinator's. The reply is the raw count histogram plus the template
- * tier the WaveHooks need, so a remote fold is indistinguishable from a
- * local one.
+ * coordinator's. The reply is the raw count histogram, so a remote fold
+ * is indistinguishable from a local one.
  *
  * Only result-relevant config fields travel (the config_fingerprint
  * set); execution-local knobs like thread count stay per-process.
@@ -44,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/template_cache.h"
 #include "frozenqubits/driver.h"
 #include "ising/ising_model.h"
 #include "net/frame.h"
@@ -53,10 +51,9 @@
 namespace fq::net {
 
 /** Bumped on any wire-format change, and on any change to what a worker
- *  computes for the same frames (version 6: the doubling table build,
- *  whose tables for non-exact models differ in the last bits); a worker
- *  refuses other versions. */
-constexpr std::uint32_t kProtocolVersion = 6;
+ *  computes for the same frames (version 7: LeafCounts lost its template
+ *  tier byte); a worker refuses other versions. */
+constexpr std::uint32_t kProtocolVersion = 7;
 
 enum MessageType : std::uint32_t {
     kMsgOpenSession = 1,
@@ -111,8 +108,6 @@ struct LeafCounts
 {
     std::uint64_t session_id = 0;
     std::int32_t leaf_id = 0;
-    /** One byte on the wire; any value but Compile / Bind is rejected. */
-    engine::TemplateTier tier = engine::TemplateTier::Compile;
     std::int32_t width = 0;
     sim::HistogramEntries histogram;
 };
@@ -137,7 +132,7 @@ struct WireError
 
 // Encoders produce a frame payload; decoders throw NetError on trailing
 // garbage, truncation, a list count the payload cannot hold, a version
-// mismatch or an out-of-range tier byte.
+// mismatch or an out-of-range enum value.
 std::vector<std::uint8_t> encode_open_session(const OpenSession& msg);
 OpenSession decode_open_session(const std::vector<std::uint8_t>& payload);
 

@@ -239,7 +239,6 @@ WorkerServer::serve_connection(Fd client)
                 struct Outcome
                 {
                     sim::Counts counts;
-                    engine::TemplateTier tier = engine::TemplateTier::Compile;
                     bool failed = false;
                     std::string error;
                 };
@@ -263,8 +262,7 @@ WorkerServer::serve_connection(Fd client)
                                     out.counts =
                                         engine::simulate_scheduled_leaf(
                                             cache_, s.tree, leaf_id, s.dev,
-                                            s.config, s.shots, scratch,
-                                            nullptr, &out.tier);
+                                            s.config, s.shots, scratch);
                                 } catch (const std::exception& e) {
                                     out.failed = true;
                                     out.error = e.what();
@@ -290,7 +288,6 @@ WorkerServer::serve_connection(Fd client)
                     LeafCounts reply;
                     reply.session_id = batch.session_id;
                     reply.leaf_id = leaf_id;
-                    reply.tier = out.tier;
                     reply.width = out.counts.num_qubits();
                     reply.histogram = sim::histogram_entries(out.counts);
                     write_frame(client.get(), kMsgLeafCounts,

@@ -340,7 +340,8 @@ WorkerPool::execute_wave(const std::vector<engine::WaveSlot>& wave,
                     r.reducer->fold(slot.leaf_id, std::move(counts));
                     ++executed;
                     if (hooks.folded)
-                        hooks.folded(slot, false, msg.tier);
+                        hooks.folded(slot, false,
+                                     engine::TemplateTier::Compile);
                 } else if (frame.type == kMsgLeafFailed) {
                     const auto msg = decode_leaf_failed(frame.payload);
                     const auto it = entries.find(

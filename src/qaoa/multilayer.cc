@@ -4,22 +4,8 @@
 #include "common/error.h"
 #include "optimizer/nelder_mead.h"
 #include "qaoa/analytic_p1.h"
-#include "qaoa/qaoa_builder.h"
 
 namespace fq::qaoa {
-
-namespace {
-
-circuit::Circuit
-parametric_circuit(const ising::IsingModel& model, int num_layers)
-{
-    BuildOptions opts;
-    opts.num_layers = num_layers;
-    opts.include_measurements = false;
-    return build_qaoa_circuit(model, opts);
-}
-
-} // namespace
 
 StateExpectations
 state_expectations(const ising::IsingModel& model,
@@ -55,7 +41,7 @@ state_expectations(const ising::IsingModel& model,
 
 QaoaEvaluator::QaoaEvaluator(const ising::IsingModel& model, int num_layers)
     : num_layers_(num_layers),
-      program_(parametric_circuit(model, num_layers), /*build_luts=*/true),
+      program_(sim::FusedProgram::from_model(model, num_layers)),
       energy_table_(model)
 {
     FQ_REQUIRE(num_layers >= 1, "need at least one layer");
@@ -94,11 +80,10 @@ evaluate_multilayer(const ising::IsingModel& model,
                "need one (gamma, beta) pair per layer");
     FQ_REQUIRE(model.num_spins() <= 20,
                "statevector evaluation limited to 20 spins");
-    // One-shot evaluation: fuse without the level LUT (its build cost only
-    // pays off across repeated runs of the same structure).
-    const sim::FusedProgram program(
-        parametric_circuit(model, static_cast<int>(gammas.size())),
-        /*build_luts=*/false);
+    // One-shot evaluation: build without the level LUT (its build cost
+    // only pays off across repeated runs of the same structure).
+    const auto program = sim::FusedProgram::from_model(
+        model, static_cast<int>(gammas.size()), /*build_luts=*/false);
     sim::Statevector state;
     program.run(gammas, betas, state);
     return state_expectations(model, state);

@@ -38,9 +38,9 @@ StateExpectations state_expectations(const ising::IsingModel& model,
                                      const sim::Statevector& state);
 
 /**
- * Cached fast evaluator for the QAOA optimizer loop. Construction fuses
- * the p-layer circuit (compiling its diagonal weight tables) and builds
- * the model's energy table; energy() is then the per-iteration cost the
+ * Cached fast evaluator for the QAOA optimizer loop. Construction builds
+ * the p-layer fused program (sim::FusedProgram::from_model) and the
+ * model's energy table; energy() is then the per-iteration cost the
  * classical optimizer actually pays. One evaluator owns one scratch
  * statevector — share across iterations, not across threads.
  */

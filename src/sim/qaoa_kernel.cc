@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <numeric>
 
 #include "common/bitops.h"
 #include "common/error.h"
@@ -379,14 +380,6 @@ EnergyTable::EnergyTable(const ising::IsingModel& model)
 {
     FQ_REQUIRE(num_qubits_ >= 1 && num_qubits_ <= kMaxTableQubits,
                "energy table limited to 1..26 qubits");
-    rebind(model);
-}
-
-void
-EnergyTable::rebind(const ising::IsingModel& model)
-{
-    FQ_REQUIRE(model.num_spins() == num_qubits_,
-               "energy table rebind requires matching width");
     ParitySums(model_terms(model), model.offset(), num_qubits_)
         .fill(values_);
 }
@@ -405,6 +398,47 @@ EnergyTable::expectation(const Statevector& state) const
 
 // ------------------------------------------------------------------------
 // FusedProgram
+
+FusedProgram
+FusedProgram::from_model(const ising::IsingModel& model, int num_layers,
+                         bool build_luts)
+{
+    FQ_REQUIRE(num_layers >= 1, "QAOA needs at least one layer");
+    FusedProgram program;
+    const int n = model.num_spins();
+    FQ_REQUIRE(n >= 1 && n <= kMaxTableQubits,
+               "fused program limited to 1..26 qubits");
+    program.num_qubits_ = n;
+    program.uniform_start_ = true;
+
+    // The builder emits RZ(2c) per term and fusion turns RZ(theta) into
+    // the parity coefficient -theta/2 (circuit/fusion.cc); doubling and
+    // halving are exact, so the coefficient is -c bit for bit.
+    auto terms = model_terms(model);
+    for (auto& term : terms)
+        term.coefficient = -term.coefficient;
+    program.tables_.emplace_back(terms, n, build_luts);
+
+    std::vector<int> all_qubits(static_cast<std::size_t>(n));
+    std::iota(all_qubits.begin(), all_qubits.end(), 0);
+    for (int layer = 0; layer < num_layers; ++layer) {
+        Op cost;
+        cost.kind = circuit::FusedOp::Kind::Diagonal;
+        cost.scale_kind = circuit::Parameter::Kind::Gamma;
+        cost.scale_layer = layer;
+        program.ops_.push_back(std::move(cost));
+        Op mixer;
+        mixer.kind = circuit::FusedOp::Kind::Mixer;
+        mixer.scale_kind = circuit::Parameter::Kind::Beta;
+        mixer.scale_layer = layer;
+        mixer.mixer_coefficient = 2.0;
+        mixer.qubits = all_qubits;
+        program.ops_.push_back(std::move(mixer));
+    }
+    program.num_diagonal_ops_ = num_layers;
+    program.num_mixer_ops_ = num_layers;
+    return program;
+}
 
 FusedProgram::FusedProgram(const circuit::FusedCircuit& fused,
                            bool build_luts)
@@ -425,7 +459,6 @@ FusedProgram::compile(const circuit::FusedCircuit& fused, bool build_luts)
                "fused program limited to 1..26 qubits");
     num_diagonal_ops_ = fused.num_diagonal_ops();
     num_mixer_ops_ = fused.num_mixer_ops();
-    gates_fused_ = fused.gates_fused();
 
     // Leading Hadamard wall (H on every qubit exactly once, the standard
     // QAOA opening) collapses to a one-pass uniform initialization.
@@ -449,7 +482,6 @@ FusedProgram::compile(const circuit::FusedCircuit& fused, bool build_luts)
         if (covered == all) {
             uniform_start_ = true;
             start = k;
-            gates_fused_ += num_qubits_;
         }
     }
 

@@ -21,12 +21,14 @@
  *   EnergyTable — E[s] = model.evaluate_state(s) computed once; every
  *     expectation is then a dot product with the probabilities.
  *
- *   FusedProgram — a compiled fused circuit: leading Hadamard wall becomes
- *     a one-pass uniform init, diagonal layers apply through their tables,
- *     mixer walls run on the paired-RX kernel (half the memory traffic),
- *     and everything else goes through the strided kernels. run() is
- *     const and thread-safe: the engine shares one program across worker
- *     threads, each writing its own scratch Statevector.
+ *   FusedProgram — the executable form of a p-layer QAOA circuit: a
+ *     one-pass uniform init, then per layer one diagonal op applied
+ *     through its table and one mixer wall on the paired-RX kernel (half
+ *     the memory traffic). from_model builds it straight from the Ising
+ *     model's terms; the circuit constructors fuse an arbitrary circuit
+ *     (circuit/fusion.h) and serve as the test oracle for it. run() is
+ *     const and thread-safe: one program can serve many threads, each
+ *     writing its own scratch Statevector.
  *
  * Both tables come from one doubling build: w[0] is the sum of all
  * coefficients, and the upper half of each prefix 2^(k+1) is its lower
@@ -36,9 +38,10 @@
  * of three or more bits adds an O(2^k) pass at each of its bits k above
  * the lowest two.
  *
- * The engine's TemplateCache builds each leaf's FusedProgram by binding
- * its coefficients into a cached family skeleton, extending the paper's
- * compile-once template editing (Section 3.7.1) down into the simulator.
+ * A leaf's program needs no cached form: the paper's 2^m sub-circuits
+ * differ only in their (J, h) values, and those values ARE the program's
+ * terms. Only the transpiled template (engine/template_cache.h) keeps a
+ * compile-once, edit-per-sibling form (Section 3.7.1).
  */
 #ifndef FQ_SIM_QAOA_KERNEL_H
 #define FQ_SIM_QAOA_KERNEL_H
@@ -140,14 +143,6 @@ class EnergyTable
   public:
     explicit EnergyTable(const ising::IsingModel& model);
 
-    /**
-     * Re-fill this table in place for @p model (same width required) —
-     * the parameter-patch fast path for family-shaped workloads: the
-     * 2^n buffer is reused instead of reallocated, and the result is
-     * bit-identical to constructing EnergyTable(model) from scratch.
-     */
-    void rebind(const ising::IsingModel& model);
-
     int num_qubits() const { return num_qubits_; }
     const std::vector<double>& values() const { return values_; }
 
@@ -167,11 +162,25 @@ class EnergyTable
 class FusedProgram
 {
   public:
+    /**
+     * The program of qaoa::build_qaoa_circuit(@p model) with
+     * @p num_layers layers, built without the circuit: a uniform start,
+     * then per layer one gamma-scaled diagonal op and one beta-scaled
+     * mixer wall (RX coefficient 2) on every qubit. All diagonal ops share
+     * one table over the model's negated terms, linear 0..n-1 then
+     * quadratic_terms(), which is the builder's gate order, so its weights
+     * equal the fused circuit's bit for bit. Measurements and barriers do
+     * nothing in simulation, and the table build skips zero coefficients,
+     * so no build option changes the result.
+     */
+    static FusedProgram from_model(const ising::IsingModel& model,
+                                   int num_layers, bool build_luts = true);
+
     /** Compile @p fused. @p build_luts: see DiagonalTable. */
     explicit FusedProgram(const circuit::FusedCircuit& fused,
                           bool build_luts = true);
 
-    /** Convenience: fuse @p c with default options, then compile. */
+    /** Convenience: fuse @p c, then compile. */
     explicit FusedProgram(const circuit::Circuit& c, bool build_luts = true);
 
     int num_qubits() const { return num_qubits_; }
@@ -198,9 +207,9 @@ class FusedProgram
     /// @{
     int num_diagonal_ops() const { return num_diagonal_ops_; }
     int num_mixer_ops() const { return num_mixer_ops_; }
-    int gates_fused() const { return gates_fused_; }
     /** Distinct weight tables (shared across repeated layers). */
     std::size_t num_tables() const { return tables_.size(); }
+    const DiagonalTable& table(std::size_t k) const { return tables_.at(k); }
     /** Total bytes held by the weight tables. */
     std::size_t table_bytes() const
     {
@@ -225,6 +234,7 @@ class FusedProgram
         std::size_t table = 0;          // Diagonal
     };
 
+    FusedProgram() = default;
     void compile(const circuit::FusedCircuit& fused, bool build_luts);
     static double resolve_scale(circuit::Parameter::Kind kind, int layer,
                                 const std::vector<double>& gammas,
@@ -236,7 +246,6 @@ class FusedProgram
     std::vector<DiagonalTable> tables_;
     int num_diagonal_ops_ = 0;
     int num_mixer_ops_ = 0;
-    int gates_fused_ = 0;
 };
 
 } // namespace fq::sim

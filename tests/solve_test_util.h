@@ -67,8 +67,6 @@ inline void
 expect_counters_identical(const engine::RequestCounters& a,
                           const engine::RequestCounters& b)
 {
-    EXPECT_EQ(a.leaves_tier_bind, b.leaves_tier_bind);
-    EXPECT_EQ(a.leaves_tier_compile, b.leaves_tier_compile);
     EXPECT_EQ(a.kind_leaves_executed, b.kind_leaves_executed);
     EXPECT_EQ(a.kind_leaves_pruned, b.kind_leaves_pruned);
     EXPECT_EQ(a.kind_budget_units, b.kind_budget_units);

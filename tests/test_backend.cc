@@ -272,8 +272,7 @@ TEST(Backend, SolvesBitIdenticalAcrossBackends)
             tree.nodes[static_cast<std::size_t>(leaf.node)].sub;
         const auto tuned = qaoa::optimize_p1(
             leaf.proxy ? *leaf.proxy : sub.model, config.p1_grid_resolution);
-        const auto program = cache.get_or_fuse(sub.model, leaf.build,
-                                               nullptr, leaf.family.get());
+        const auto program = cache.get_or_fuse(sub.model, leaf.build);
         const auto sample = [&](const sim::Backend& backend) {
             sim::Statevector state;
             program->run({tuned.angles.gamma}, {tuned.angles.beta}, state,
@@ -477,7 +476,7 @@ TEST(TemplateCacheAccounting, FusedProgramsAreOwnedByTheCaller)
     EXPECT_FALSE(hit);
     EXPECT_NE(again.get(), program.get());
     EXPECT_EQ(cache.bytes(), 0u);
-    EXPECT_EQ(cache.stats().sim_fusions, 2u);
+    EXPECT_EQ(cache.stats().family_binds, 2u);
 
     // Bit-identical tables: same table footprint, and the same amplitudes
     // bit for bit at arbitrary angles.

@@ -82,7 +82,7 @@ TEST(PinnedBytes, WireMessages)
     open.config_hash = 0x2222;
     open.plan_hash = 0x3333;
     open.device_hash = 0x4444;
-    expect_pinned(net::encode_open_session(open), Pin{272, 0xa94ce22e},
+    expect_pinned(net::encode_open_session(open), Pin{272, 0x0e050aba},
                   "OpenSession");
 
     expect_pinned(net::encode_session_ready({7, 4}),
@@ -93,10 +93,9 @@ TEST(PinnedBytes, WireMessages)
     net::LeafCounts counts;
     counts.session_id = 7;
     counts.leaf_id = 3;
-    counts.tier = engine::TemplateTier::Bind;
     counts.width = 5;
     counts.histogram = {{0, 100}, {17, 900}, {31, 24}};
-    expect_pinned(net::encode_leaf_counts(counts), Pin{73, 0x55d6b872},
+    expect_pinned(net::encode_leaf_counts(counts), Pin{72, 0x36f4fae3},
                   "LeafCounts");
 
     expect_pinned(net::encode_leaf_failed({7, 3, "boom"}),
@@ -106,7 +105,7 @@ TEST(PinnedBytes, WireMessages)
     expect_pinned(net::encode_wire_error({7, "fingerprint mismatch"}),
                   Pin{36, 0xebf7d346}, "WireError");
     expect_pinned(net::encode_worker_hello({net::kProtocolVersion, 8}),
-                  Pin{8, 0x66f9fe01}, "WorkerHello");
+                  Pin{8, 0xaa53fe9f}, "WorkerHello");
 }
 
 TEST(PinnedBytes, Frame)

@@ -435,9 +435,9 @@ TEST(ExecutionEngine, FacadeMatchesEngine)
 
 TEST(ExecutionEngine, FamilyTierSolvesBitIdenticalAcrossThreadsAndWarmth)
 {
-    // The family tier only changes HOW a fused program is built
-    // (coefficient patch or from-scratch build), never its contents — so
-    // solves are bit-identical serial or pooled, cold or warm.
+    // The family tier only changes whether planning pays the structural
+    // compile, never a leaf's program — so solves are bit-identical serial
+    // or pooled, cold or warm.
     const auto model = ba_model(12, 1, 13);
     const auto dev = device::make_device("ibm-montreal");
     frozenqubits::DriverConfig config;
@@ -448,17 +448,14 @@ TEST(ExecutionEngine, FamilyTierSolvesBitIdenticalAcrossThreadsAndWarmth)
     const auto b = eng_pool.solve(model, dev, config, 1024, 77);
     expect_solves_identical(a, b);
 
-    // Tier preview accounting: a fresh engine binds the structural
-    // compile's siblings.
-    const auto& diag = eng_pool.last_diagnostics();
-    EXPECT_GT(diag.leaves_tier_bind, 0);
-
-    // A repeat on the warm engine binds every leaf from the resident
-    // family — none compiles from scratch — with the result unchanged.
+    // A repeat on the warm engine plans from the resident family — no
+    // structural compile — with the result unchanged.
+    const auto compiles =
+        eng_pool.template_cache().stats().family_structural_compiles;
     const auto c = eng_pool.solve(model, dev, config, 1024, 77);
     expect_solves_identical(a, c);
-    EXPECT_EQ(eng_pool.last_diagnostics().leaves_tier_compile, 0);
-    EXPECT_GT(eng_pool.last_diagnostics().leaves_tier_bind, 0);
+    EXPECT_EQ(eng_pool.template_cache().stats().family_structural_compiles,
+              compiles);
 }
 
 TEST(TemplateCache, FamilyByteAccountingExactAtEvictionBoundary)
@@ -480,8 +477,7 @@ TEST(TemplateCache, FamilyByteAccountingExactAtEvictionBoundary)
     EXPECT_EQ(cache.bytes(), stats.structure_bytes);
 
     // Building a leaf's tables charges nothing.
-    const auto program_a =
-        cache.get_or_fuse(model_a, build, nullptr, first.family.get());
+    const auto program_a = cache.get_or_fuse(model_a, build);
     ASSERT_NE(program_a, nullptr);
     stats = cache.stats();
     EXPECT_EQ(stats.structure_bytes, first.family->bytes());
@@ -494,8 +490,7 @@ TEST(TemplateCache, FamilyByteAccountingExactAtEvictionBoundary)
     const auto second = cache.get_or_bind(member, dev, compile_opts, build);
     EXPECT_EQ(second.tier, TemplateTier::Bind);
     EXPECT_EQ(second.family.get(), first.family.get()); // shared structure
-    const auto program_b =
-        cache.get_or_fuse(member, build, nullptr, second.family.get());
+    const auto program_b = cache.get_or_fuse(member, build);
     ASSERT_NE(program_b, nullptr);
     stats = cache.stats();
     EXPECT_EQ(stats.structure_bytes, first.family->bytes()); // still once
@@ -513,8 +508,7 @@ TEST(TemplateCache, FamilyByteAccountingExactAtEvictionBoundary)
     EXPECT_EQ(stats.structure_bytes, third.family->bytes());
     EXPECT_EQ(cache.bytes(), stats.structure_bytes);
 
-    const auto program_c =
-        cache.get_or_fuse(model_b, build, nullptr, third.family.get());
+    const auto program_c = cache.get_or_fuse(model_b, build);
     ASSERT_NE(program_c, nullptr);
     stats = cache.stats();
     EXPECT_EQ(stats.family_binds, 3u);

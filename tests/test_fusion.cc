@@ -13,6 +13,7 @@
 #include <complex>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -184,77 +185,6 @@ random_model(int n, std::uint64_t seed, bool with_linear)
             model.set_linear(i, rng.uniform(-1.0, 1.0));
     model.set_offset(rng.uniform(-1.0, 1.0));
     return model;
-}
-
-/** Quadratic (i, j) pairs in term order (the skeleton's slot labeling). */
-std::vector<std::pair<int, int>>
-quadratic_pairs_of(const ising::IsingModel& model)
-{
-    std::vector<std::pair<int, int>> pairs;
-    pairs.reserve(model.quadratic_terms().size());
-    for (const auto& term : model.quadratic_terms())
-        pairs.emplace_back(term.i, term.j);
-    return pairs;
-}
-
-/**
- * Copy of @p base with every coefficient re-randomized — the same labeled
- * structure, a different family member. Linear terms are refreshed only
- * where @p base has one, so the nonzero-h pattern (which shapes the circuit
- * when zero-h RZs are omitted) is preserved.
- */
-ising::IsingModel
-with_new_values(const ising::IsingModel& base, std::uint64_t seed)
-{
-    auto model = base;
-    Rng rng(seed);
-    for (const auto& term : model.quadratic_terms())
-        model.add_quadratic(term.i, term.j,
-                            rng.uniform(-2.0, 2.0) - term.coefficient);
-    for (int i = 0; i < model.num_spins(); ++i)
-        if (base.linear(i) != 0.0)
-            model.set_linear(i, rng.uniform(-2.0, 2.0));
-    model.set_offset(rng.uniform(-1.0, 1.0));
-    return model;
-}
-
-bool
-bits_equal(double a, double b)
-{
-    std::uint64_t ba = 0, bb = 0;
-    std::memcpy(&ba, &a, sizeof(ba));
-    std::memcpy(&bb, &b, sizeof(bb));
-    return ba == bb;
-}
-
-/** Bit-level equality of two fused circuits (masks, coefficients, scales). */
-void
-expect_fused_bitwise_equal(const circuit::FusedCircuit& a,
-                           const circuit::FusedCircuit& b)
-{
-    ASSERT_EQ(a.num_qubits, b.num_qubits);
-    ASSERT_EQ(a.ops.size(), b.ops.size());
-    for (std::size_t k = 0; k < a.ops.size(); ++k) {
-        const auto& oa = a.ops[k];
-        const auto& ob = b.ops[k];
-        ASSERT_EQ(static_cast<int>(oa.kind), static_cast<int>(ob.kind))
-            << "op " << k;
-        ASSERT_EQ(static_cast<int>(oa.scale_kind),
-                  static_cast<int>(ob.scale_kind))
-            << "op " << k;
-        ASSERT_EQ(oa.scale_layer, ob.scale_layer) << "op " << k;
-        ASSERT_TRUE(bits_equal(oa.mixer_coefficient, ob.mixer_coefficient))
-            << "op " << k;
-        ASSERT_EQ(oa.qubits, ob.qubits) << "op " << k;
-        ASSERT_EQ(oa.terms.size(), ob.terms.size()) << "op " << k;
-        for (std::size_t t = 0; t < oa.terms.size(); ++t) {
-            ASSERT_EQ(oa.terms[t].mask, ob.terms[t].mask)
-                << "op " << k << " term " << t;
-            ASSERT_TRUE(bits_equal(oa.terms[t].coefficient,
-                                   ob.terms[t].coefficient))
-                << "op " << k << " term " << t;
-        }
-    }
 }
 
 // --------------------------------------------------------------- kernels --
@@ -876,8 +806,7 @@ TEST(ExecutionEngine, FusedLeavesMatchGateByGateOracle)
             const std::vector<double> betas = {tuned.angles.beta};
 
             sim::Statevector fused;
-            cache.get_or_fuse(sub.model, leaf.build, nullptr,
-                              leaf.family.get())
+            cache.get_or_fuse(sub.model, leaf.build)
                 ->run(gammas, betas, fused,
                       sim::BackendRegistry::instance().get(leaf.backend));
             sim::Statevector naive;
@@ -909,209 +838,157 @@ TEST(ExecutionEngine, RepeatedSolveRebindsFromResidentFamily)
     ExecutionEngine eng(2);
     const auto a = eng.solve(model, dev, config, 512, 3);
     const auto first = eng.template_cache().stats();
-    // Every executed leaf bound its tables from the family skeleton.
+    // Every executed leaf built its own program.
     const auto leaves = static_cast<std::uint64_t>(
         eng.last_diagnostics().tasks_executed);
     EXPECT_GT(first.family_structural_compiles, 0u);
     EXPECT_EQ(first.family_binds, leaves);
 
-    // The repeat pays no structural compile: the family stays resident
-    // and each leaf rebinds its (dropped) tables from it.
+    // The repeat pays no structural compile: the family stays resident,
+    // and each leaf rebuilds its (dropped) program from its model.
     const auto b = eng.solve(model, dev, config, 512, 3);
     const auto second = eng.template_cache().stats();
     EXPECT_EQ(second.family_structural_compiles,
               first.family_structural_compiles);
     EXPECT_EQ(second.family_binds, first.family_binds + leaves);
-    EXPECT_EQ(second.sim_fusions, first.sim_fusions);
     fq::test::expect_solves_identical(a, b);
 }
 
-// ----------------------------------------------- parametric skeletons  --
+// ------------------------------------------------ program from the model --
 
-TEST(ParametricFusion, BindMatchesFromScratchFusionBitwise)
+TEST(FusedProgram, FromModelMatchesCircuitFusion)
 {
-    // The family-tier determinism contract: one skeleton per (graph class,
-    // p), and every member's fused circuit is reproducible by a pure
-    // coefficient patch — bit-for-bit, not just numerically close.
+    // from_model skips the circuit build and the fusion scan; the fused
+    // circuit stays the oracle. Its table sums the model's terms in the
+    // builder's gate order, so even inexact (Gaussian) weights match bit
+    // for bit, and amplitudes and sampled counts follow on every backend.
+    // Zero linear terms must not matter either way: the table build skips
+    // zero coefficients whether or not the builder emitted their RZs.
     struct Case
     {
-        const char* name;
-        ising::IsingModel base;
+        std::string name;
+        ising::IsingModel model;
     };
     std::vector<Case> cases;
-    cases.push_back({"ba", random_model(10, 201, /*with_linear=*/true)});
     {
-        Rng rng(202);
-        auto g = graph::complete(7); // SK topology
+        Rng rng(501);
+        auto g = graph::barabasi_albert(12, 2, rng);
+        graph::assign_random_pm1_weights(g, rng);
+        auto ba = ising::IsingModel::from_graph(g);
+        for (int i = 0; i < ba.num_spins(); ++i)
+            ba.set_linear(i, rng.uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0);
+        cases.push_back({"ba-pm1", std::move(ba)});
+    }
+    {
+        Rng rng(502);
+        auto g = graph::complete(9);
         graph::assign_gaussian_weights(g, rng);
         auto sk = ising::IsingModel::from_graph(g);
         for (int i = 0; i < sk.num_spins(); ++i)
             sk.set_linear(i, rng.uniform(-1.0, 1.0));
-        cases.push_back({"sk", std::move(sk)});
+        ASSERT_FALSE(sim::parity_sums_exact(sk));
+        cases.push_back({"sk-gaussian", std::move(sk)});
+    }
+    {
+        auto some_zero = random_model(10, 503, /*with_linear=*/true);
+        for (int i = 0; i < some_zero.num_spins(); i += 3)
+            some_zero.set_linear(i, 0.0);
+        cases.push_back({"some-zero-h", std::move(some_zero)});
+    }
+    {
+        ising::IsingModel single(1);
+        single.set_linear(0, 0.75);
+        cases.push_back({"width-1", std::move(single)});
+    }
+    {
+        Rng rng(504);
+        auto g = graph::barabasi_albert(20, 1, rng);
+        graph::assign_random_pm1_weights(g, rng);
+        cases.push_back({"width-20", ising::IsingModel::from_graph(g)});
     }
 
+    const auto& registry = sim::BackendRegistry::instance();
     for (const auto& test_case : cases) {
-        for (int p : {1, 2}) {
-            qaoa::BuildOptions opts;
-            opts.num_layers = p;
-            const auto pairs = quadratic_pairs_of(test_case.base);
-            const auto skeleton = circuit::parametrize_fused(
-                circuit::fuse_diagonals(
-                    qaoa::build_qaoa_circuit(test_case.base, opts)),
-                test_case.base.num_spins(), pairs);
-            ASSERT_TRUE(skeleton.has_value()) << test_case.name;
-            EXPECT_EQ(skeleton->num_slots,
-                      test_case.base.num_spins() +
-                          static_cast<int>(pairs.size()));
+        const int n = test_case.model.num_spins();
+        const std::vector<double> flips(static_cast<std::size_t>(n), 0.03);
+        for (const bool keep_zero : {false, true}) {
+            for (int p : {1, 2, 3}) {
+                SCOPED_TRACE(test_case.name + " p=" + std::to_string(p) +
+                             (keep_zero ? " keep-zero-rz" : ""));
+                qaoa::BuildOptions build;
+                build.num_layers = p;
+                build.keep_zero_linear_rz = keep_zero;
+                const sim::FusedProgram oracle(
+                    qaoa::build_qaoa_circuit(test_case.model, build));
+                const auto program =
+                    sim::FusedProgram::from_model(test_case.model, p);
 
-            // Multiple binds of ONE skeleton, re-randomized each time.
-            for (std::uint64_t member = 0; member < 3; ++member) {
-                const auto model = with_new_values(
-                    test_case.base,
-                    7000 + 10 * member + static_cast<std::uint64_t>(p));
-                expect_fused_bitwise_equal(
-                    circuit::bind_fused(*skeleton,
-                                        engine::fused_slot_values(model)),
-                    circuit::fuse_diagonals(
-                        qaoa::build_qaoa_circuit(model, opts)));
+                ASSERT_EQ(program.num_qubits(), oracle.num_qubits());
+                EXPECT_TRUE(program.starts_uniform());
+                EXPECT_TRUE(oracle.starts_uniform());
+                EXPECT_EQ(program.num_diagonal_ops(),
+                          oracle.num_diagonal_ops());
+                EXPECT_EQ(program.num_mixer_ops(), oracle.num_mixer_ops());
+                ASSERT_EQ(program.num_tables(), oracle.num_tables());
+                EXPECT_EQ(program.table_bytes(), oracle.table_bytes());
+                for (std::size_t k = 0; k < program.num_tables(); ++k) {
+                    EXPECT_EQ(program.table(k).compressed(),
+                              oracle.table(k).compressed());
+                    EXPECT_TRUE(bitwise_equal(table_weights(program.table(k)),
+                                              table_weights(oracle.table(k))));
+                }
+
+                Rng angles(static_cast<std::uint64_t>(600 + p));
+                std::vector<double> gammas, betas;
+                for (int l = 0; l < p; ++l) {
+                    gammas.push_back(angles.uniform(-1.5, 1.5));
+                    betas.push_back(angles.uniform(-1.5, 1.5));
+                }
+                for (const sim::Backend* backend :
+                     {&registry.scalar(), &registry.vectorized()}) {
+                    SCOPED_TRACE(backend->name());
+                    sim::Statevector got, want;
+                    program.run(gammas, betas, got, *backend);
+                    oracle.run(gammas, betas, want, *backend);
+                    ASSERT_EQ(got.dimension(), want.dimension());
+                    EXPECT_TRUE(std::equal(got.data(),
+                                           got.data() + got.dimension(),
+                                           want.data()));
+                    Rng got_rng(77), want_rng(77);
+                    EXPECT_EQ(
+                        sim::sample_noisy_counts(got, 0.8, flips, 512,
+                                                 got_rng)
+                            .histogram(),
+                        sim::sample_noisy_counts(want, 0.8, flips, 512,
+                                                 want_rng)
+                            .histogram());
+                }
             }
         }
     }
 }
 
-TEST(ParametricFusion, BoundProgramsSampleBitIdenticalStatevectors)
+TEST(EnergyTable, MatchesEvaluateStateBitwiseOnExactModels)
 {
-    // End-to-end through the simulator: a program compiled from a bound
-    // skeleton and one compiled from scratch produce bitwise-identical
-    // amplitudes at the same (gamma, beta) — so sampled counts from either
-    // path coincide at any thread count.
-    const auto base = random_model(9, 311, /*with_linear=*/true);
-    qaoa::BuildOptions opts;
-    opts.num_layers = 2;
-    const auto skeleton = circuit::parametrize_fused(
-        circuit::fuse_diagonals(qaoa::build_qaoa_circuit(base, opts)),
-        base.num_spins(), quadratic_pairs_of(base));
-    ASSERT_TRUE(skeleton.has_value());
-
-    Rng rng(312);
-    for (std::uint64_t member = 0; member < 3; ++member) {
-        const auto model = with_new_values(base, 400 + member);
-        const sim::FusedProgram bound(
-            circuit::bind_fused(*skeleton, engine::fused_slot_values(model)),
-            /*build_luts=*/true);
-        const sim::FusedProgram scratch(
-            circuit::fuse_diagonals(qaoa::build_qaoa_circuit(model, opts)),
-            /*build_luts=*/true);
-        const std::vector<double> gammas{rng.uniform(-2.0, 2.0),
-                                         rng.uniform(-2.0, 2.0)};
-        const std::vector<double> betas{rng.uniform(-2.0, 2.0),
-                                        rng.uniform(-2.0, 2.0)};
-        sim::Statevector a, b;
-        bound.run(gammas, betas, a);
-        scratch.run(gammas, betas, b);
-        ASSERT_EQ(a.dimension(), b.dimension());
-        for (std::uint64_t s = 0; s < a.dimension(); ++s) {
-            const auto va = a.amplitude(s);
-            const auto vb = b.amplitude(s);
-            ASSERT_TRUE(bits_equal(va.real(), vb.real()) &&
-                        bits_equal(va.imag(), vb.imag()))
-                << "member " << member << " state " << s;
-        }
-    }
-}
-
-TEST(ParametricFusion, EdgeWidthsOneAnd63And64Qubits)
-{
-    // Mask-arithmetic edges: a single spin (only 1-bit masks) and chains at
-    // 63/64 spins where linear masks reach the top bit of the uint64.
-    // FusedCircuit level only — no 2^n tables at these widths.
-    qaoa::BuildOptions opts;
-    opts.num_layers = 1;
-
-    {
-        ising::IsingModel base(1);
-        base.set_linear(0, 0.8);
-        const auto skeleton = circuit::parametrize_fused(
-            circuit::fuse_diagonals(qaoa::build_qaoa_circuit(base, opts)), 1,
-            {});
-        ASSERT_TRUE(skeleton.has_value());
-        auto member = base;
-        member.set_linear(0, -1.7);
-        expect_fused_bitwise_equal(
-            circuit::bind_fused(*skeleton,
-                                engine::fused_slot_values(member)),
-            circuit::fuse_diagonals(qaoa::build_qaoa_circuit(member, opts)));
-    }
-
-    for (int n : {63, 64}) {
-        Rng rng(static_cast<std::uint64_t>(600 + n));
-        ising::IsingModel base(n);
-        for (int i = 0; i + 1 < n; ++i)
-            base.add_quadratic(i, i + 1, rng.uniform(-1.0, 1.0));
-        for (int i = 0; i < n; ++i)
-            base.set_linear(i, rng.uniform(-1.0, 1.0));
-        const auto skeleton = circuit::parametrize_fused(
-            circuit::fuse_diagonals(qaoa::build_qaoa_circuit(base, opts)), n,
-            quadratic_pairs_of(base));
-        ASSERT_TRUE(skeleton.has_value()) << n;
-        const auto member =
-            with_new_values(base, static_cast<std::uint64_t>(9000 + n));
-        const auto bound = circuit::bind_fused(
-            *skeleton, engine::fused_slot_values(member));
-        bool top_bit_seen = false;
-        for (const auto& op : bound.ops)
-            if (op.kind == circuit::FusedOp::Kind::Diagonal)
-                for (const auto& term : op.terms)
-                    top_bit_seen |= (term.mask >> (n - 1)) & 1u;
-        EXPECT_TRUE(top_bit_seen) << n;
-        expect_fused_bitwise_equal(
-            bound,
-            circuit::fuse_diagonals(qaoa::build_qaoa_circuit(member, opts)));
-    }
-}
-
-TEST(ParametricFusion, RejectsCircuitsOutsideTheSlotScheme)
-{
-    // A constant-angle diagonal bakes a value the slots cannot re-derive.
-    circuit::Circuit constant(2);
-    constant.rz(0, 0.5);
-    EXPECT_FALSE(
-        circuit::parametrize_fused(circuit::fuse_diagonals(constant), 2, {})
-            .has_value());
-
-    // A passthrough rotation could carry problem values in its angle.
-    circuit::Circuit rotation(2);
-    rotation.ry(0, circuit::Parameter::constant(0.3));
-    EXPECT_FALSE(
-        circuit::parametrize_fused(circuit::fuse_diagonals(rotation), 2, {})
-            .has_value());
-
-    // A parity mask that is not a declared linear/quadratic term.
-    const auto base = random_model(6, 77, /*with_linear=*/true);
-    auto pairs = quadratic_pairs_of(base);
-    pairs.pop_back(); // un-declare one edge
-    qaoa::BuildOptions opts;
-    EXPECT_FALSE(circuit::parametrize_fused(
-                     circuit::fuse_diagonals(
-                         qaoa::build_qaoa_circuit(base, opts)),
-                     base.num_spins(), pairs)
-                     .has_value());
-}
-
-TEST(EnergyTable, RebindMatchesFreshConstructionBitwise)
-{
-    // The in-place parameter patch must be indistinguishable from a fresh
-    // table — same buffer, new coefficients, bitwise-equal energies.
-    const auto first = random_model(10, 881, /*with_linear=*/true);
-    const auto second = with_new_values(first, 882);
-    sim::EnergyTable table(first);
-    const double* buffer_before = table.values().data();
-    table.rebind(second);
-    EXPECT_EQ(buffer_before, table.values().data()); // reused, not realloc'd
-    const sim::EnergyTable fresh(second);
-    ASSERT_EQ(table.values().size(), fresh.values().size());
-    EXPECT_EQ(0, std::memcmp(table.values().data(), fresh.values().data(),
-                             fresh.values().size() * sizeof(double)));
+    // Integer couplings, half-integer fields and offset: every sum is
+    // exact, so the doubling build equals the per-state evaluation bit
+    // for bit whatever its summation order.
+    Rng rng(881);
+    auto g = graph::barabasi_albert(10, 2, rng);
+    auto model = ising::IsingModel::from_graph(g);
+    for (const auto& term : model.quadratic_terms())
+        model.add_quadratic(
+            term.i, term.j,
+            draw_coefficient(Grid::Integer, rng) - term.coefficient);
+    for (int i = 0; i < model.num_spins(); ++i)
+        model.set_linear(i, draw_coefficient(Grid::HalfInteger, rng));
+    model.set_offset(-1.5);
+    ASSERT_TRUE(sim::parity_sums_exact(model));
+    const sim::EnergyTable table(model);
+    std::vector<double> expected(table.values().size());
+    for (std::uint64_t s = 0; s < expected.size(); ++s)
+        expected[s] = model.evaluate_state(s);
+    EXPECT_TRUE(bitwise_equal(table.values(), expected));
 }
 
 } // namespace

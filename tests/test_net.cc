@@ -251,34 +251,13 @@ TEST(NetWire, LeafCountsRoundTrip)
     net::LeafCounts msg;
     msg.session_id = 7;
     msg.leaf_id = 3;
-    msg.tier = engine::TemplateTier::Bind;
     msg.width = 5;
     msg.histogram = {{0, 100}, {31, 900}, {uint64_t(1) << 40, 24}};
     const auto back = net::decode_leaf_counts(net::encode_leaf_counts(msg));
     EXPECT_EQ(back.session_id, 7u);
     EXPECT_EQ(back.leaf_id, 3);
-    EXPECT_EQ(back.tier, engine::TemplateTier::Bind);
     EXPECT_EQ(back.width, 5);
     EXPECT_EQ(back.histogram, msg.histogram);
-}
-
-TEST(NetWire, LeafCountsRejectOutOfRangeTier)
-{
-    net::LeafCounts msg;
-    msg.session_id = 7;
-    msg.leaf_id = 3;
-    msg.width = 2;
-    msg.histogram = {{1, 10}};
-    auto payload = net::encode_leaf_counts(msg);
-    // The tier byte follows the u64 session id and the i32 leaf id.
-    constexpr std::size_t kTierOffset = 8 + 4;
-    ASSERT_EQ(payload[kTierOffset],
-              static_cast<std::uint8_t>(engine::TemplateTier::Compile));
-    for (const std::uint8_t bad : {std::uint8_t{2}, std::uint8_t{0xff}}) {
-        payload[kTierOffset] = bad;
-        EXPECT_THROW(net::decode_leaf_counts(payload), net::NetError)
-            << "tier byte " << int(bad);
-    }
 }
 
 TEST(NetWire, RejectsTrailingGarbage)

@@ -13,9 +13,7 @@
  *        [--max-circuits B] [--partition W]
  *       Build the SolveTree, rank its leaves with the classical scheduler
  *       and print the tree plus the budget trace (cut line included) —
- *       without executing any circuit. The leaf table's tier column shows
- *       how each leaf's fused program would materialize (bind from the
- *       family skeleton / compile from scratch).
+ *       without executing any circuit.
  *   solve [--file F] --device <name> [--freeze M] [--shots K] [--seed S]
  *         [--threads T] [--max-depth D] [--max-circuits B]
  *         [--partition W] [--rerank N|off] [--deadline D]
@@ -330,9 +328,6 @@ print_wall_clock(const engine::ExecutionEngine& eng)
                   << " scalar / " << d.leaves_simd_backend
                   << " simd leaves (vector isa: "
                   << sim::BackendRegistry::vector_isa() << ")\n";
-    if (d.leaves_tier_bind > 0 || d.leaves_tier_compile > 0)
-        std::cout << "template tiers: " << d.leaves_tier_bind << " bind / "
-                  << d.leaves_tier_compile << " compile leaves\n";
     if (d.leaves_beyond_budget > 0 || d.leaves_pruned > 0 ||
         d.tree_depth > 1) {
         std::cout << "solve tree: depth " << d.tree_depth << ", "
@@ -443,7 +438,7 @@ cmd_plan(const Options& opts)
     Table t("leaf schedule (best-first; SA score ranks, ties by leaf id)");
     const std::vector<std::string> header = {
         "rank", "leaf", "node", "arm",  "spins", "frozen",
-        "SA score", "bound", "backend", "tier", "status"};
+        "SA score", "bound", "backend", "status"};
     t.set_header(header);
     int rank = 0;
     const auto add_leaf_row = [&](int leaf_id, const std::string& status) {
@@ -464,7 +459,7 @@ cmd_plan(const Options& opts)
                    Table::num(score.score, 3),
                    leaf.needs_repair ? "n/a" : Table::num(score.bound, 3),
                    leaf.fuse ? sim::backend_kind_name(leaf.backend) : "-",
-                   engine::template_tier_name(leaf.tier), status});
+                   status});
     };
     for (int leaf_id : schedule.executed)
         add_leaf_row(leaf_id, "execute");
@@ -543,7 +538,6 @@ print_cache_stats(const engine::ExecutionEngine& eng)
     t.add_row({"family misses", Table::num(s.family_misses())});
     t.add_row({"family structural compiles",
                Table::num(s.family_structural_compiles)});
-    t.add_row({"family binds", Table::num(s.family_binds)});
     t.add_row({"family evictions", Table::num(s.family_evictions)});
     t.add_row({"structure bytes (shared)", Table::num(s.structure_bytes)});
     t.add_row({"resident bytes", Table::num(eng.template_cache().bytes())});
@@ -980,14 +974,14 @@ cmd_serve_batch(const Options& opts)
 
         t.set_header({"req", "model", "leaves", "arms", "workers",
                       "best cost", "from", "waves", "occupancy", "reranks",
-                      "tier b/c", "binds", "queue ms", "wall ms"});
+                      "queue ms", "wall ms"});
         std::map<std::string, long long> worker_totals;
         for (std::size_t k = 0; k < tickets.size(); ++k) {
             auto& ticket = tickets[k];
             if (ticket.id() == 0) { // shed by admission control
                 t.add_row({Table::num(k + 1), requests[k].model_file, "-",
                            "-", "-", "-", "rejected", "-", "-", "-", "-",
-                           "-", "-", "-"});
+                           "-"});
                 continue;
             }
             // Diagnostics are FIFO-retained (~4k most recent); on a huge
@@ -1025,15 +1019,11 @@ cmd_serve_batch(const Options& opts)
                            best, from, Table::num(diag.waves),
                            Table::num(diag.wave_occupancy, 2),
                            Table::num(diag.reranks),
-                           Table::num(diag.leaves_tier_bind) + "/" +
-                               Table::num(diag.leaves_tier_compile),
-                           Table::num(diag.family_binds),
                            Table::num(diag.queue_latency_ms, 1),
                            Table::num(diag.wall_ms, 1)});
             } else
                 t.add_row({Table::num(k + 1), requests[k].model_file, "-",
-                           "-", "-", best, from, "-", "-", "-", "-", "-",
-                           "-", "-"});
+                           "-", "-", best, from, "-", "-", "-", "-", "-"});
         }
         t.print(std::cout);
 
