@@ -12,6 +12,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <type_traits>
 
 #include "device/catalog.h"
 #include "engine/scheduler.h"
@@ -354,6 +355,277 @@ TEST(LeafScheduler, SparsifyAwareScoringChargesPrunedWeight)
     const auto again = make_schedule(model, tree, config);
     EXPECT_EQ(schedule.executed, again.executed);
     EXPECT_EQ(schedule.beyond_budget, again.beyond_budget);
+}
+
+
+// ------------------------------------------------------ whole-tree pin --
+// plan_fingerprint hashes leaf fields only; this digest covers every
+// SolveNode and SolveLeaf field (node plans, proxies and mirror links
+// included), the lineage score penalties and the force-scored schedule,
+// so a builder change that moves any of them fails here.
+
+class TreeDigest
+{
+  public:
+    template <typename T>
+    void add(const T& value)
+    {
+        static_assert(std::is_trivially_copyable<T>::value, "POD only");
+        const auto* bytes = reinterpret_cast<const unsigned char*>(&value);
+        for (std::size_t k = 0; k < sizeof(T); ++k) {
+            hash_ ^= bytes[k];
+            hash_ *= 0x100000001b3ULL;
+        }
+    }
+
+    template <typename T>
+    void add_all(const std::vector<T>& values)
+    {
+        add(values.size());
+        for (const auto& v : values)
+            add(v);
+    }
+
+    void add_model(const ising::IsingModel& model)
+    {
+        add(model.num_spins());
+        add_all(model.linear_terms());
+        add(model.num_quadratic_terms());
+        for (const auto& t : model.quadratic_terms()) {
+            add(t.i);
+            add(t.j);
+            add(t.coefficient);
+        }
+        add(model.offset());
+    }
+
+    void add_sub(const frozenqubits::SubProblem& sub)
+    {
+        add_model(sub.model);
+        add_all(sub.original_of);
+        add(sub.frozen.size());
+        for (const auto& fs : sub.frozen) {
+            add(fs.original_index);
+            add(fs.value);
+        }
+    }
+
+    void add_build(const qaoa::BuildOptions& build)
+    {
+        add(build.num_layers);
+        add(build.include_measurements);
+        add(build.keep_zero_linear_rz);
+    }
+
+    void add_template(const CompiledTemplate* tpl)
+    {
+        add(tpl != nullptr);
+        if (!tpl)
+            return;
+        add(tpl->eps);
+        add_all(tpl->readout_flip);
+    }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t
+whole_tree_digest(const ising::IsingModel& model,
+                  const frozenqubits::DriverConfig& config)
+{
+    const auto tree = build(model, config);
+    TreeDigest d;
+    d.add(tree.max_depth);
+    d.add(tree.nodes.size());
+    // Template sharing: the first leaf (or node plan) holding the same
+    // compiled template, so a rebuild that stops sharing shows up.
+    std::vector<const CompiledTemplate*> seen;
+    const auto share_index = [&](const CompiledTemplate* tpl) {
+        if (!tpl)
+            return -1;
+        for (std::size_t k = 0; k < seen.size(); ++k)
+            if (seen[k] == tpl)
+                return static_cast<int>(k);
+        seen.push_back(tpl);
+        return static_cast<int>(seen.size()) - 1;
+    };
+    for (const auto& node : tree.nodes) {
+        d.add(node.index);
+        d.add(node.parent);
+        d.add(node.depth);
+        d.add(node.kind);
+        d.add_sub(node.sub);
+        d.add(node.partition_lineage);
+        d.add(node.stream_seed);
+        const auto& plan = node.plan;
+        d.add_all(plan.hotspots);
+        d.add(plan.subproblems.size());
+        for (const auto& sub : plan.subproblems)
+            d.add_sub(sub);
+        d.add(plan.tasks.size());
+        for (const auto& task : plan.tasks) {
+            d.add(task.plan_index);
+            d.add(task.solve);
+            d.add_all(task.mirrors);
+            d.add(task.rng_seed);
+        }
+        d.add(plan.stream_seed);
+        d.add_template(plan.compiled_template.get());
+        d.add(share_index(plan.compiled_template.get()));
+        d.add(plan.template_cache_hit);
+        d.add_build(plan.build);
+        d.add_all(node.children);
+        d.add(node.cut_edges);
+        d.add(node.cut_weight);
+        d.add(node.leaf_id);
+        d.add(node.mirror_of);
+        d.add(node.local_solve);
+    }
+    d.add(tree.leaves.size());
+    for (const auto& leaf : tree.leaves) {
+        d.add(leaf.node);
+        d.add(leaf.leaf_id);
+        d.add(leaf.local_solve);
+        d.add(leaf.rng_seed);
+        d.add_all(leaf.mirror_nodes);
+        d.add(leaf.needs_repair);
+        d.add(leaf.fuse);
+        d.add(leaf.backend);
+        d.add(leaf.exact_tables);
+        d.add_build(leaf.build);
+        d.add_template(leaf.tpl.get());
+        d.add(share_index(leaf.tpl.get()));
+        d.add(leaf.tpl_compatible);
+        d.add(leaf.family != nullptr);
+        d.add(leaf.proxy != nullptr);
+        if (leaf.proxy)
+            d.add_model(*leaf.proxy);
+        d.add(lineage_score_penalty(tree, leaf.leaf_id));
+    }
+    const auto schedule =
+        make_schedule(model, tree, config, /*force_scoring=*/true);
+    d.add_all(schedule.executed);
+    d.add_all(schedule.beyond_budget);
+    d.add_all(schedule.pruned);
+    d.add_all(schedule.plan_rank);
+    for (const auto& score : schedule.scores) {
+        d.add(score.score);
+        d.add(score.bound);
+    }
+    d.add(schedule.presolve_cost);
+    return d.value();
+}
+
+/** Real-valued h and J: Gaussian couplings on a BA graph plus random
+ *  fields, so frozen-value folding and proxy weights are non-trivial. */
+ising::IsingModel
+real_valued_model(int n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const auto g = graph::barabasi_albert(n, 2, rng);
+    ising::IsingModel model(n);
+    for (const auto& e : g.edges())
+        model.add_quadratic(e.u, e.v, rng.normal());
+    for (int i = 0; i < n; ++i)
+        model.set_linear(i, rng.uniform(-1.0, 1.0));
+    return model;
+}
+
+struct PinCase
+{
+    const char* name;
+    int n;
+    int freeze;
+    bool pruning;
+    int depth;
+    int partition;
+    double keep;
+    bool budgeted;
+    bool real_valued;
+    std::uint64_t digest;
+};
+
+frozenqubits::DriverConfig
+pin_config(const PinCase& c)
+{
+    frozenqubits::DriverConfig config;
+    config.num_freeze = c.freeze;
+    config.symmetry_pruning = c.pruning;
+    config.max_depth = c.depth;
+    config.partition_width = c.partition;
+    config.sparsify_keep = c.keep;
+    if (c.budgeted) {
+        config.prune_dominated = true;
+        config.max_circuits = 3;
+    }
+    config.seed = 17;
+    return config;
+}
+
+ising::IsingModel
+pin_model(const PinCase& c)
+{
+    return c.real_valued ? real_valued_model(c.n, 29) : ba_model(c.n, 3, 23);
+}
+
+const std::vector<PinCase>&
+pin_cases()
+{
+    // name, n, freeze, mirror pruning, depth, partition width, sparsify
+    // keep, prune_dominated + max_circuits, real-valued, digest.
+    static const std::vector<PinCase> cases = {
+        {"flat-f1", 12, 1, true, 1, 0, 0.0, false, false,
+         0xdb4ad45da2ed3d81ULL},
+        {"flat-f1-nomirror", 12, 1, false, 1, 0, 0.0, false, false,
+         0x67b1a92c65887921ULL},
+        {"flat-f2", 12, 2, true, 1, 0, 0.0, false, false,
+         0x25cc65d7c11dc645ULL},
+        {"flat-f2-nomirror", 12, 2, false, 1, 0, 0.0, false, false,
+         0xff5704b22b67b69bULL},
+        {"flat-f3", 12, 3, true, 1, 0, 0.0, false, false,
+         0xbeb01534ab1e745ULL},
+        {"flat-f3-nomirror", 12, 3, false, 1, 0, 0.0, false, false,
+         0x5cc6e690e55d5178ULL},
+        {"flat-f4", 12, 4, true, 1, 0, 0.0, false, false,
+         0x15758cc0454c12baULL},
+        {"flat-f4-nomirror", 12, 4, false, 1, 0, 0.0, false, false,
+         0x44cdad91087530d8ULL},
+        {"depth2", 12, 2, true, 2, 0, 0.0, false, false,
+         0x2530d8fd46eda2c3ULL},
+        {"depth3", 12, 2, true, 3, 0, 0.0, false, false,
+         0xc6beb15c21148b55ULL},
+        {"part6-depth2", 16, 2, true, 2, 6, 0.0, false, false,
+         0x22fecd969025204aULL},
+        {"part6-depth3", 16, 2, true, 3, 6, 0.0, false, false,
+         0x7de5c96d27e5e9aULL},
+        {"part8-depth2", 16, 2, true, 2, 8, 0.0, false, false,
+         0x9844c43eb8157c6fULL},
+        {"part8-depth3", 16, 2, true, 3, 8, 0.0, false, false,
+         0x7fe2fc4a9f02aea0ULL},
+        {"sparsify", 14, 2, true, 1, 0, 0.5, false, false,
+         0x534e6309de795d4fULL},
+        {"sparsify-part8", 16, 2, true, 2, 8, 0.5, false, false,
+         0xf81fea9d61a890a9ULL},
+        {"pruned-budget", 12, 3, true, 1, 0, 0.0, true, false,
+         0x5fcd976ec8bfc53ULL},
+        {"real-flat", 12, 2, true, 1, 0, 0.0, false, true,
+         0x2718ee45e4c5e0dfULL},
+        {"real-depth2", 12, 2, true, 2, 0, 0.0, false, true,
+         0x86e5e48dba505a86ULL},
+    };
+    return cases;
+}
+
+TEST(SolveTree, WholeTreeDigestIsPinned)
+{
+    for (const auto& c : pin_cases()) {
+        const auto digest = whole_tree_digest(pin_model(c), pin_config(c));
+        EXPECT_EQ(digest, c.digest)
+            << c.name << ": 0x" << std::hex << digest;
+    }
 }
 
 } // namespace
