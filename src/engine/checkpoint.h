@@ -38,7 +38,7 @@
  *
  * Format history: version 2 adds a per-folded-record node-kind frame tag
  * (the reduction arm the leaf executed under, from the kind-metadata
- * table in engine/expander.h) so restores cross-check the replanned
+ * table in engine/solve_tree.h) so restores cross-check the replanned
  * tree's vocabulary, not just its seeds. Version 1 snapshots — written
  * before the tag existed — still decode and restore bit-identically;
  * their records carry kNoKindTag and skip the arm check.
@@ -57,7 +57,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "engine/expander.h"
 #include "engine/wave_loop.h"
 #include "sim/counts.h"
 

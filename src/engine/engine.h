@@ -42,7 +42,6 @@
 
 #include "engine/batch_executor.h"
 #include "engine/checkpoint.h"
-#include "engine/expander.h"
 #include "engine/plan.h"
 #include "engine/reducer.h"
 #include "engine/scheduler.h"

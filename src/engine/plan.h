@@ -10,10 +10,9 @@
  * thread because the plan already fixed everything order-dependent.
  *
  * This is the FLAT (single freeze level) planner. Hierarchical solves
- * plan through the open reduction vocabulary instead — build_solve_tree
- * drives the NodeExpander registry (engine/expander.h), whose Freeze
- * expander calls make_plan per node — so new node kinds (Partition,
- * Sparsify, ...) compose around this module without changing it.
+ * plan through build_solve_tree (engine/solve_tree.h), which calls
+ * make_plan once per Freeze node, so the other node kinds (Partition,
+ * Sparsify) compose around this module without changing it.
  */
 #ifndef FQ_ENGINE_PLAN_H
 #define FQ_ENGINE_PLAN_H

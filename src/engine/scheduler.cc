@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/error.h"
-#include "engine/expander.h"
 #include "engine/wave_loop.h"
 #include "ising/sa_solver.h"
 
@@ -49,16 +48,11 @@ dominated(const LeafScore& score, double incumbent_cost)
 double
 lineage_score_penalty(const SolveTree& tree, int leaf_id)
 {
-    const auto& registry = ExpanderRegistry::instance();
     const auto& leaf = tree.leaves[static_cast<std::size_t>(leaf_id)];
     double penalty = 0.0;
     for (int ni = leaf.node; ni >= 0;
-         ni = tree.nodes[static_cast<std::size_t>(ni)].parent) {
-        const auto& node = tree.nodes[static_cast<std::size_t>(ni)];
-        if (node.kind == NodeKind::Leaf)
-            continue; // leaves (and mirror leaves) charge nothing
-        penalty += registry.get(node.kind).score_penalty(node);
-    }
+         ni = tree.nodes[static_cast<std::size_t>(ni)].parent)
+        penalty += score_penalty(tree.nodes[static_cast<std::size_t>(ni)]);
     return penalty;
 }
 

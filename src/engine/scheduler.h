@@ -120,16 +120,15 @@ LeafSchedule make_schedule(const ising::IsingModel& original,
                            BatchExecutor* executor = nullptr);
 
 /**
- * Reduction pessimism added to a leaf's SA score: the sum of every
- * root-path ancestor's NodeExpander::score_penalty (engine/expander.h).
- * A leaf's SA presolve cannot see information its ancestors' reductions
- * discarded, so its raw score flatters those arms; each reduction
- * declares its own charge — Partition: half the |J| lost to the cut
- * (signs are repaired classically at decode), Sparsify: a quarter of
- * the |J| pruned from the optimizer proxy (sampling keeps the full
- * model, only the angles can drift), Freeze: zero (its offsets already
- * carry every coupling). Zero for pure-freeze lineages, so freeze-tree
- * ranking is unchanged from the pre-registry scheduler.
+ * Reduction pessimism added to a leaf's SA score: the sum of
+ * score_penalty (engine/solve_tree.h) over the leaf's root path. A
+ * leaf's SA presolve cannot see information its ancestors' reductions
+ * discarded, so its raw score flatters those arms; each kind charges
+ * its own share — Partition: half the |J| lost to the cut (signs are
+ * repaired classically at decode), Sparsify: a quarter of the |J|
+ * pruned from the optimizer proxy (sampling keeps the full model, only
+ * the angles can drift), Freeze: zero (its offsets already carry every
+ * coupling). Zero for pure-freeze lineages.
  */
 double lineage_score_penalty(const SolveTree& tree, int leaf_id);
 

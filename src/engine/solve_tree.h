@@ -19,9 +19,11 @@
  *                evaluation run on the full model (identity lift);
  *   Leaf       — solved through the existing fused-kernel simulation path.
  *
- * Node kinds are open: expansion, scoring and lift policy live in the
- * pluggable NodeExpander registry (engine/expander.h); build_solve_tree
- * is a generic driver over it.
+ * The vocabulary is closed: build_solve_tree tries Partition, then
+ * Freeze on every node with an expansion level left, and Sparsify, then
+ * a plain leaf on every terminal node. Each kind has one row in the
+ * kind-metadata table below and one score_penalty case; a new reduction
+ * adds a NodeKind, a row, a builder case and a penalty case.
  *
  * Every executable leaf carries the fully composed lift back to the
  * original variable space (surviving-spin map + accumulated frozen values
@@ -33,6 +35,8 @@
 #ifndef FQ_ENGINE_SOLVE_TREE_H
 #define FQ_ENGINE_SOLVE_TREE_H
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,8 +48,45 @@ namespace fq::engine {
 
 enum class NodeKind { Leaf, Freeze, Partition, Sparsify };
 
-/** Printable node-kind name — served from the kind-metadata table
- *  (engine/expander.h), not a switch. */
+// ------------------------------------------------ kind metadata table --
+
+/** One row per node kind: the names, glyphs and tags that fqtool, the
+ *  per-kind diagnostics and checkpoint frames key on. */
+struct NodeKindInfo
+{
+    NodeKind kind = NodeKind::Leaf;
+    /** Printable name (fqtool plan tree rendering). */
+    const char* name = "";
+    /** Short plan-column glyph; column widths derive from these, so a
+     *  new kind can never shear the budget cut line. */
+    const char* glyph = "";
+    /** Stable key for per-kind diagnostics counters and traces. */
+    const char* diagnostics_key = "";
+    /** Stable tag identifying this kind in checkpoint v2 frames (never
+     *  reuse a retired value; kNoKindTag is reserved for v1 frames). */
+    std::uint8_t frame_tag = 0;
+};
+
+/** Tag of checkpoint frames that predate per-kind tagging (format v1). */
+inline constexpr std::uint8_t kNoKindTag = 0xFF;
+
+/** Number of node kinds (fixed-size diagnostics arrays). */
+inline constexpr std::size_t kNumNodeKinds = 4;
+
+/** Full metadata table, in NodeKind order. */
+const std::vector<NodeKindInfo>& node_kind_table();
+
+/** Metadata row for @p kind. */
+const NodeKindInfo& node_kind_info(NodeKind kind);
+
+/** Row matching a checkpoint frame tag; null for unknown tags. */
+const NodeKindInfo* node_kind_info_by_tag(std::uint8_t frame_tag);
+
+/** Dense index of @p kind into per-kind counter arrays
+ *  (same order as node_kind_table()). */
+std::size_t node_kind_index(NodeKind kind);
+
+/** Printable node-kind name (node_kind_info(kind).name). */
 const char* node_kind_name(NodeKind kind);
 
 struct SolveNode
@@ -61,8 +102,8 @@ struct SolveNode
      * the accumulated frozen assignment (original indices).
      */
     frozenqubits::SubProblem sub;
-    /** True when any ancestor (or this node) dropped cut couplings — the
-     *  leaf decode must repair against the presolve incumbent. */
+    /** True when a Partition ancestor dropped cut couplings — the leaf
+     *  decode must repair against the presolve incumbent. */
     bool partition_lineage = false;
 
     /** Base seed of this node's stream (plan-derived, order-independent). */
@@ -180,20 +221,35 @@ struct SolveTree
  * own shared template through @p cache (one transpiler run per tree level
  * and sibling structure).
  *
- * Expansion policy is the ExpanderRegistry's consultation order
- * (engine/expander.h), which preserves the legacy precedence:
+ * Expansion policy, in order:
  *   - nodes wider than config.partition_width (> 0 enables) are bisected;
  *   - otherwise nodes below max_depth freeze config.num_freeze hotspots
  *     (clamped to their width); mirror pruning applies only where
  *     children are terminal;
  *   - terminal nodes are wrapped by Sparsify when config.sparsify_keep
  *     is in (0, 1) and the cell has prunable edges, else they are
- *     leaves.
+ *     leaves. A keep of 1 or more is off; a non-finite keep throws.
  */
 SolveTree build_solve_tree(const ising::IsingModel& model,
                            const device::Device& dev,
                            const frozenqubits::DriverConfig& config,
                            TemplateCache& cache, Rng& rng);
+
+/**
+ * Ranking pessimism a node of this kind charges every descendant leaf:
+ * the |weight| share of information the reduction discarded that a
+ * leaf-local SA presolve can never see. Freeze and Leaf 0 (frozen values
+ * fold into the children's linear terms exactly), Partition half the cut
+ * weight (the decode repairs roughly half the cut signs), Sparsify a
+ * quarter of the pruned weight (sampling keeps the full model; only the
+ * proxy-tuned angles can be off). Finite and >= 0.
+ */
+double score_penalty(const SolveNode& node);
+
+/** Kind of the reduction arm leaf @p leaf_id executes under: the kind
+ *  of its node's parent (every leaf node hangs off the reduction that
+ *  produced it). Diagnostics and checkpoint v2 frames key on this. */
+NodeKind leaf_arm_kind(const SolveTree& tree, int leaf_id);
 
 /**
  * Lift a basis state measured on @p leaf's register into the original

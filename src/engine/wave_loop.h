@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "engine/batch_executor.h"
-#include "engine/expander.h"
 #include "engine/reducer.h"
 #include "engine/scheduler.h"
 #include "engine/solve_tree.h"
@@ -279,7 +278,7 @@ struct RequestCounters
 {
     /**
      * Per-reduction-arm counters, indexed by node_kind_index() over the
-     * kind-metadata table (engine/expander.h). A scheduled leaf's arm is
+     * kind-metadata table (engine/solve_tree.h). A scheduled leaf's arm is
      * its parent node's kind (leaf_arm_kind): executed = leaves scheduled
      * to run under that arm, pruned = leaves dropped by domination pruning
      * or the circuit budget, budget units = 2^width slot cost the executed

@@ -106,9 +106,11 @@ sparsify_edges(int num_nodes, const std::vector<EdgeRef>& edges,
                          return ka < kb;
                      });
 
+    // A fraction of 1 or more keeps everything; clamp before the int
+    // cast, which a huge fraction would overflow.
     const auto target = std::max(
         spanning_forest_size(num_nodes, edges),
-        static_cast<int>(std::ceil(keep_fraction *
+        static_cast<int>(std::ceil(std::min(keep_fraction, 1.0) *
                                    static_cast<double>(edges.size()))));
 
     // The spanning forest is mandatory: pruning a bridge would disconnect

@@ -128,6 +128,8 @@ get_config(Reader& in)
     config.rerank_interval = in.i64();
     config.deadline_cost_units = in.i64();
     config.sparsify_keep = in.f64();
+    if (!std::isfinite(config.sparsify_keep))
+        throw NetError("net: config carries a non-finite sparsify keep");
     // Workers execute leaves only: no checkpointing, no nested remoting.
     config.threads = 1;
     config.checkpoint_interval = 0;

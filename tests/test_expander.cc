@@ -1,11 +1,12 @@
 /**
  * @file
- * Reduction-vocabulary tests: the kind-metadata table and expander
- * registry contracts (every non-Leaf kind has an expander with working
- * scoring and lift hooks — the suite that fails when a new reduction is
- * registered half-wired), the deterministic edge sparsifier, and the
- * Sparsify node kind end to end: proxy structure, plan-time determinism,
- * sparsify-off byte identity and thread/service bit-identity.
+ * Reduction-vocabulary tests: the kind-metadata table and the per-kind
+ * contracts on built trees (every non-Leaf kind is reachable, charges a
+ * finite non-negative score penalty, and only Partition marks repair
+ * lineage — the suite that fails when a new reduction is half-wired),
+ * the deterministic edge sparsifier, and the Sparsify node kind end to
+ * end: proxy structure, plan-time determinism, sparsify-off byte
+ * identity, keep-fraction validation and thread/service bit-identity.
  */
 #include <gtest/gtest.h>
 
@@ -13,11 +14,11 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "device/catalog.h"
 #include "engine/checkpoint.h"
 #include "engine/engine.h"
-#include "engine/expander.h"
 #include "engine/scheduler.h"
 #include "engine/solve_service.h"
 #include "engine/solve_tree.h"
@@ -85,44 +86,52 @@ TEST(KindMetadata, TableIsCompleteAndUnique)
     EXPECT_STREQ(node_kind_name(NodeKind::Sparsify), "sparsify");
 }
 
-TEST(ExpanderRegistry, EveryNonLeafKindIsFullyWired)
+TEST(KindMetadata, EveryNonLeafKindIsFullyWired)
 {
-    const auto& registry = ExpanderRegistry::instance();
-    // Leaves are made, not expanded.
-    EXPECT_EQ(registry.find(NodeKind::Leaf), nullptr);
-
-    // A representative reduced node: the hooks must answer for it.
-    SolveNode node;
-    node.cut_edges = 3;
-    node.cut_weight = 2.0;
-
-    std::size_t wired = 0;
+    // A representative reduced node: every kind's penalty answers for it.
     for (const auto& info : node_kind_table()) {
-        if (info.kind == NodeKind::Leaf)
-            continue;
-        // Registry completeness: a metadata row without an expander (or
-        // one whose identity disagrees) is a half-registered reduction.
-        const auto* expander = registry.find(info.kind);
-        ASSERT_NE(expander, nullptr)
-            << "node kind '" << info.name << "' has no expander";
-        EXPECT_EQ(expander->info().kind, info.kind);
-        // Scoring hook: finite, non-negative pessimism.
-        const double penalty = expander->score_penalty(node);
+        SolveNode node;
+        node.kind = info.kind;
+        node.cut_edges = 3;
+        node.cut_weight = 2.0;
+        const double penalty = score_penalty(node);
         EXPECT_TRUE(std::isfinite(penalty)) << info.name;
         EXPECT_GE(penalty, 0.0) << info.name;
-        // Lift hook: only reductions that lose couplings from the lifted
-        // assignment may demand decode repair.
-        if (info.kind == NodeKind::Partition)
-            EXPECT_TRUE(expander->lift_requires_repair());
-        else
-            EXPECT_FALSE(expander->lift_requires_repair());
-        ++wired;
     }
-    EXPECT_EQ(wired, kNumNodeKinds - 1);
-    // Consultation order is policy: every registered expander appears,
-    // and recursive reductions are consulted before terminal wrappers.
-    EXPECT_EQ(registry.all().size(), wired);
-    EXPECT_TRUE(registry.all().back()->info().kind == NodeKind::Sparsify);
+
+    // Built trees: every non-Leaf kind is reachable from some config,
+    // every node's penalty is finite and non-negative, and repair
+    // lineage appears exactly below Partition nodes.
+    const auto model = ba_model(16, 3, 7);
+    std::set<NodeKind> seen;
+    for (const auto& [depth, width, keep] :
+         {std::tuple<int, int, double>{1, 0, 0.0}, {3, 6, 0.0},
+          {2, 8, 0.5}, {1, 0, 0.5}}) {
+        auto config = sparsify_config(keep);
+        config.max_depth = depth;
+        config.partition_width = width;
+        const auto tree = build(model, config);
+        for (const auto& node : tree.nodes) {
+            seen.insert(node.kind);
+            const double penalty = score_penalty(node);
+            EXPECT_TRUE(std::isfinite(penalty));
+            EXPECT_GE(penalty, 0.0);
+            bool under_partition = false;
+            for (int ni = node.parent; ni >= 0;
+                 ni = tree.nodes[static_cast<std::size_t>(ni)].parent)
+                under_partition =
+                    under_partition ||
+                    tree.nodes[static_cast<std::size_t>(ni)].kind ==
+                        NodeKind::Partition;
+            EXPECT_EQ(node.partition_lineage, under_partition)
+                << "node " << node.index;
+        }
+        for (const auto& leaf : tree.leaves)
+            EXPECT_EQ(leaf.needs_repair,
+                      tree.nodes[static_cast<std::size_t>(leaf.node)]
+                          .partition_lineage);
+    }
+    EXPECT_EQ(seen.size(), kNumNodeKinds);
 }
 
 TEST(SparsifyEdges, KeepsSpanningStructureDeterministically)

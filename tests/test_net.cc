@@ -215,6 +215,23 @@ TEST(NetWire, OpenSessionRejectsNonFiniteModelCoefficients)
     }
 }
 
+TEST(NetWire, OpenSessionRejectsNonFiniteSparsifyKeep)
+{
+    // The worker replans from the peer's config before any fingerprint
+    // check, so a non-finite keep must stop at decode.
+    for (const double bad : {std::nan(""),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        net::OpenSession msg;
+        msg.model = test::ba_model(8, 1, 3);
+        msg.device_name = "ibm-montreal";
+        msg.config.sparsify_keep = bad;
+        EXPECT_THROW(
+            net::decode_open_session(net::encode_open_session(msg)),
+            net::NetError);
+    }
+}
+
 TEST(NetWire, OpenSessionRejectsOutOfRangeConfigEnums)
 {
     // A peer's enum words are range-checked, never cast blindly. Find

@@ -619,6 +619,27 @@ pin_cases()
     return cases;
 }
 
+TEST(SolveTree, SparsifyKeepOfOneOrMoreIsOff)
+{
+    // A keep of 1 or more keeps every edge: the tree is the keep-0 tree,
+    // however large the fraction.
+    const auto model = ba_model(14, 3, 3);
+    frozenqubits::DriverConfig config;
+    config.num_freeze = 2;
+    const auto off = whole_tree_digest(model, config);
+    for (const double keep : {1.0, 1.5, 1e300}) {
+        config.sparsify_keep = keep;
+        EXPECT_EQ(whole_tree_digest(model, config), off) << keep;
+    }
+    // A non-finite keep is a config error, whether it would prune or not.
+    for (const double keep : {std::nan(""),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()}) {
+        config.sparsify_keep = keep;
+        EXPECT_THROW(build(model, config), fq::Error) << keep;
+    }
+}
+
 TEST(SolveTree, WholeTreeDigestIsPinned)
 {
     for (const auto& c : pin_cases()) {

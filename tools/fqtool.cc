@@ -376,8 +376,8 @@ void
 print_tree_node(const engine::SolveTree& tree, int ni, int indent)
 {
     const auto& node = tree.nodes[static_cast<std::size_t>(ni)];
-    // Name comes from the kind-metadata table (engine/expander.h), so a
-    // new expander prints correctly here without a new branch; only the
+    // Name comes from the kind-metadata table (engine/solve_tree.h), so a
+    // new kind prints correctly here without a new branch; only the
     // kind-specific annotations below need one.
     std::cout << std::string(static_cast<std::size_t>(indent) * 2, ' ')
               << "node " << node.index << " ["
