@@ -353,7 +353,11 @@ apply_tree_options(const Options& opts, frozenqubits::DriverConfig& config)
 {
     config.max_depth = int_option(opts, "max-depth", 1);
     config.max_circuits = long_option(opts, "max-circuits", 0);
+    FQ_REQUIRE(config.max_circuits >= 0,
+               "--max-circuits expects a non-negative budget (0 = off)");
     config.partition_width = int_option(opts, "partition", 0);
+    FQ_REQUIRE(config.partition_width >= 0,
+               "--partition expects a non-negative width (0 = off)");
     config.prune_dominated = opts.find("prune-dominated") != opts.end();
     // --rerank off (default) keeps the plan-time ranking final;
     // --rerank N re-ranks the un-dispatched tail every N folded leaves.
@@ -652,12 +656,21 @@ cmd_solve(const Options& opts)
     // earlier (possibly killed) invocation — the other options must match
     // that run's, which the restore fingerprint-checks.
     config.deadline_cost_units = long_option(opts, "deadline", 0);
+    FQ_REQUIRE(config.deadline_cost_units >= 0,
+               "--deadline expects a non-negative cost budget (0 = off)");
     const auto checkpoint_path = option(opts, "checkpoint", "");
     const auto resume_path = option(opts, "resume", "");
     const long long suspend_after = long_option(opts, "suspend-after", 0);
+    FQ_REQUIRE(suspend_after >= 0,
+               "--suspend-after expects a non-negative fold count");
     const bool durable = !checkpoint_path.empty() || suspend_after > 0;
     config.checkpoint_interval =
         long_option(opts, "checkpoint-every", durable ? 1 : 0);
+    // A durable solve without snapshot boundaries would write no file and
+    // never suspend.
+    FQ_REQUIRE(!durable || config.checkpoint_interval >= 1,
+               "--checkpoint-every expects a positive interval with "
+               "--checkpoint or --suspend-after");
     const int shots = int_option(opts, "shots", 8192);
 
     engine::CheckpointSink sink;
@@ -813,13 +826,18 @@ load_trace(const std::string& path, const Options& opts)
                 req.seed = static_cast<std::uint64_t>(parsed);
             else if (key == "max-depth")
                 req.config.max_depth = static_cast<int>(parsed);
-            else if (key == "max-circuits")
-                req.config.max_circuits = parsed;
-            else if (key == "partition")
-                req.config.partition_width = static_cast<int>(parsed);
-            else if (key == "wave-share")
-                req.config.wave_share = static_cast<int>(parsed);
-            else if (key == "rerank") {
+            else if (key == "max-circuits" || key == "partition" ||
+                     key == "wave-share") {
+                FQ_REQUIRE(parsed >= 0,
+                           key + " expects a non-negative value (0 = off)" +
+                               where);
+                if (key == "max-circuits")
+                    req.config.max_circuits = parsed;
+                else if (key == "partition")
+                    req.config.partition_width = static_cast<int>(parsed);
+                else
+                    req.config.wave_share = static_cast<int>(parsed);
+            } else if (key == "rerank") {
                 FQ_REQUIRE(parsed >= 0, "rerank expects a non-negative "
                                         "interval (0 = off)" +
                                             where);
