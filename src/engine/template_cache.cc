@@ -1,6 +1,5 @@
 #include "engine/template_cache.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/rng.h"
@@ -143,62 +142,6 @@ template_key(const ising::IsingModel& model, const device::Device& dev,
     return h;
 }
 
-std::uint64_t
-family_signature(const ising::IsingModel& model, const device::Device& dev,
-                 const transpiler::CompileOptions& compile,
-                 const qaoa::BuildOptions& build, std::uint64_t salt)
-{
-    // Label-free interaction-graph class hash: Weisfeiler-Leman color
-    // refinement over the quadratic structure. Three rounds are plenty to
-    // spread the benchmark graph classes; the hash only BUCKETS families —
-    // a collision costs one extra labeled variant in the bucket, never a
-    // wrong answer (get_or_bind verifies the exact labeled structure).
-    const int n = model.num_spins();
-    std::vector<std::vector<int>> adjacency(static_cast<std::size_t>(n));
-    for (const auto& term : model.quadratic_terms()) {
-        adjacency[static_cast<std::size_t>(term.i)].push_back(term.j);
-        adjacency[static_cast<std::size_t>(term.j)].push_back(term.i);
-    }
-    std::vector<std::uint64_t> color(static_cast<std::size_t>(n));
-    for (std::size_t i = 0; i < color.size(); ++i)
-        color[i] = mix(hash_seed("fq-wl-init"), adjacency[i].size());
-    std::vector<std::uint64_t> next(color.size());
-    std::vector<std::uint64_t> neighborhood;
-    for (int round = 0; round < 3; ++round) {
-        for (std::size_t i = 0; i < color.size(); ++i) {
-            neighborhood.clear();
-            for (int peer : adjacency[i])
-                neighborhood.push_back(
-                    color[static_cast<std::size_t>(peer)]);
-            std::sort(neighborhood.begin(), neighborhood.end());
-            std::uint64_t h = color[i];
-            for (std::uint64_t c : neighborhood)
-                h = mix(h, c);
-            next[i] = h;
-        }
-        color.swap(next);
-    }
-    std::sort(color.begin(), color.end());
-
-    std::uint64_t h = mix(hash_seed("fq-family"), salt);
-    h = mix(h, static_cast<std::uint64_t>(n));
-    for (std::uint64_t c : color)
-        h = mix(h, c);
-    h = mix(h, device_fingerprint(dev, salt));
-    h = mix(h, static_cast<std::uint64_t>(compile.layout));
-    h = mix(h, static_cast<std::uint64_t>(compile.router.lookahead));
-    h = mix_double(h, compile.router.lookahead_weight);
-    h = mix_double(h, compile.router.decay);
-    h = mix(h, compile.router.seed);
-    h = mix(h, (compile.structure_only ? 4u : 0u) |
-                   (compile.run_optimization_passes ? 2u : 0u) |
-                   (compile.decompose_swaps ? 1u : 0u));
-    h = mix(h, static_cast<std::uint64_t>(build.num_layers));
-    h = mix(h, (build.include_measurements ? 2u : 0u) |
-                   (build.keep_zero_linear_rz ? 1u : 0u));
-    return h;
-}
-
 bool
 ParametricTemplate::matches(const ising::IsingModel& model) const
 {
@@ -270,8 +213,6 @@ TemplateCache::get_or_bind(const ising::IsingModel& model,
     transpiler::CompileOptions structural_opts = compile;
     structural_opts.structure_only = true;
 
-    const std::uint64_t sig =
-        family_signature(model, dev, structural_opts, build);
     const std::uint64_t labeled =
         template_key(model, dev, structural_opts, build);
     const std::uint64_t verify =
@@ -280,16 +221,10 @@ TemplateCache::get_or_bind(const ising::IsingModel& model,
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.family_lookups;
-        auto it = families_.find(sig);
-        if (it != families_.end()) {
-            for (const auto& variant : it->second.variants) {
-                if (variant.labeled_key != labeled ||
-                    variant.verify_key != verify ||
-                    !variant.value->matches(model))
-                    continue;
-                ++stats_.family_hits;
-                return {variant.value, TemplateTier::Bind};
-            }
+        const auto it = families_.find(labeled);
+        if (it != families_.end() && it->second.serves(verify, model)) {
+            ++stats_.family_hits;
+            return {it->second.value, TemplateTier::Bind};
         }
     }
 
@@ -323,29 +258,25 @@ TemplateCache::get_or_bind(const ising::IsingModel& model,
 
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.family_structural_compiles;
-    auto& entry = families_[sig];
-    for (const auto& variant : entry.variants) {
-        if (variant.labeled_key == labeled && variant.verify_key == verify &&
-            variant.value->matches(model)) {
-            // Lost the race; share the winner's structure — but report
-            // tier Compile: this caller paid a full structural compile.
-            return {variant.value, TemplateTier::Compile};
-        }
+    const auto it = families_.find(labeled);
+    if (it != families_.end()) {
+        // Lost the race: share the winner's structure, but report tier
+        // Compile, since this caller paid a full structural compile. A
+        // labeled-key collision with another structure is served
+        // uncached.
+        return {it->second.serves(verify, model) ? it->second.value
+                                                 : family,
+                TemplateTier::Compile};
     }
     const std::size_t family_entry_bytes = family->bytes();
     family_bytes_ += family_entry_bytes;
     if (family_bytes_ > family_byte_budget_) {
-        for (const auto& [key, bucket] : families_)
-            stats_.family_evictions += bucket.variants.size();
+        stats_.family_evictions += families_.size();
         families_.clear();
         family_bytes_ = family_entry_bytes;
-        // `entry` died with the map; re-bucket the new structure.
-        families_[sig].variants.push_back(
-            {labeled, verify, family_entry_bytes, family});
-    } else {
-        entry.variants.push_back(
-            {labeled, verify, family_entry_bytes, family});
     }
+    families_.emplace(labeled,
+                      FamilyVariant{verify, family_entry_bytes, family});
     return {family, TemplateTier::Compile};
 }
 

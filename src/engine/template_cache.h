@@ -57,21 +57,6 @@ std::uint64_t template_key(const ising::IsingModel& model,
                            const qaoa::BuildOptions& build,
                            std::uint64_t salt = 0);
 
-/**
- * Canonical family signature: a Weisfeiler-Leman-style isomorphism-class
- * hash of the model's interaction graph (label-free, value-free) mixed
- * with width, layer count/build flags, device identity, and compile
- * options — everything a structural compile depends on, with spin LABELS
- * excluded so relabeled instances of one graph class bucket together.
- * Correctness never rests on this hash: a family entry stores its exact
- * labeled structure and every bind is verified against it in O(E).
- */
-std::uint64_t family_signature(const ising::IsingModel& model,
-                               const device::Device& dev,
-                               const transpiler::CompileOptions& compile,
-                               const qaoa::BuildOptions& build,
-                               std::uint64_t salt = 0);
-
 /** How a family lookup (get_or_bind) was satisfied. */
 enum class TemplateTier : std::uint8_t {
     Compile, ///< this lookup paid the structure-only compile
@@ -184,13 +169,13 @@ class TemplateCache
 
     /**
      * The engine's only way to a compiled template: return the shared
-     * structural artifact for @p model's graph family, running the
+     * structural artifact for @p model's labeled structure, running the
      * structure-only compile (transpile + noise quantities) exactly once
-     * per labeled structure. Warm-family lookups cost a hash plus an O(E)
-     * labeled verification — no transpiler involvement — which is what
-     * turns cold-start planning into a parameter patch. Misses compile
-     * OUTSIDE the lock, first insert wins, race losers report tier
-     * Compile.
+     * per labeled structure. Warm lookups cost two O(E) key hashes plus
+     * an O(E) labeled verification — no transpiler involvement — which
+     * is what turns cold-start planning into a parameter patch. Misses
+     * compile OUTSIDE the lock, first insert wins, race losers report
+     * tier Compile.
      */
     FamilyBinding get_or_bind(const ising::IsingModel& model,
                               const device::Device& dev,
@@ -214,24 +199,27 @@ class TemplateCache
     void clear();
 
   private:
-    /** One labeled structure within a family bucket; its shared structure
-     *  is charged ONCE here. */
+    /** One labeled structure; its shared structure is charged ONCE here. */
     struct FamilyVariant
     {
-        std::uint64_t labeled_key = 0;
         std::uint64_t verify_key = 0;
         /** ParametricTemplate::bytes(), captured at insert so eviction
          *  releases exactly what was charged. */
         std::size_t bytes = 0;
         std::shared_ptr<const ParametricTemplate> value;
-    };
-    struct FamilyEntry
-    {
-        std::vector<FamilyVariant> variants;
+
+        /** The labeled key matched; the verify key and the exact labeled
+         *  structure must match too. */
+        bool
+        serves(std::uint64_t verify, const ising::IsingModel& model) const
+        {
+            return verify_key == verify && value->matches(model);
+        }
     };
 
     mutable std::mutex mutex_;
-    std::unordered_map<std::uint64_t, FamilyEntry> families_;
+    /** Keyed by template_key (the labeled key) of the structure. */
+    std::unordered_map<std::uint64_t, FamilyVariant> families_;
     /** Estimated bytes held by families_ (shared structures). */
     std::size_t family_bytes_ = 0;
     std::size_t family_byte_budget_;
