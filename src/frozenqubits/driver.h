@@ -147,7 +147,8 @@ struct DriverConfig
      * stream seed) fixed at plan time, so results remain bit-identical
      * across thread counts and solo-vs-service. 0 = off (the default;
      * every pre-sparsify config plans byte-identically to before).
-     * >= 1 keeps everything and is equivalent to off.
+     * >= 1 keeps everything and is equivalent to off; a non-finite
+     * value is rejected when the tree is built.
      */
     double sparsify_keep = 0.0;
 

@@ -235,8 +235,8 @@ TEST(SparsifyTree, DisabledLeavesTreeByteIdentical)
 {
     const auto model = ba_model(16, 3, 7);
     // keep = 0 (the default: no --sparsify) and keep >= 1 (nothing to
-    // prune) must both leave the vocabulary exactly as before the
-    // Sparsify expander existed.
+    // prune) must both leave the tree exactly as it is without the
+    // Sparsify kind.
     for (double keep : {0.0, 1.0}) {
         auto config = sparsify_config(keep);
         const auto tree = build(model, config);

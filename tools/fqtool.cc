@@ -492,7 +492,7 @@ cmd_plan(const Options& opts)
 
 /** Per-reduction-arm counter report (--stats): one row per node kind
  *  that planned any work, keyed by the metadata table's diagnostics key
- *  — so a new expander shows up here without printer changes. */
+ *  — so a new kind shows up here without printer changes. */
 void
 print_kind_stats(const engine::RequestCounters& d)
 {
