@@ -28,6 +28,7 @@ constexpr double kCutPenaltyShare = 0.5;
  *  half the partition share. Ranking-only, like every score penalty. */
 constexpr double kSparsifyPenaltyShare = 0.25;
 
+/** In NodeKind order: node_kind_index is the enum value. */
 const std::vector<NodeKindInfo> kKindTable = {
     {NodeKind::Leaf, "leaf", "leaf", "leaf", 0},
     {NodeKind::Freeze, "freeze", "frz", "freeze", 1},
