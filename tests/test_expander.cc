@@ -105,8 +105,8 @@ TEST(KindMetadata, EveryNonLeafKindIsFullyWired)
     const auto model = ba_model(16, 3, 7);
     std::set<NodeKind> seen;
     for (const auto& [depth, width, keep] :
-         {std::tuple<int, int, double>{1, 0, 0.0}, {3, 6, 0.0},
-          {2, 8, 0.5}, {1, 0, 0.5}}) {
+         {std::tuple<int, int, double>{1, 0, 0.0}, {2, 0, 0.0},
+          {3, 6, 0.0}, {2, 8, 0.5}, {1, 0, 0.5}}) {
         auto config = sparsify_config(keep);
         config.max_depth = depth;
         config.partition_width = width;
