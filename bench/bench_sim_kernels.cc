@@ -12,7 +12,8 @@
  *
  * Also times one freeze leaf's weight-table build (the per-leaf table
  * bind) at 16/18/20 qubits and gates its weights, bit for bit, against
- * the per-term per-state sum.
+ * the per-term per-state sum, and the per-leaf histogram: noisy sampling
+ * into counts at 16/18 qubits and one ~4,000-state histogram copy.
  *
  * Emits BENCH_sim_kernels.json (machine-readable: per-path ms/eval,
  * speedups, max amplitude deviation, table-build ms) so the perf
@@ -35,7 +36,9 @@
 #include "qaoa/multilayer.h"
 #include "qaoa/qaoa_builder.h"
 #include "sim/backend.h"
+#include "sim/counts.h"
 #include "sim/kernels.h"
+#include "sim/noise_model.h"
 #include "sim/qaoa_kernel.h"
 #include "sim/simd.h"
 #include "sim/statevector.h"
@@ -683,6 +686,62 @@ BM_OptimizeP1(benchmark::State& state)
                    std::to_string(leaf.num_quadratic_terms()) + " terms");
 }
 BENCHMARK(BM_OptimizeP1)->Arg(16)->Arg(18)->Unit(benchmark::kMillisecond);
+
+/** An entangled, non-uniform state of @p width qubits to sample from. */
+sim::Statevector
+sampling_state(int width)
+{
+    sim::Statevector sv(width);
+    for (int q = 0; q < width; ++q)
+        sv.apply_h(q);
+    for (int q = 0; q + 1 < width; ++q)
+        sv.apply_rzz(q, q + 1, 0.7);
+    for (int q = 0; q < width; ++q)
+        sv.apply_rx(q, 0.4);
+    return sv;
+}
+
+/** One leaf's noisy sampling into a histogram: 4096 shots, survival 0.6,
+ *  2% readout flips per qubit; arg = leaf width. The sampling CDF is warm
+ *  after the first iteration, so this times the draws, the readout flips
+ *  and the histogram build. */
+void
+BM_SampleNoisyCounts(benchmark::State& state)
+{
+    const int width = static_cast<int>(state.range(0));
+    const auto sv = sampling_state(width);
+    const std::vector<double> flips(static_cast<std::size_t>(width), 0.02);
+    Rng rng(11);
+    std::size_t distinct = 0;
+    for (auto _ : state) {
+        const auto counts = sim::sample_noisy_counts(sv, 0.6, flips, 4096, rng);
+        distinct = counts.num_distinct();
+        benchmark::DoNotOptimize(distinct);
+    }
+    state.SetLabel(std::to_string(distinct) + " distinct states");
+}
+BENCHMARK(BM_SampleNoisyCounts)->Arg(16)->Arg(18)
+    ->Unit(benchmark::kMicrosecond);
+
+/** Copying one leaf's histogram (what a reducer finish or a checkpoint
+ *  capture pays per leaf): 4096 uniform shots over 18 qubits, ~4,000
+ *  distinct states. */
+void
+BM_CountsCopy(benchmark::State& state)
+{
+    Rng rng(12);
+    std::vector<std::uint64_t> samples(4096);
+    for (auto& s : samples)
+        s = rng() & low_bits_mask(18);
+    const auto counts = sim::Counts::from_samples(18, samples);
+    for (auto _ : state) {
+        sim::Counts copy = counts;
+        benchmark::DoNotOptimize(copy);
+    }
+    state.SetLabel(std::to_string(counts.num_distinct()) +
+                   " distinct states");
+}
+BENCHMARK(BM_CountsCopy)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "circuit/circuit.h"
 #include "common/error.h"
@@ -308,6 +311,132 @@ TEST(Counts, ReadoutErrorsFlipBits)
             flipped = count;
     }
     EXPECT_NEAR(flipped / 2000.0, 0.5, 0.05);
+}
+
+// ------------------------------------------------------ sampler pin --
+// One FNV-1a digest per register width over everything the sampled path
+// produces: the entries of sample_noisy_counts across survival and
+// readout-flip rates, the entries of from_samples, flip_all_bits, merge
+// and apply_readout_errors, and the bits of expectation, best and
+// total_variation_distance. A storage or sampler change that moves one
+// RNG draw, one entry or one summation order fails here.
+
+class CountsDigest
+{
+  public:
+    void add(std::uint64_t value)
+    {
+        for (int k = 0; k < 8; ++k) {
+            hash_ ^= (value >> (8 * k)) & 0xff;
+            hash_ *= 0x100000001b3ULL;
+        }
+    }
+
+    void add(double value)
+    {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &value, sizeof(bits));
+        add(bits);
+    }
+
+    void add(const Counts& counts)
+    {
+        add(static_cast<std::uint64_t>(counts.num_qubits()));
+        add(counts.total_shots());
+        add(static_cast<std::uint64_t>(counts.num_distinct()));
+        for (const auto& [state, count] : counts.histogram()) {
+            add(state);
+            add(count);
+        }
+    }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/** A non-uniform entangled state: every width samples with repeats. */
+Statevector
+pin_state(int width)
+{
+    Statevector sv(width);
+    for (int q = 0; q < width; ++q) {
+        sv.apply_h(q);
+        sv.apply_ry(q, 0.3 + 0.1 * q);
+    }
+    for (int q = 0; q + 1 < width; ++q)
+        sv.apply_rzz(q, q + 1, 0.7 + 0.05 * q);
+    for (int q = 0; q < width; ++q)
+        sv.apply_rx(q, 0.4);
+    return sv;
+}
+
+ising::IsingModel
+pin_ising(int width, Rng& rng)
+{
+    ising::IsingModel model(width);
+    for (int i = 0; i < width; ++i)
+        model.set_linear(i, rng.uniform(-1.0, 1.0));
+    for (int i = 0; i + 1 < width; ++i)
+        model.add_quadratic(i, i + 1, rng.uniform(-1.0, 1.0));
+    return model;
+}
+
+std::uint64_t
+sampler_digest(int width)
+{
+    CountsDigest d;
+    const auto sv = pin_state(width);
+    Rng model_rng(900 + static_cast<std::uint64_t>(width));
+    const auto model = pin_ising(width, model_rng);
+    std::uint64_t seed = 17 * static_cast<std::uint64_t>(width);
+    for (const double survival : {0.0, 0.6, 1.0}) {
+        for (const double flip : {0.0, 0.02}) {
+            Rng rng(++seed);
+            const auto noisy = sample_noisy_counts(
+                sv, survival, std::vector<double>(width, flip), 4096, rng);
+            d.add(noisy);
+
+            const auto flipped = noisy.flip_all_bits();
+            d.add(flipped);
+            auto merged = noisy;
+            merged.merge(flipped);
+            d.add(merged);
+            const auto readout = apply_readout_errors(
+                noisy, std::vector<double>(width, 0.05), rng);
+            d.add(readout);
+            // Raw shots in draw order, with uniform strays appended.
+            auto samples = sv.sample(300, rng);
+            for (int k = 0; k < 40; ++k)
+                samples.push_back(rng() & ((std::uint64_t{1} << width) - 1));
+            const auto raw = Counts::from_samples(width, samples);
+            d.add(raw);
+
+            d.add(noisy.expectation(model));
+            const auto best = noisy.best(model);
+            d.add(best.cost);
+            d.add(best.state);
+            d.add(best.multiplicity);
+            d.add(noisy.total_variation_distance(readout));
+            d.add(readout.total_variation_distance(raw));
+        }
+    }
+    return d.value();
+}
+
+TEST(Counts, SamplerAndTransformsArePinned)
+{
+    const std::pair<int, std::uint64_t> pins[] = {
+        {1, 0x22a6718986051d7fULL},  {5, 0xbb9f10a165ce219cULL},
+        {12, 0x03edef840599900aULL}, {16, 0x490b63591305d9d5ULL},
+        {18, 0xca9e6ba48c98c7aaULL},
+    };
+    for (const auto& [width, pinned] : pins) {
+        const auto digest = sampler_digest(width);
+        EXPECT_EQ(digest, pinned)
+            << "width " << width << ": 0x" << std::hex << digest;
+    }
 }
 
 TEST(NoiseModel, AttenuationBoundsAndMonotonicity)
