@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <utility>
 
 #include "common/bytes.h"
 #include "common/error.h"
@@ -173,7 +174,7 @@ capture_checkpoint(const WaveRequest& request)
         rec.width = request.tree->leaf_width(leaf_id);
         rec.arm_tag =
             node_kind_info(leaf_arm_kind(*request.tree, leaf_id)).frame_tag;
-        rec.histogram = sim::histogram_entries(counts);
+        rec.histogram = sim::histogram_entries(std::move(counts));
         ck.folded.push_back(std::move(rec));
     }
 

@@ -110,7 +110,7 @@ struct SolveCheckpoint
         int leaf_id = 0;
         int width = 0;
         /** (state, count) pairs in ascending state order — sim::Counts'
-         *  own deterministic map order, so round-trips are exact. */
+         *  own sorted flat storage, so round-trips are exact. */
         sim::HistogramEntries histogram;
         /** NodeKindInfo::frame_tag of the reduction arm (the leaf's
          *  parent node kind) — version 2 wire field. kNoKindTag for

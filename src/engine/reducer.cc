@@ -200,6 +200,7 @@ StreamingReducer::export_folded(std::size_t folded) const
     std::lock_guard<std::mutex> lock(mutex_);
     FQ_REQUIRE(folded <= schedule_.executed.size(),
                "checkpoint export beyond the schedule");
+    FQ_REQUIRE(!finished_, "checkpoint export after finish()");
     std::vector<std::pair<int, sim::Counts>> out;
     out.reserve(folded);
     for (std::size_t k = 0; k < folded; ++k) {
@@ -216,6 +217,8 @@ frozenqubits::SampledSolve
 StreamingReducer::finish()
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    FQ_REQUIRE(!finished_, "finish() called twice");
+    finished_ = true;
 
     // Quantum-only best: scan in leaf order — deterministic regardless of
     // arrival order.
@@ -237,10 +240,11 @@ StreamingReducer::finish()
     out.best_assignment = best.best_assignment;
     out.best_cost = best.best_cost;
     out.from_subproblem = best_leaf;
+    // finish() runs once, so each histogram moves out instead of copying.
     for (int leaf_id : schedule_.executed) {
-        const auto& outcome = outcomes_[static_cast<std::size_t>(leaf_id)];
+        auto& outcome = outcomes_[static_cast<std::size_t>(leaf_id)];
         if (outcome.done)
-            out.distributions.push_back(outcome.counts);
+            out.distributions.push_back(std::move(outcome.counts));
     }
     out.best_quantum_cost = out.best_cost;
     out.best_quantum_leaf = out.from_subproblem;

@@ -108,7 +108,9 @@ class StreamingReducer
     std::vector<std::pair<int, sim::Counts>>
     export_folded(std::size_t folded) const;
 
-    /** Final result; call once after every scheduled leaf folded. */
+    /** Final result; call once after every scheduled leaf folded. The
+     *  folded histograms move into SampledSolve::distributions, so a
+     *  second call (or an export_folded after it) is FQ_REQUIREd against. */
     frozenqubits::SampledSolve finish();
 
   private:
@@ -130,6 +132,7 @@ class StreamingReducer
     mutable std::mutex mutex_;
     std::vector<LeafOutcome> outcomes_; ///< by leaf id
     Incumbent incumbent_;
+    bool finished_ = false;
 };
 
 } // namespace fq::engine

@@ -277,7 +277,7 @@ WorkerServer::serve_connection(Fd client)
 
                 for (std::size_t k = 0; k < allowed; ++k) {
                     const std::int32_t leaf_id = batch.leaf_ids[k];
-                    const Outcome& out = outs[k];
+                    Outcome& out = outs[k];
                     if (out.failed) {
                         write_frame(client.get(), kMsgLeafFailed,
                                     encode_leaf_failed({batch.session_id,
@@ -289,7 +289,8 @@ WorkerServer::serve_connection(Fd client)
                     reply.session_id = batch.session_id;
                     reply.leaf_id = leaf_id;
                     reply.width = out.counts.num_qubits();
-                    reply.histogram = sim::histogram_entries(out.counts);
+                    reply.histogram =
+                        sim::histogram_entries(std::move(out.counts));
                     write_frame(client.get(), kMsgLeafCounts,
                                 encode_leaf_counts(reply));
                 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <numeric>
+#include <utility>
 
 #include "engine/checkpoint.h"
 #include "engine/template_cache.h"
@@ -318,7 +319,7 @@ WorkerPool::execute_wave(const std::vector<engine::WaveSlot>& wave,
             }
             try {
                 if (frame.type == kMsgLeafCounts) {
-                    const auto msg = decode_leaf_counts(frame.payload);
+                    auto msg = decode_leaf_counts(frame.payload);
                     const auto it = entries.find(
                         {msg.session_id, msg.leaf_id});
                     if (it == entries.end())
@@ -330,7 +331,7 @@ WorkerPool::execute_wave(const std::vector<engine::WaveSlot>& wave,
                         throw NetError("net: reply width contradicts the "
                                        "plan");
                     auto counts = sim::checked_counts<NetError>(
-                        msg.width, msg.histogram,
+                        msg.width, std::move(msg.histogram),
                         static_cast<std::uint64_t>(r.shots));
                     entries.erase(it);
                     auto& stat = stats_for(&r);

@@ -1,5 +1,6 @@
 #include "sim/counts.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -7,6 +8,19 @@
 #include "common/error.h"
 
 namespace fq::sim {
+
+namespace {
+
+/** First entry whose state is not below @p state. */
+HistogramEntries::const_iterator
+find_entry(const HistogramEntries& entries, std::uint64_t state)
+{
+    return std::lower_bound(
+        entries.begin(), entries.end(), state,
+        [](const auto& entry, std::uint64_t s) { return entry.first < s; });
+}
+
+} // namespace
 
 Counts::Counts(int num_qubits) : num_qubits_(num_qubits)
 {
@@ -19,17 +33,45 @@ Counts::add(std::uint64_t state, std::uint64_t count)
 {
     FQ_REQUIRE(state < (std::uint64_t(1) << num_qubits_),
                "state exceeds register width");
-    histogram_[state] += count;
+    FQ_REQUIRE(count >= 1, "a histogram entry needs at least one count");
     total_ += count;
+    if (histogram_.empty() || histogram_.back().first < state) {
+        histogram_.emplace_back(state, count);
+        return;
+    }
+    const auto at = histogram_.begin() +
+                    (find_entry(histogram_, state) - histogram_.cbegin());
+    if (at->first == state)
+        at->second += count;
+    else
+        histogram_.emplace(at, state, count);
 }
 
 Counts
-Counts::from_samples(int num_qubits, const std::vector<std::uint64_t>& samples)
+Counts::from_samples(int num_qubits, std::vector<std::uint64_t> samples)
 {
     Counts c(num_qubits);
-    for (auto s : samples)
-        c.add(s);
+    if (samples.empty())
+        return c;
+    std::sort(samples.begin(), samples.end());
+    FQ_REQUIRE(samples.back() < (std::uint64_t(1) << num_qubits),
+               "state exceeds register width");
+    c.total_ = samples.size();
+    for (std::size_t k = 0; k < samples.size();) {
+        std::size_t run = k + 1;
+        while (run < samples.size() && samples[run] == samples[k])
+            ++run;
+        c.histogram_.emplace_back(samples[k], run - k);
+        k = run;
+    }
     return c;
+}
+
+std::uint64_t
+Counts::count(std::uint64_t state) const
+{
+    const auto it = find_entry(histogram_, state);
+    return it != histogram_.end() && it->first == state ? it->second : 0;
 }
 
 double
@@ -66,10 +108,13 @@ Counts::best(const ising::IsingModel& model) const
 Counts
 Counts::flip_all_bits() const
 {
+    // Complementing reverses the state order, so walk backwards.
     Counts out(num_qubits_);
     const std::uint64_t mask = low_bits_mask(num_qubits_);
-    for (const auto& [state, count] : histogram_)
-        out.add((~state) & mask, count);
+    out.total_ = total_;
+    out.histogram_.reserve(histogram_.size());
+    for (auto it = histogram_.rbegin(); it != histogram_.rend(); ++it)
+        out.histogram_.emplace_back((~it->first) & mask, it->second);
     return out;
 }
 
@@ -78,8 +123,24 @@ Counts::merge(const Counts& other)
 {
     FQ_REQUIRE(other.num_qubits_ == num_qubits_,
                "merge requires equal register widths");
-    for (const auto& [state, count] : other.histogram_)
-        add(state, count);
+    HistogramEntries merged;
+    merged.reserve(histogram_.size() + other.histogram_.size());
+    auto a = histogram_.cbegin();
+    auto b = other.histogram_.cbegin();
+    while (a != histogram_.cend() || b != other.histogram_.cend()) {
+        if (b == other.histogram_.cend() ||
+            (a != histogram_.cend() && a->first < b->first)) {
+            merged.push_back(*a++);
+        } else if (a == histogram_.cend() || b->first < a->first) {
+            merged.push_back(*b++);
+        } else {
+            merged.emplace_back(a->first, a->second + b->second);
+            ++a;
+            ++b;
+        }
+    }
+    histogram_ = std::move(merged);
+    total_ += other.total_;
 }
 
 double
@@ -87,10 +148,7 @@ Counts::probability(std::uint64_t state) const
 {
     if (total_ == 0)
         return 0.0;
-    const auto it = histogram_.find(state);
-    return it == histogram_.end()
-        ? 0.0
-        : static_cast<double>(it->second) / static_cast<double>(total_);
+    return static_cast<double>(count(state)) / static_cast<double>(total_);
 }
 
 double
@@ -98,12 +156,30 @@ Counts::total_variation_distance(const Counts& other) const
 {
     FQ_REQUIRE(other.num_qubits_ == num_qubits_,
                "TVD requires equal register widths");
+    const auto share = [](std::uint64_t count, std::uint64_t total) {
+        return total == 0 ? 0.0
+                          : static_cast<double>(count) /
+                                static_cast<double>(total);
+    };
+    // This side's states first, then the other's unmatched ones, each in
+    // ascending order: a fixed summation order.
     double tvd = 0.0;
-    for (const auto& [state, _] : histogram_)
-        tvd += std::abs(probability(state) - other.probability(state));
-    for (const auto& [state, _] : other.histogram_)
-        if (histogram_.find(state) == histogram_.end())
-            tvd += other.probability(state);
+    auto b = other.histogram_.cbegin();
+    for (const auto& [state, count] : histogram_) {
+        while (b != other.histogram_.cend() && b->first < state)
+            ++b;
+        const std::uint64_t theirs =
+            b != other.histogram_.cend() && b->first == state ? b->second
+                                                              : 0;
+        tvd += std::abs(share(count, total_) - share(theirs, other.total_));
+    }
+    auto a = histogram_.cbegin();
+    for (const auto& [state, count] : other.histogram_) {
+        while (a != histogram_.cend() && a->first < state)
+            ++a;
+        if (a == histogram_.cend() || a->first != state)
+            tvd += share(count, other.total_);
+    }
     return tvd / 2.0;
 }
 
@@ -114,17 +190,18 @@ apply_readout_errors(const Counts& counts,
     FQ_REQUIRE(static_cast<int>(flip_probability.size()) ==
                    counts.num_qubits(),
                "need one flip probability per qubit");
-    Counts out(counts.num_qubits());
+    std::vector<std::uint64_t> samples;
+    samples.reserve(counts.total_shots());
     for (const auto& [state, count] : counts.histogram()) {
         for (std::uint64_t k = 0; k < count; ++k) {
             std::uint64_t s = state;
             for (int q = 0; q < counts.num_qubits(); ++q)
                 if (rng.bernoulli(flip_probability[q]))
                     s ^= (std::uint64_t(1) << q);
-            out.add(s);
+            samples.push_back(s);
         }
     }
-    return out;
+    return Counts::from_samples(counts.num_qubits(), std::move(samples));
 }
 
 } // namespace fq::sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "circuit/metrics.h"
 #include "common/error.h"
@@ -257,14 +258,11 @@ sample_noisy_counts(const Statevector& ideal, double state_survival,
     for (int k = ideal_shots; k < shots; ++k)
         samples.push_back(rng() & mask);
 
-    Counts noisy(n);
-    for (std::uint64_t s : samples) {
+    for (std::uint64_t& s : samples)
         for (int q = 0; q < n; ++q)
             if (rng.bernoulli(readout_flip_probability[q]))
                 s ^= (std::uint64_t(1) << q);
-        noisy.add(s);
-    }
-    return noisy;
+    return Counts::from_samples(n, std::move(samples));
 }
 
 double

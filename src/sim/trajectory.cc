@@ -1,6 +1,8 @@
 #include "sim/trajectory.h"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "circuit/metrics.h"
 #include "common/error.h"
@@ -42,7 +44,7 @@ simulate_trajectories(const circuit::Circuit& physical,
         1000.0;
 
     TrajectoryResult result;
-    result.counts = Counts(n);
+    std::vector<std::uint64_t> samples; // every trajectory's shots
     double ev_sum = 0.0;
 
     // E[s] over the physical register, computed once and dotted with each
@@ -104,16 +106,17 @@ simulate_trajectories(const circuit::Circuit& physical,
 
         ev_sum += energy.expectation(sv);
 
-        auto samples = sv.sample(config.shots_per_trajectory, rng);
-        for (std::uint64_t s : samples) {
-            if (config.apply_readout_errors) {
+        const std::size_t first = samples.size();
+        const auto drawn = sv.sample(config.shots_per_trajectory, rng);
+        samples.insert(samples.end(), drawn.begin(), drawn.end());
+        if (config.apply_readout_errors) {
+            for (std::size_t k = first; k < samples.size(); ++k)
                 for (int q = 0; q < n; ++q)
                     if (rng.bernoulli(calibration.qubit(q).readout_error))
-                        s ^= (std::uint64_t(1) << q);
-            }
-            result.counts.add(s);
+                        samples[k] ^= (std::uint64_t(1) << q);
         }
     }
+    result.counts = Counts::from_samples(n, std::move(samples));
 
     // Readout attenuation applies to the sampled counts automatically; for
     // the analytic EV average we fold it in explicitly so the two report

@@ -302,6 +302,8 @@ TEST(HistogramCheck, AcceptsOnlyShotsShotSamples)
     rejects(3, {{0, 63}});          // short of the shots
     rejects(3, {{0, 65}});          // past the shots
     rejects(3, {{0, ~std::uint64_t{0}}, {1, 65}}); // wraps to 64
+    rejects(3, {{1, 32}, {1, 32}}); // duplicate state
+    rejects(3, {{6, 24}, {1, 40}}); // states out of order
 }
 
 } // namespace

@@ -556,7 +556,13 @@ TEST(Distributed, WorkerSurvivesManyShortLivedConnections)
 class LyingWorker
 {
   public:
-    enum class Lie { StateBeyondWidth, ZeroCount, ShotMismatch, SumOverflow };
+    enum class Lie {
+        StateBeyondWidth,
+        ZeroCount,
+        ShotMismatch,
+        SumOverflow,
+        Unsorted
+    };
 
     explicit LyingWorker(Lie lie)
         : address_(unique_address()), listen_fd_(net::listen_on(address_)),
@@ -585,6 +591,8 @@ class LyingWorker
             return {{0, shots + 1}};
         case Lie::SumOverflow: // wraps to exactly `shots` unchecked
             return {{0, ~std::uint64_t{0}}, {1, shots + 1}};
+        case Lie::Unsorted: // one state listed twice; sums to `shots`
+            return {{1, shots / 2}, {1, shots - shots / 2}};
         }
         return {};
     }
@@ -676,7 +684,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(LyingWorker::Lie::StateBeyondWidth,
                       LyingWorker::Lie::ZeroCount,
                       LyingWorker::Lie::ShotMismatch,
-                      LyingWorker::Lie::SumOverflow));
+                      LyingWorker::Lie::SumOverflow,
+                      LyingWorker::Lie::Unsorted));
 
 TEST(Distributed, BadAddressFailsAtStartup)
 {

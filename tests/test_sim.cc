@@ -273,9 +273,9 @@ TEST(Counts, FlipAllBitsAtTheRegisterWidthBoundary)
 
     const auto flipped = c.flip_all_bits();
     EXPECT_EQ(flipped.total_shots(), 6u);
-    EXPECT_EQ(flipped.histogram().at(all), 3u);
-    EXPECT_EQ(flipped.histogram().at(all ^ high), 2u);
-    EXPECT_EQ(flipped.histogram().at(0), 1u);
+    EXPECT_EQ(flipped.count(all), 3u);
+    EXPECT_EQ(flipped.count(all ^ high), 2u);
+    EXPECT_EQ(flipped.count(0), 1u);
     // Involution: flipping twice restores the distribution.
     EXPECT_EQ(flipped.flip_all_bits().histogram(), c.histogram());
 
@@ -283,6 +283,26 @@ TEST(Counts, FlipAllBitsAtTheRegisterWidthBoundary)
     // could not distinguish "state" from "no state" in 64 bits of key).
     EXPECT_THROW(Counts(64), fq::Error);
     EXPECT_THROW(Counts(0), fq::Error);
+}
+
+TEST(Counts, AddKeepsEntriesSortedAndRefusesZeroCounts)
+{
+    Counts c(4);
+    c.add(9, 2);
+    c.add(3);
+    c.add(12);
+    c.add(3, 4);
+    EXPECT_EQ(c.histogram(), (HistogramEntries{{3, 5}, {9, 2}, {12, 1}}));
+    EXPECT_EQ(c.total_shots(), 8u);
+    EXPECT_EQ(c.count(9), 2u);
+    EXPECT_EQ(c.count(4), 0u);
+    EXPECT_EQ(Counts::from_samples(4, {12, 3, 9, 3, 3, 9, 3, 3}).histogram(),
+              c.histogram());
+    // A zero-count entry is no observation; a restore would refuse it.
+    EXPECT_THROW(c.add(5, 0), fq::Error);
+    EXPECT_THROW(c.add(16), fq::Error);
+    EXPECT_THROW(Counts::from_samples(4, {1, 16}), fq::Error);
+    EXPECT_EQ(c.total_shots(), 8u);
 }
 
 TEST(Counts, MergeAndTvd)
