@@ -23,18 +23,16 @@ ms_since(Clock::time_point start)
 }
 
 /**
- * Fill a CircuitStats from a compiled circuit + per-term expectations.
- * @p shared_attenuation / @p shared_eps, when given, replace the O(gates)
- * noise analysis — valid whenever the circuit is an RZ-angle edit of the
- * one they were computed from (angles touch neither quantity).
+ * Fill a CircuitStats from a cached template + per-term expectations. The
+ * template's attenuation and EPS hold for every RZ-angle edit of its
+ * circuit (angles touch neither quantity).
  */
 frozenqubits::CircuitStats
-stats_from_compile(const ising::IsingModel& model, const device::Device& dev,
-                   const transpiler::CompileResult& compiled,
-                   const qaoa::P1OptimizationResult& tuned,
-                   const sim::NoiseAttenuation* shared_attenuation = nullptr,
-                   const double* shared_eps = nullptr)
+stats_from_template(const ising::IsingModel& model,
+                    const CompiledTemplate& tpl,
+                    const qaoa::P1OptimizationResult& tuned)
 {
+    const auto& compiled = tpl.compiled;
     frozenqubits::CircuitStats s;
     s.num_qubits = model.num_spins();
     s.pre_routing_cx = compiled.pre_routing_cx;
@@ -45,20 +43,11 @@ stats_from_compile(const ising::IsingModel& model, const device::Device& dev,
     s.compile_time_ms = compiled.compile_time_ms;
     s.angles = tuned.angles;
     s.ev_ideal = tuned.energy;
-
-    sim::NoiseAttenuation local;
-    if (!shared_attenuation) {
-        local = sim::compute_attenuation(compiled.physical, dev.calibration);
-        shared_attenuation = &local;
-    }
-    s.eps = shared_eps ? *shared_eps
-                       : sim::expected_probability_of_success(
-                             compiled.physical, dev.calibration);
+    s.eps = tpl.eps;
 
     const auto ideal = qaoa::evaluate_p1(model, tuned.angles);
-    s.ev_noisy =
-        sim::noisy_expectation(model, ideal.z, ideal.zz,
-                               *shared_attenuation, compiled.final_layout);
+    s.ev_noisy = sim::noisy_expectation(model, ideal.z, ideal.zz,
+                                        tpl.attenuation, compiled.final_layout);
     return s;
 }
 
@@ -86,9 +75,8 @@ ExecutionEngine::evaluate(const ising::IsingModel& model,
     build.num_layers = 1;
     const auto binding =
         cache_.get_or_bind(model, dev, config.compile, build);
-    const auto& tpl = *binding.family->structural;
-    auto stats = stats_from_compile(model, dev, tpl.compiled, tuned,
-                                    &tpl.attenuation, &tpl.eps);
+    auto stats =
+        stats_from_template(model, *binding.family->structural, tuned);
     if (binding.tier != TemplateTier::Compile)
         stats.compile_time_ms = 0.0; // served from cache, nothing compiled
     return stats;
@@ -97,7 +85,6 @@ ExecutionEngine::evaluate(const ising::IsingModel& model,
 frozenqubits::CircuitStats
 ExecutionEngine::run_task(const ExecutionPlan& plan,
                           const SubProblemTask& task,
-                          const device::Device& dev,
                           const frozenqubits::DriverConfig& config)
 {
     const auto& sub =
@@ -114,9 +101,7 @@ ExecutionEngine::run_task(const ExecutionPlan& plan,
     // (Section 3.7.1), which no reported stat reads — so the stats come
     // straight from the shared entry, with compile time charged only to the
     // task (and run) that actually compiled it.
-    const auto& tpl = *plan.compiled_template;
-    auto stats = stats_from_compile(sub.model, dev, tpl.compiled, tuned,
-                                    &tpl.attenuation, &tpl.eps);
+    auto stats = stats_from_template(sub.model, *plan.compiled_template, tuned);
     if (task.plan_index != 0 || plan.template_cache_hit)
         stats.compile_time_ms = 0.0; // edit / cache hit, not a compile
     return stats;
@@ -160,9 +145,9 @@ ExecutionEngine::run(const ising::IsingModel& model,
         count, [&](int index, BatchExecutor::Scratch&) {
             if (index == 0)
                 return evaluate(model, dev, config);
-            return run_task(plan, plan.tasks[static_cast<std::size_t>(
-                                      index - 1)],
-                            dev, config);
+            return run_task(
+                plan, plan.tasks[static_cast<std::size_t>(index - 1)],
+                config);
         });
 
     const auto baseline = stats.front();

@@ -220,7 +220,6 @@ class ExecutionEngine
 
     frozenqubits::CircuitStats run_task(
         const ExecutionPlan& plan, const SubProblemTask& task,
-        const device::Device& dev,
         const frozenqubits::DriverConfig& config);
 
     /** Shared body of solve() and resume(): plan (replan and restore

@@ -254,6 +254,8 @@ TemplateCache::get_or_bind(const ising::IsingModel& model,
         structural->compiled.physical, dev.calibration);
     structural->readout_flip = readout_flip_for(
         structural->compiled, dev.calibration, model.num_spins());
+    structural->compiled.physical =
+        circuit::Circuit(structural->compiled.physical.num_qubits());
     family->structural = structural;
 
     std::lock_guard<std::mutex> lock(mutex_);

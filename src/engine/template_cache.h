@@ -64,13 +64,17 @@ enum class TemplateTier : std::uint8_t {
 };
 
 /**
- * One cached template: the transpiled circuit plus every noise quantity
+ * One cached template: the transpile result plus every noise quantity
  * that is a pure function of (circuit structure, device) — all shared
  * verbatim by the template's RZ-angle-edited siblings, so computing them
  * once here amortizes them across tasks AND across engine invocations.
  */
 struct CompiledTemplate
 {
+    /** Metrics, layouts and routing counts of the transpile. The cache
+     *  derives the noise quantities below from the routed gate list and
+     *  then drops it (`compiled.physical` keeps only its width): nothing
+     *  reads the gates again, and they were most of an entry's bytes. */
     transpiler::CompileResult compiled;
     sim::NoiseAttenuation attenuation;
     double eps = 0.0; ///< expected probability of success

@@ -57,6 +57,12 @@ Counts::from_samples(int num_qubits, std::vector<std::uint64_t> samples)
     FQ_REQUIRE(samples.back() < (std::uint64_t(1) << num_qubits),
                "state exceeds register width");
     c.total_ = samples.size();
+    // One exact allocation: a histogram outlives its leaf (reducer,
+    // result, checkpoint), so no growth slack or freed steps are left.
+    std::size_t distinct = 1;
+    for (std::size_t k = 1; k < samples.size(); ++k)
+        distinct += samples[k] != samples[k - 1];
+    c.histogram_.reserve(distinct);
     for (std::size_t k = 0; k < samples.size();) {
         std::size_t run = k + 1;
         while (run < samples.size() && samples[run] == samples[k])
