@@ -27,21 +27,20 @@ mix_double(std::uint64_t h, double v)
  *  chain). */
 constexpr std::uint64_t kVerifySalt = 0x5bf0f5163ad2ab1dull;
 
-/** Rough per-template footprint: the two circuit copies (logical-structure
- *  metrics are scalars), the layout and noise vectors. Estimation only —
- *  feeds the --stats byte report, not an eviction decision. */
+/** Rough per-template footprint: the transpile's scalars, the layout and
+ *  noise vectors (the routed gate list is not kept). Feeds the --stats
+ *  byte report and the family byte budget. */
 std::size_t
 template_entry_bytes(const CompiledTemplate& tpl)
 {
     std::size_t bytes = sizeof(CompiledTemplate);
-    bytes += tpl.compiled.physical.size() * sizeof(circuit::Gate);
     bytes += tpl.compiled.final_layout.size() * sizeof(int);
     bytes += tpl.readout_flip.size() * sizeof(double);
     return bytes;
 }
 
-/** Byte budget for family structures. These hold compiled circuits and
- *  noise arrays, never 2^n tables. */
+/** Byte budget for family structures. These hold transpile metrics,
+ *  layouts and noise arrays, never gate lists or 2^n tables. */
 constexpr std::size_t kMaxFamilyBytes = std::size_t(64) << 20;
 
 /** Per-logical-qubit readout-flip probabilities under @p compiled's

@@ -196,7 +196,7 @@ class TemplateCache
     Stats stats() const;
     /**
      * Estimated bytes currently held: each family structure's estimate
-     * (compiled circuit, noise arrays). Cheap enough to poll
+     * (transpile metrics, layouts, noise arrays). Cheap enough to poll
      * from a --stats report after every solve.
      */
     std::size_t bytes() const;
