@@ -12,8 +12,9 @@ namespace fq::sim {
 namespace {
 
 /** First entry whose state is not below @p state. */
-HistogramEntries::const_iterator
-find_entry(const HistogramEntries& entries, std::uint64_t state)
+template <typename Entries>
+auto
+find_entry(Entries& entries, std::uint64_t state)
 {
     return std::lower_bound(
         entries.begin(), entries.end(), state,
@@ -39,8 +40,7 @@ Counts::add(std::uint64_t state, std::uint64_t count)
         histogram_.emplace_back(state, count);
         return;
     }
-    const auto at = histogram_.begin() +
-                    (find_entry(histogram_, state) - histogram_.cbegin());
+    const auto at = find_entry(histogram_, state);
     if (at->first == state)
         at->second += count;
     else
