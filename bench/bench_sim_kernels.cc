@@ -13,7 +13,8 @@
  * Also times one freeze leaf's weight-table build (the per-leaf table
  * bind) at 16/18/20 qubits and gates its weights, bit for bit, against
  * the per-term per-state sum, and the per-leaf histogram: noisy sampling
- * into counts at 16/18 qubits and one ~4,000-state histogram copy.
+ * into counts at 16/18 qubits (warm and cold CDF), the decode argmin over
+ * one leaf histogram and one ~4,000-state histogram copy.
  *
  * Emits BENCH_sim_kernels.json (machine-readable: per-path ms/eval,
  * speedups, max amplitude deviation, table-build ms) so the perf
@@ -721,6 +722,51 @@ BM_SampleNoisyCounts(benchmark::State& state)
     state.SetLabel(std::to_string(distinct) + " distinct states");
 }
 BENCHMARK(BM_SampleNoisyCounts)->Arg(16)->Arg(18)
+    ->Unit(benchmark::kMicrosecond);
+
+/** BM_SampleNoisyCounts with a cold CDF, as a leaf samples: writing through
+ *  data() invalidates it each iteration, so this also times the CDF and
+ *  guide-table build. */
+void
+BM_SampleNoisyCountsCold(benchmark::State& state)
+{
+    const int width = static_cast<int>(state.range(0));
+    auto sv = sampling_state(width);
+    const std::vector<double> flips(static_cast<std::size_t>(width), 0.02);
+    Rng rng(11);
+    std::size_t distinct = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(sv.data());
+        const auto counts = sim::sample_noisy_counts(sv, 0.6, flips, 4096, rng);
+        distinct = counts.num_distinct();
+        benchmark::DoNotOptimize(distinct);
+    }
+    state.SetLabel(std::to_string(distinct) + " distinct states");
+}
+BENCHMARK(BM_SampleNoisyCountsCold)->Arg(16)->Arg(18)
+    ->Unit(benchmark::kMicrosecond);
+
+/** A leaf's decode argmin (Counts::best, what the reducer's fold ranks by)
+ *  over one 4096-shot noisy histogram of a freeze leaf: arg 16 = n=20
+ *  freeze-4, arg 18 = n=22 freeze-4, as in BM_OptimizeP1. */
+void
+BM_DecodeHistogram(benchmark::State& state)
+{
+    const int width = static_cast<int>(state.range(0));
+    const auto model = bench::ba_model(width + 4, 3, 3);
+    Rng rng(0);
+    const auto spots = frozenqubits::select_hotspots(
+        model, 4, frozenqubits::HotspotPolicy::MaxDegree, rng);
+    const auto leaf = frozenqubits::freeze_all(model, spots)[1].model;
+    const std::vector<double> flips(static_cast<std::size_t>(width), 0.02);
+    const auto counts = sim::sample_noisy_counts(sampling_state(width), 0.6,
+                                                 flips, 4096, rng);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(counts.best(leaf));
+    state.SetLabel(std::to_string(counts.num_distinct()) + " states, " +
+                   std::to_string(leaf.num_quadratic_terms()) + " terms");
+}
+BENCHMARK(BM_DecodeHistogram)->Arg(16)->Arg(18)
     ->Unit(benchmark::kMicrosecond);
 
 /** Copying one leaf's histogram (what a reducer finish or a checkpoint

@@ -43,15 +43,17 @@ subproblem_stream_seed(std::uint64_t seed, std::uint64_t subproblem_index)
     return splitmix64(s);
 }
 
-namespace {
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
+std::uint64_t
+bernoulli_threshold(double p)
 {
-    return (x << k) | (x >> (64 - k));
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return std::uint64_t{1} << 53;
+    // p * 2^53 is exact (a power-of-two scale) and below 2^53, so its
+    // ceiling is an exact integer.
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
-
-} // namespace
 
 Rng::Rng(std::uint64_t seed)
 {
@@ -66,27 +68,6 @@ Rng
 Rng::fork(std::uint64_t salt)
 {
     return Rng(combine_seeds((*this)(), salt));
-}
-
-Rng::result_type
-Rng::operator()()
-{
-    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> uniform in [0, 1).
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double

@@ -41,6 +41,14 @@ std::uint64_t subproblem_stream_seed(std::uint64_t seed,
                                      std::uint64_t subproblem_index);
 
 /**
+ * The integer form of a Bernoulli(@p p) draw. uniform() is
+ * (x >> 11) * 2^-53, so uniform() < p holds exactly when
+ * (x >> 11) < ceil(p * 2^53): p <= 0 and NaN give 0 (never true), p >= 1
+ * gives 2^53 (always true).
+ */
+std::uint64_t bernoulli_threshold(double p);
+
+/**
  * xoshiro256++ pseudo-random generator with convenience samplers.
  *
  * Satisfies UniformRandomBitGenerator, so it can also feed <random>
@@ -59,11 +67,28 @@ class Rng
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~0ull; }
 
-    /** Next raw 64 random bits. */
-    result_type operator()();
+    /** Next raw 64 random bits (one xoshiro256++ step). */
+    result_type
+    operator()()
+    {
+        const std::uint64_t result =
+            rotl(state_[0] + state_[3], 23) + state_[0];
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+        return result;
+    }
 
-    /** Uniform double in [0, 1). */
-    double uniform();
+    /** Uniform double in [0, 1): 53 random mantissa bits. */
+    double
+    uniform()
+    {
+        return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -82,6 +107,17 @@ class Rng
 
     /** Bernoulli draw with probability p of true. */
     bool bernoulli(double p);
+
+    /**
+     * The same draw as bernoulli(p) for @p threshold =
+     * bernoulli_threshold(p): one step, compared without a call or a
+     * conversion to double.
+     */
+    bool
+    bernoulli_below(std::uint64_t threshold)
+    {
+        return ((*this)() >> 11) < threshold;
+    }
 
     /** Random sign: -1 or +1 with equal probability. */
     int sign();
@@ -102,6 +138,12 @@ class Rng
                                                         std::size_t k);
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<std::uint64_t, 4> state_;
     double cached_normal_ = 0.0;
     bool has_cached_normal_ = false;

@@ -82,24 +82,16 @@ StreamingReducer::decode(int leaf_id, sim::Counts counts) const
 
     LeafOutcome out;
     out.done = true;
+    if (counts.num_distinct() == 0) {
+        out.counts = std::move(counts);
+        return out;
+    }
 
     // Argmin over the histogram by SUB-MODEL cost: for freeze lineages the
     // offset bookkeeping makes this exactly the original-model cost of the
     // lifted outcome, at O(sub terms) per state instead of O(N + |J|).
-    bool have_state = false;
-    std::uint64_t best_state = 0;
-    double best_sub_cost = std::numeric_limits<double>::infinity();
-    for (const auto& [state, _] : counts.histogram()) {
-        const double cost = sub.model.evaluate_state(state);
-        if (!have_state || cost < best_sub_cost) {
-            have_state = true;
-            best_state = state;
-            best_sub_cost = cost;
-        }
-    }
+    const std::uint64_t best_state = counts.best(sub.model).state;
     out.counts = std::move(counts);
-    if (!have_state)
-        return out;
 
     out.best_assignment =
         lift_leaf_state(tree_, leaf, best_state, base_);

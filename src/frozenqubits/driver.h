@@ -28,6 +28,11 @@
 
 namespace fq::frozenqubits {
 
+/** Range of DriverConfig::p1_grid_resolution. A grid of g points per axis
+ *  costs g^2 landscape evaluations per leaf. */
+constexpr int kMinP1GridResolution = 2;
+constexpr int kMaxP1GridResolution = 1024;
+
 /**
  * Driver configuration. Leaf execution has no knobs here: every
  * executable leaf simulates through the fused QAOA path (weight tables
@@ -41,7 +46,10 @@ struct DriverConfig
     HotspotPolicy policy = HotspotPolicy::MaxDegree;
     bool symmetry_pruning = true;            ///< Section 3.7.2
     transpiler::CompileOptions compile{};
-    int p1_grid_resolution = 32;             ///< angle-search coarse grid
+    /** Angle-search coarse grid, points per axis, in
+     *  [kMinP1GridResolution, kMaxP1GridResolution]; a worker refuses a
+     *  session outside that range. */
+    int p1_grid_resolution = 32;
     std::uint64_t seed = 7;
     /**
      * Worker threads for the execution engine: <= 0 = auto (hardware

@@ -1,6 +1,7 @@
 #include "ising/io.h"
 
 #include <sstream>
+#include <string>
 
 #include "common/error.h"
 
@@ -52,6 +53,9 @@ read_model(std::istream& is)
             int n = -1;
             FQ_REQUIRE(static_cast<bool>(tokens >> n) && n >= 1,
                        "malformed header" + context);
+            FQ_REQUIRE(n <= kMaxSpins,
+                       "spin count " + std::to_string(n) + " exceeds " +
+                           std::to_string(kMaxSpins) + context);
             model = IsingModel(n);
             have_header = true;
         } else if (keyword == "offset") {

@@ -2,12 +2,32 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "common/bitops.h"
 #include "common/error.h"
 
 namespace fq::ising {
+
+namespace {
+
+/**
+ * @p coefficient times the spin of bit 0 of @p bits (1 -> -1): the sign
+ * bit flipped, which is what the product by -1 gives for every non-NaN
+ * coefficient, signed zeros included.
+ */
+inline double
+signed_by(double coefficient, std::uint64_t bits)
+{
+    std::uint64_t raw;
+    std::memcpy(&raw, &coefficient, sizeof raw);
+    raw ^= bits << 63;
+    std::memcpy(&coefficient, &raw, sizeof raw);
+    return coefficient;
+}
+
+} // namespace
 
 IsingModel::IsingModel(int num_spins)
 {
@@ -134,11 +154,41 @@ IsingModel::evaluate_state(std::uint64_t state) const
 {
     double c = offset_;
     for (int i = 0; i < num_spins(); ++i)
-        c += linear_[i] * spin_of_bit(state, i);
+        c += signed_by(linear_[i], state >> i);
     for (const auto& term : quadratic_)
-        c += term.coefficient * spin_of_bit(state, term.i) *
-             spin_of_bit(state, term.j);
+        c += signed_by(term.coefficient,
+                       (state >> term.i) ^ (state >> term.j));
     return c;
+}
+
+void
+IsingModel::evaluate_states(const std::uint64_t* states, std::size_t count,
+                            double* out) const
+{
+    constexpr std::size_t kBlock = 8;
+    std::size_t k = 0;
+    for (; k + kBlock <= count; k += kBlock) {
+        std::uint64_t s[kBlock];
+        double c[kBlock];
+        for (std::size_t l = 0; l < kBlock; ++l) {
+            s[l] = states[k + l];
+            c[l] = offset_;
+        }
+        for (int i = 0; i < num_spins(); ++i) {
+            const double h = linear_[i];
+            for (std::size_t l = 0; l < kBlock; ++l)
+                c[l] += signed_by(h, s[l] >> i);
+        }
+        for (const auto& term : quadratic_) {
+            const double w = term.coefficient;
+            for (std::size_t l = 0; l < kBlock; ++l)
+                c[l] += signed_by(w, (s[l] >> term.i) ^ (s[l] >> term.j));
+        }
+        for (std::size_t l = 0; l < kBlock; ++l)
+            out[k + l] = c[l];
+    }
+    for (; k < count; ++k)
+        out[k] = evaluate_state(states[k]);
 }
 
 double

@@ -14,6 +14,7 @@
 #ifndef FQ_ISING_ISING_MODEL_H
 #define FQ_ISING_ISING_MODEL_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -22,6 +23,10 @@
 #include "graph/graph.h"
 
 namespace fq::ising {
+
+/** Widest model the text format and the wire accept: a larger spin count
+ *  from outside the process is refused before anything is allocated. */
+constexpr int kMaxSpins = 1 << 20;
 
 /** Spin assignment; entries are -1 or +1. */
 using SpinVector = std::vector<std::int8_t>;
@@ -93,6 +98,14 @@ class IsingModel
 
     /** Evaluate C at the basis state encoded in @p state (bit=1 -> -1). */
     double evaluate_state(std::uint64_t state) const;
+
+    /**
+     * out[k] = evaluate_state(states[k]) for k < @p count, bit for bit:
+     * eight states run at a time as independent sums, each adding its
+     * terms in evaluate_state's order.
+     */
+    void evaluate_states(const std::uint64_t* states, std::size_t count,
+                         double* out) const;
 
     /**
      * Cost change from flipping spin @p k in assignment @p z:

@@ -46,7 +46,7 @@ ising::IsingModel
 get_model(Reader& in)
 {
     const std::int32_t n = in.i32();
-    if (n < 0 || n > 1 << 20)
+    if (n < 0 || n > ising::kMaxSpins)
         throw NetError("net: implausible model spin count");
     ising::IsingModel model(n);
     for (std::int32_t i = 0; i < n; ++i)
@@ -120,6 +120,12 @@ get_config(Reader& in)
     config.compile.run_optimization_passes = in.u8() != 0;
     config.compile.decompose_swaps = in.u8() != 0;
     config.p1_grid_resolution = in.i32();
+    if (config.p1_grid_resolution < frozenqubits::kMinP1GridResolution ||
+        config.p1_grid_resolution > frozenqubits::kMaxP1GridResolution)
+        throw NetError("net: config carries a p1 grid resolution outside " +
+                       std::to_string(frozenqubits::kMinP1GridResolution) +
+                       ".." +
+                       std::to_string(frozenqubits::kMaxP1GridResolution));
     config.seed = in.u64();
     config.max_depth = in.i32();
     config.max_circuits = in.i64();

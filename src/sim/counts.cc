@@ -1,8 +1,9 @@
 #include "sim/counts.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <limits>
+#include <utility>
 
 #include "common/bitops.h"
 #include "common/error.h"
@@ -19,6 +20,59 @@ find_entry(Entries& entries, std::uint64_t state)
     return std::lower_bound(
         entries.begin(), entries.end(), state,
         [](const auto& entry, std::uint64_t s) { return entry.first < s; });
+}
+
+/**
+ * Sort @p keys, all below 2^@p width, ascending: LSD radix over 8-bit
+ * digits, skipping a digit that every key shares. Keys are plain integers,
+ * so the order is the one std::sort gives.
+ */
+void
+radix_sort(std::vector<std::uint64_t>& keys, int width)
+{
+    constexpr int kDigitBits = 8;
+    constexpr std::size_t kRadix = std::size_t{1} << kDigitBits;
+    const int digits = (width + kDigitBits - 1) / kDigitBits;
+    std::array<std::array<std::size_t, kRadix>, 8> offsets{};
+    for (const std::uint64_t key : keys)
+        for (int d = 0; d < digits; ++d)
+            ++offsets[d][(key >> (kDigitBits * d)) & (kRadix - 1)];
+    std::vector<std::uint64_t> buffer(keys.size());
+    for (int d = 0; d < digits; ++d) {
+        const int shift = kDigitBits * d;
+        auto& offset = offsets[d];
+        if (offset[(keys[0] >> shift) & (kRadix - 1)] == keys.size())
+            continue;
+        std::size_t next = 0;
+        for (std::size_t& slot : offset)
+            next += std::exchange(slot, next);
+        for (const std::uint64_t key : keys)
+            buffer[offset[(key >> shift) & (kRadix - 1)]++] = key;
+        keys.swap(buffer);
+    }
+}
+
+/**
+ * Call @p visit(entry, cost) for each entry in state order, with cost =
+ * model.evaluate_state(entry.first) taken from the blocked evaluate_states
+ * one chunk at a time.
+ */
+template <typename Visit>
+void
+visit_costs(const ising::IsingModel& model, const HistogramEntries& entries,
+            Visit&& visit)
+{
+    constexpr std::size_t kChunk = 64;
+    std::uint64_t states[kChunk];
+    double costs[kChunk];
+    for (std::size_t base = 0; base < entries.size(); base += kChunk) {
+        const std::size_t len = std::min(kChunk, entries.size() - base);
+        for (std::size_t k = 0; k < len; ++k)
+            states[k] = entries[base + k].first;
+        model.evaluate_states(states, len, costs);
+        for (std::size_t k = 0; k < len; ++k)
+            visit(entries[base + k], costs[k]);
+    }
 }
 
 } // namespace
@@ -53,9 +107,11 @@ Counts::from_samples(int num_qubits, std::vector<std::uint64_t> samples)
     Counts c(num_qubits);
     if (samples.empty())
         return c;
-    std::sort(samples.begin(), samples.end());
-    FQ_REQUIRE(samples.back() < (std::uint64_t(1) << num_qubits),
-               "state exceeds register width");
+    std::uint64_t bits = 0;
+    for (const std::uint64_t s : samples)
+        bits |= s;
+    FQ_REQUIRE(bits >> num_qubits == 0, "state exceeds register width");
+    radix_sort(samples, num_qubits);
     c.total_ = samples.size();
     // One exact allocation: a histogram outlives its leaf (reducer,
     // result, checkpoint), so no growth slack or freed steps are left.
@@ -87,8 +143,9 @@ Counts::expectation(const ising::IsingModel& model) const
                "Hamiltonian width must match register width");
     FQ_REQUIRE(total_ > 0, "expectation of an empty distribution");
     double ev = 0.0;
-    for (const auto& [state, count] : histogram_)
-        ev += static_cast<double>(count) * model.evaluate_state(state);
+    visit_costs(model, histogram_, [&](const auto& entry, double cost) {
+        ev += static_cast<double>(entry.second) * cost;
+    });
     return ev / static_cast<double>(total_);
 }
 
@@ -99,15 +156,13 @@ Counts::best(const ising::IsingModel& model) const
                "Hamiltonian width must match register width");
     FQ_REQUIRE(total_ > 0, "best of an empty distribution");
     BestOutcome out;
-    out.cost = std::numeric_limits<double>::infinity();
-    for (const auto& [state, count] : histogram_) {
-        const double c = model.evaluate_state(state);
-        if (c < out.cost) {
-            out.cost = c;
-            out.state = state;
-            out.multiplicity = count;
+    bool have = false;
+    visit_costs(model, histogram_, [&](const auto& entry, double cost) {
+        if (!have || cost < out.cost) {
+            have = true;
+            out = {cost, entry.first, entry.second};
         }
-    }
+    });
     return out;
 }
 
@@ -189,6 +244,26 @@ Counts::total_variation_distance(const Counts& other) const
     return tvd / 2.0;
 }
 
+void
+flip_readout_bits(std::vector<std::uint64_t>& samples,
+                  const std::vector<double>& flip_probability, Rng& rng)
+{
+    std::vector<std::uint64_t> thresholds;
+    thresholds.reserve(flip_probability.size());
+    for (const double p : flip_probability)
+        thresholds.push_back(bernoulli_threshold(p));
+    // Draw from a local copy: its state stays in registers instead of
+    // being stored around every write that might alias it.
+    Rng local = rng;
+    for (std::uint64_t& s : samples) {
+        std::uint64_t flips = 0;
+        for (std::size_t q = 0; q < thresholds.size(); ++q)
+            flips |= std::uint64_t{local.bernoulli_below(thresholds[q])} << q;
+        s ^= flips;
+    }
+    rng = local;
+}
+
 Counts
 apply_readout_errors(const Counts& counts,
                      const std::vector<double>& flip_probability, Rng& rng)
@@ -198,15 +273,9 @@ apply_readout_errors(const Counts& counts,
                "need one flip probability per qubit");
     std::vector<std::uint64_t> samples;
     samples.reserve(counts.total_shots());
-    for (const auto& [state, count] : counts.histogram()) {
-        for (std::uint64_t k = 0; k < count; ++k) {
-            std::uint64_t s = state;
-            for (int q = 0; q < counts.num_qubits(); ++q)
-                if (rng.bernoulli(flip_probability[q]))
-                    s ^= (std::uint64_t(1) << q);
-            samples.push_back(s);
-        }
-    }
+    for (const auto& [state, count] : counts.histogram())
+        samples.insert(samples.end(), count, state);
+    flip_readout_bits(samples, flip_probability, rng);
     return Counts::from_samples(counts.num_qubits(), std::move(samples));
 }
 

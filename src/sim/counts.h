@@ -36,9 +36,9 @@ Counts checked_counts(int width, HistogramEntries entries,
 
 /**
  * Histogram of measured basis states over a fixed register width, held as
- * sorted flat entries. Build bulk input with from_samples (one sort and a
- * run-length merge); add() appends in O(1) when states arrive in ascending
- * order and costs O(distinct) per call otherwise.
+ * sorted flat entries. Build bulk input with from_samples (one radix sort
+ * and a run-length merge); add() appends in O(1) when states arrive in
+ * ascending order and costs O(distinct) per call otherwise.
  */
 class Counts
 {
@@ -51,8 +51,8 @@ class Counts
     /** Add @p count >= 1 observations of @p state. */
     void add(std::uint64_t state, std::uint64_t count = 1);
 
-    /** Build from raw samples in any order: sorts them once and merges
-     *  equal runs. */
+    /** Build from raw samples in any order: one radix sort over the
+     *  register width, then a merge of equal runs. */
     static Counts from_samples(int num_qubits,
                                std::vector<std::uint64_t> samples);
 
@@ -66,7 +66,9 @@ class Counts
     /** Empirical expectation of C(z) under @p model. */
     double expectation(const ising::IsingModel& model) const;
 
-    /** Lowest observed cost and the corresponding assignment. */
+    /** Lowest observed cost and the corresponding assignment: the first
+     *  minimum in state order, the first entry standing even when its
+     *  cost is NaN or +inf. */
     struct BestOutcome
     {
         double cost = 0.0;
@@ -101,6 +103,14 @@ class Counts
     std::uint64_t total_ = 0;
     HistogramEntries histogram_;
 };
+
+/**
+ * Flip bit q of each sample with probability @p flip_probability[q]: the
+ * draws and outcomes of rng.bernoulli(flip_probability[q]) per sample and
+ * qubit, qubit 0 first, tested as integer thresholds without a branch.
+ */
+void flip_readout_bits(std::vector<std::uint64_t>& samples,
+                       const std::vector<double>& flip_probability, Rng& rng);
 
 /** Flip each bit of each sample independently with its readout-error
  *  probability (per-qubit), modeling measurement errors. */

@@ -249,19 +249,16 @@ sample_noisy_counts(const Statevector& ideal, double state_survival,
                "need one readout error per qubit");
 
     // Draw the ideal-distribution shots in one batch (cheaper CDF reuse).
+    const std::uint64_t survives = bernoulli_threshold(state_survival);
     int ideal_shots = 0;
     for (int k = 0; k < shots; ++k)
-        if (rng.bernoulli(state_survival))
-            ++ideal_shots;
+        ideal_shots += rng.bernoulli_below(survives);
     std::vector<std::uint64_t> samples = ideal.sample(ideal_shots, rng);
     const std::uint64_t mask = (std::uint64_t(1) << n) - 1;
     for (int k = ideal_shots; k < shots; ++k)
         samples.push_back(rng() & mask);
 
-    for (std::uint64_t& s : samples)
-        for (int q = 0; q < n; ++q)
-            if (rng.bernoulli(readout_flip_probability[q]))
-                s ^= (std::uint64_t(1) << q);
+    flip_readout_bits(samples, readout_flip_probability, rng);
     return Counts::from_samples(n, std::move(samples));
 }
 

@@ -2,12 +2,38 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/bitops.h"
 #include "common/error.h"
 #include "sim/kernels.h"
 
 namespace fq::sim {
+
+namespace {
+
+/**
+ * The first index in [lo, hi) whose value is not below @p u, else hi:
+ * std::lower_bound's answer on an ascending NaN-free range, found with a
+ * conditional move per halving instead of a data-dependent branch.
+ */
+std::size_t
+first_not_below(const double* values, std::size_t lo, std::size_t hi,
+                double u)
+{
+    std::size_t n = hi - lo;
+    if (n == 0)
+        return lo;
+    const double* base = values + lo;
+    while (n > 1) {
+        const std::size_t half = n / 2;
+        base = base[half] < u ? base + half : base;
+        n -= half;
+    }
+    return static_cast<std::size_t>(base - values) + (*base < u);
+}
+
+} // namespace
 
 Statevector::Statevector(int num_qubits) : num_qubits_(num_qubits)
 {
@@ -202,30 +228,61 @@ std::vector<std::uint64_t>
 Statevector::sample(int shots, Rng& rng) const
 {
     FQ_REQUIRE(shots >= 0, "negative shot count");
-    // Inverse-CDF sampling; the CDF is built once per state mutation and
-    // reused by every subsequent sample() call.
+    // Inverse-CDF sampling; the CDF and its guide table are built once per
+    // state mutation and reused by every subsequent sample() call.
     if (!cdf_valid_) {
-        cdf_.resize(amps_.size());
+        const std::size_t size = amps_.size();
+        cdf_.resize(size);
+        guide_.resize(kGuideBuckets + 1);
+        // bound is the next bucket's lower edge, then NaN once every
+        // bucket is set: nothing compares >= NaN, so the hot loop tests
+        // one predictable condition per state.
+        std::size_t bucket = 0;
+        double bound = 0.0;
         double acc = 0.0;
-        for (std::size_t s = 0; s < amps_.size(); ++s) {
+        for (std::size_t s = 0; s < size; ++s) {
             acc += std::norm(amps_[s]);
             cdf_[s] = acc;
+            while (acc >= bound) {
+                guide_[bucket++] = static_cast<std::uint32_t>(s);
+                bound = bucket <= kGuideBuckets
+                            ? static_cast<double>(bucket) / kGuideBuckets
+                            : std::numeric_limits<double>::quiet_NaN();
+            }
         }
+        for (; bucket <= kGuideBuckets; ++bucket)
+            guide_[bucket] = static_cast<std::uint32_t>(size);
         cdf_valid_ = true;
     }
     const double total = cdf_.back();
-    const std::uint64_t last = static_cast<std::uint64_t>(cdf_.size()) - 1;
-    std::vector<std::uint64_t> out;
-    out.reserve(shots);
+    // A finite total means every CDF value is finite and ascending, which
+    // the guide needs; a NaN or infinite one searches the whole CDF.
+    const bool guided = std::isfinite(total);
+    const std::size_t last = cdf_.size() - 1;
+    std::vector<std::uint64_t> out(static_cast<std::size_t>(shots));
+    Rng local = rng; // kept in registers, as in flip_readout_bits
     for (int k = 0; k < shots; ++k) {
-        const double u = rng.uniform() * total;
-        const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+        const double u = local.uniform() * total;
+        std::size_t at;
+        if (!guided) {
+            at = static_cast<std::size_t>(
+                std::lower_bound(cdf_.begin(), cdf_.end(), u) - cdf_.begin());
+        } else if (u < 1.0) {
+            // The first index with cdf >= u lies in [guide[b], guide[b+1]]
+            // for b = floor(u * kGuideBuckets), exact as a power-of-two
+            // scale.
+            const auto b = static_cast<std::size_t>(u * kGuideBuckets);
+            at = first_not_below(cdf_.data(), guide_[b], guide_[b + 1], u);
+        } else {
+            at = first_not_below(cdf_.data(), guide_[kGuideBuckets],
+                                 cdf_.size(), u);
+        }
         // Clamp: a draw of exactly u == total (or FP round-up past the
         // final cumulative value) must map to the last state, never one
         // past the end of the distribution.
-        out.push_back(std::min(
-            static_cast<std::uint64_t>(it - cdf_.begin()), last));
+        out[static_cast<std::size_t>(k)] = std::min(at, last);
     }
+    rng = local;
     return out;
 }
 

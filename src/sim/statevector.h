@@ -117,6 +117,9 @@ class Statevector
      * Draw @p shots basis states from the Born distribution. The cumulative
      * distribution is computed on the first call and reused across repeated
      * sample() calls on an unchanged state (any mutation invalidates it).
+     * Each draw is the first state whose cumulative probability reaches
+     * u * total; a guide table over [0, 1) narrows that search to one
+     * bucket without changing the state it finds.
      *
      * Concurrency: const but caching — concurrent sample() calls on ONE
      * instance need external synchronization. The engine gives each worker
@@ -140,8 +143,15 @@ class Statevector
 
     int num_qubits_;
     AmplitudeVector amps_;
+    /** Guide-table buckets: a power of two, so the bucket bounds
+     *  b / kGuideBuckets are exact doubles. */
+    static constexpr std::size_t kGuideBuckets = 4096;
+
     /** Sampling CDF cache; rebuilt lazily after any mutation. */
     mutable std::vector<double> cdf_;
+    /** Built with cdf_: guide_[b] is the first index whose CDF value is at
+     *  least b / kGuideBuckets (cdf_.size() when none is). */
+    mutable std::vector<std::uint32_t> guide_;
     mutable bool cdf_valid_ = false;
 };
 

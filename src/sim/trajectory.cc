@@ -45,6 +45,10 @@ simulate_trajectories(const circuit::Circuit& physical,
 
     TrajectoryResult result;
     std::vector<std::uint64_t> samples; // every trajectory's shots
+    std::vector<double> readout_error(static_cast<std::size_t>(n));
+    for (int q = 0; q < n; ++q)
+        readout_error[static_cast<std::size_t>(q)] =
+            calibration.qubit(q).readout_error;
     double ev_sum = 0.0;
 
     // E[s] over the physical register, computed once and dotted with each
@@ -106,15 +110,10 @@ simulate_trajectories(const circuit::Circuit& physical,
 
         ev_sum += energy.expectation(sv);
 
-        const std::size_t first = samples.size();
-        const auto drawn = sv.sample(config.shots_per_trajectory, rng);
+        auto drawn = sv.sample(config.shots_per_trajectory, rng);
+        if (config.apply_readout_errors)
+            flip_readout_bits(drawn, readout_error, rng);
         samples.insert(samples.end(), drawn.begin(), drawn.end());
-        if (config.apply_readout_errors) {
-            for (std::size_t k = first; k < samples.size(); ++k)
-                for (int q = 0; q < n; ++q)
-                    if (rng.bernoulli(calibration.qubit(q).readout_error))
-                        samples[k] ^= (std::uint64_t(1) << q);
-        }
     }
     result.counts = Counts::from_samples(n, std::move(samples));
 

@@ -7,9 +7,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/bitops.h"
 #include "common/crc32.h"
@@ -153,6 +155,41 @@ TEST(Rng, ForkProducesDistinctStream)
         if (a() == b())
             ++equal;
     EXPECT_LT(equal, 2);
+}
+
+TEST(Rng, BernoulliThresholdDrawsMatchBernoulli)
+{
+    // Same seed, same draws: bernoulli_below(bernoulli_threshold(p)) must
+    // agree with bernoulli(p) on every draw, at the clamps and near the
+    // 2^-53 grid where the ceiling matters.
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    std::vector<double> ps = {0.0,  -0.0, -0.5, std::nan(""), 1.0, 1.5,
+                              tiny, 0x1.0p-53, 0.5, 0.02, 0.6,
+                              std::nextafter(1.0, 0.0),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()};
+    Rng pick(77);
+    for (int k = 0; k < 32; ++k)
+        ps.push_back(pick.uniform());
+    EXPECT_EQ(bernoulli_threshold(0.0), 0u);
+    EXPECT_EQ(bernoulli_threshold(std::nan("")), 0u);
+    EXPECT_EQ(bernoulli_threshold(1.0), std::uint64_t{1} << 53);
+    EXPECT_EQ(bernoulli_threshold(tiny), 1u);
+    for (const double p : ps) {
+        Rng a(5), b(5);
+        const std::uint64_t threshold = bernoulli_threshold(p);
+        for (int k = 0; k < 2000; ++k)
+            ASSERT_EQ(a.bernoulli(p), b.bernoulli_below(threshold))
+                << "p " << p << " draw " << k;
+    }
+    // The grid itself: with x >> 11 == t the draw is exactly t * 2^-53,
+    // so p = t * 2^-53 is false and the next double up is true.
+    for (const std::uint64_t t : {std::uint64_t{1}, std::uint64_t{12345},
+                                  (std::uint64_t{1} << 52) + 3}) {
+        const double on_grid = static_cast<double>(t) * 0x1.0p-53;
+        EXPECT_EQ(bernoulli_threshold(on_grid), t);
+        EXPECT_EQ(bernoulli_threshold(std::nextafter(on_grid, 1.0)), t + 1);
+    }
 }
 
 TEST(Rng, HashSeedStable)

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 #include "graph/generators.h"
 #include "ising/io.h"
@@ -89,6 +91,29 @@ TEST(ModelIo, ErrorsCarryLineNumbers)
     } catch (const Error& e) {
         EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
     }
+}
+
+TEST(ModelIo, RejectsSpinCountAboveTheCapBeforeAllocating)
+{
+    // 2e9 spins would ask IsingModel for tens of GB; the header check
+    // refuses it (and the first count past the cap) with the line named.
+    const std::string headers[] = {
+        "ising 2000000000\n",
+        "# one past the cap\nising " + std::to_string(kMaxSpins + 1) + "\n"};
+    for (const auto& header : headers) {
+        try {
+            parse_model(header);
+            FAIL() << "accepted: " << header;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("exceeds"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find("at line"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(parse_model("ising 3\n").num_spins(), 3);
 }
 
 TEST(ModelIo, CanonicalFormIsStable)

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <vector>
 
+#include "common/bitops.h"
 #include "common/error.h"
 #include "graph/generators.h"
 #include "ising/exact_solver.h"
@@ -57,6 +61,74 @@ TEST(IsingModel, EvaluateStateMatchesSpinVector)
     for (std::uint64_t s = 0; s < 256; ++s) {
         const auto z = state_to_spins(s, 8);
         EXPECT_NEAR(m.evaluate(z), m.evaluate_state(s), 1e-12);
+    }
+}
+
+/** The multiply-by-spin form evaluate_state had before it flipped sign
+ *  bits; kept as the oracle for the fast path. */
+double
+evaluate_state_by_product(const IsingModel& m, std::uint64_t state)
+{
+    double c = m.offset();
+    for (int i = 0; i < m.num_spins(); ++i)
+        c += m.linear_terms()[static_cast<std::size_t>(i)] *
+             spin_of_bit(state, i);
+    for (const auto& term : m.quadratic_terms())
+        c += term.coefficient * spin_of_bit(state, term.i) *
+             spin_of_bit(state, term.j);
+    return c;
+}
+
+bool
+same_bits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(IsingModel, BlockedEvaluationIsBitwiseTheProductForm)
+{
+    Rng rng(33);
+    // +-1, Gaussian, and signed-zero coefficients (0.0 * -1 is -0.0).
+    const std::function<double()> draws[] = {
+        [&] { return static_cast<double>(rng.sign()); },
+        [&] { return rng.normal(); },
+        [&] { return rng.bernoulli(0.5) ? 0.0 : -0.0; },
+    };
+    for (const auto& draw : draws) {
+        for (const int width : {1, 63}) {
+            IsingModel m(width);
+            for (int i = 0; i < width; ++i)
+                m.set_linear(i, draw());
+            for (int i = 0; i + 1 < width; ++i)
+                m.add_quadratic(i, i + 1, draw());
+            for (int k = 0; k < width; ++k) {
+                const int i = static_cast<int>(rng.uniform_int(
+                    static_cast<std::uint64_t>(width)));
+                const int j = static_cast<int>(rng.uniform_int(
+                    static_cast<std::uint64_t>(width)));
+                if (i != j)
+                    m.add_quadratic(i, j, draw());
+            }
+            m.set_offset(draw());
+            for (const std::size_t count : {0u, 7u, 8u, 9u}) {
+                std::vector<std::uint64_t> states(count);
+                for (auto& s : states)
+                    s = rng() & low_bits_mask(width);
+                std::vector<double> got(count + 1, 42.0);
+                m.evaluate_states(states.data(), count, got.data());
+                for (std::size_t k = 0; k < count; ++k) {
+                    const double want =
+                        evaluate_state_by_product(m, states[k]);
+                    EXPECT_TRUE(same_bits(got[k], want))
+                        << "width " << width << " count " << count
+                        << " state " << states[k] << ": " << got[k]
+                        << " vs " << want;
+                    EXPECT_TRUE(
+                        same_bits(m.evaluate_state(states[k]), want));
+                }
+                EXPECT_EQ(got[count], 42.0) << "wrote past count";
+            }
+        }
     }
 }
 

@@ -263,6 +263,33 @@ TEST(NetWire, OpenSessionRejectsOutOfRangeConfigEnums)
         }
 }
 
+TEST(NetWire, OpenSessionRejectsOutOfRangeGridResolution)
+{
+    // A worker's angle search allocates per grid point and evaluates the
+    // grid's square, so the resolution is range-checked at decode.
+    for (const int bad : {1 << 30, 1, 0, -5,
+                          frozenqubits::kMaxP1GridResolution + 1}) {
+        net::OpenSession msg;
+        msg.model = test::ba_model(8, 1, 3);
+        msg.device_name = "ibm-montreal";
+        msg.config.p1_grid_resolution = bad;
+        EXPECT_THROW(
+            net::decode_open_session(net::encode_open_session(msg)),
+            net::NetError)
+            << "resolution " << bad;
+    }
+    for (const int good : {frozenqubits::kMinP1GridResolution, 32,
+                           frozenqubits::kMaxP1GridResolution}) {
+        net::OpenSession msg;
+        msg.model = test::ba_model(8, 1, 3);
+        msg.device_name = "ibm-montreal";
+        msg.config.p1_grid_resolution = good;
+        EXPECT_EQ(net::decode_open_session(net::encode_open_session(msg))
+                      .config.p1_grid_resolution,
+                  good);
+    }
+}
+
 TEST(NetWire, LeafCountsRoundTrip)
 {
     net::LeafCounts msg;

@@ -6,12 +6,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "common/bitops.h"
 #include "common/error.h"
 #include "device/catalog.h"
 #include "graph/generators.h"
@@ -456,6 +461,172 @@ TEST(Counts, SamplerAndTransformsArePinned)
         const auto digest = sampler_digest(width);
         EXPECT_EQ(digest, pinned)
             << "width " << width << ": 0x" << std::hex << digest;
+    }
+}
+
+// ------------------------------------------------- fast-path oracles --
+// The sampler's guided CDF search, the radix histogram build and the
+// threshold readout flips each replace a simpler form kept here; they must
+// give the same states, in the same order, from the same draws.
+
+/** sample() as a plain lower_bound over the whole CDF. */
+std::vector<std::uint64_t>
+sample_by_global_search(const Statevector& sv, int shots, Rng& rng)
+{
+    std::vector<double> cdf(sv.dimension());
+    double acc = 0.0;
+    for (std::uint64_t s = 0; s < sv.dimension(); ++s) {
+        acc += std::norm(sv.data()[s]);
+        cdf[s] = acc;
+    }
+    const double total = cdf.back();
+    std::vector<std::uint64_t> out;
+    for (int k = 0; k < shots; ++k) {
+        const double u = rng.uniform() * total;
+        const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+        out.push_back(std::min<std::uint64_t>(
+            static_cast<std::uint64_t>(it - cdf.begin()), cdf.size() - 1));
+    }
+    return out;
+}
+
+/** A state whose mass sits on a few states between long zero runs, so
+ *  guide buckets start and end inside runs of equal CDF values; the
+ *  squared norm is @p total. */
+Statevector
+clustered_state(int width, double total)
+{
+    Statevector sv(width);
+    auto* amps = sv.data();
+    const std::uint64_t dim = sv.dimension();
+    amps[0] = {0.0, 0.0};
+    const std::uint64_t heavy[] = {0, dim / 3, dim / 3 + 1, dim / 2,
+                                   dim - 5, dim - 1};
+    const double mass[] = {0.3, 0.01, 0.0001, 0.45, 0.2399, 0.0};
+    for (std::size_t k = 0; k < std::size(heavy); ++k)
+        if (heavy[k] < dim) // dim - 5 wraps at the narrowest widths
+            amps[heavy[k]] += std::sqrt(mass[k] * total);
+    // A sprinkle of tiny amplitudes on odd states of the first quarter.
+    for (std::uint64_t s = 1; s < dim / 4; s += 2)
+        amps[s] += 1e-9 * std::sqrt(total);
+    return sv;
+}
+
+TEST(Statevector, GuidedSamplingMatchesAGlobalSearch)
+{
+    std::vector<std::pair<std::string, Statevector>> cases;
+    for (const double total : {1.0, 0.37, 2.9}) {
+        for (const int width : {1, 5, 12, 14}) {
+            cases.emplace_back("clustered " + std::to_string(width) + " x" +
+                                   std::to_string(total),
+                               clustered_state(width, total));
+            Statevector uniform;
+            // Width 12 puts every CDF value exactly on a bucket bound.
+            uniform.reset_uniform(width);
+            for (std::uint64_t s = 0; s < uniform.dimension(); ++s)
+                uniform.data()[s] *= std::sqrt(total);
+            cases.emplace_back("uniform " + std::to_string(width) + " x" +
+                                   std::to_string(total),
+                               uniform);
+        }
+    }
+    cases.emplace_back("pinned 12", pin_state(12));
+    Statevector one_sided(1);
+    cases.emplace_back("width 1 on |0>", one_sided);
+    Statevector zero(3);
+    zero.data()[0] = {0.0, 0.0};
+    cases.emplace_back("all zero", zero);
+    Statevector with_nan(4);
+    with_nan.data()[9] = {std::nan(""), 0.0};
+    cases.emplace_back("nan amplitude", with_nan);
+    Statevector with_inf(4);
+    with_inf.data()[5] = {std::numeric_limits<double>::infinity(), 0.0};
+    cases.emplace_back("inf amplitude", with_inf);
+
+    // At total 1 a draw lands exactly on a bucket bound about once in
+    // 4096, so 50,000 shots reach that edge case many times.
+    for (const auto& [name, sv] : cases) {
+        for (const int shots : {0, 1, 50000}) {
+            Rng a(shots + 3), b(shots + 3);
+            const auto got = sv.sample(shots, a);
+            EXPECT_EQ(got, sample_by_global_search(sv, shots, b))
+                << name << ", " << shots << " shots";
+            EXPECT_EQ(a(), b()) << name << ": draw count differs";
+        }
+    }
+}
+
+/** from_samples as std::sort plus a run-length merge. */
+HistogramEntries
+entries_by_sort(std::vector<std::uint64_t> samples)
+{
+    std::sort(samples.begin(), samples.end());
+    HistogramEntries out;
+    for (const std::uint64_t s : samples) {
+        if (!out.empty() && out.back().first == s)
+            ++out.back().second;
+        else
+            out.emplace_back(s, 1);
+    }
+    return out;
+}
+
+TEST(Counts, RadixHistogramBuildMatchesASort)
+{
+    Rng rng(8);
+    for (const int width : {1, 8, 9, 16, 63}) {
+        const std::uint64_t mask = low_bits_mask(width);
+        std::vector<std::vector<std::uint64_t>> inputs;
+        for (const std::size_t n : {1u, 2u, 300u, 4096u}) {
+            std::vector<std::uint64_t> spread(n), narrow(n);
+            // Narrow: few distinct states that share every high digit.
+            const std::uint64_t high = (rng() & mask) & ~std::uint64_t{0xf};
+            for (std::size_t k = 0; k < n; ++k) {
+                spread[k] = rng() & mask;
+                narrow[k] = high | (rng() & 0xf & mask);
+            }
+            inputs.push_back(spread);
+            inputs.push_back(narrow);
+        }
+        inputs.push_back({mask, 0, mask, 0});
+        for (const auto& samples : inputs) {
+            const auto counts = Counts::from_samples(width, samples);
+            EXPECT_EQ(counts.histogram(), entries_by_sort(samples))
+                << "width " << width << ", " << samples.size() << " samples";
+            EXPECT_EQ(counts.total_shots(), samples.size());
+        }
+        EXPECT_THROW(
+            Counts::from_samples(width, {0, std::uint64_t{1} << width, 1}),
+            Error)
+            << "width " << width;
+    }
+    EXPECT_EQ(Counts::from_samples(5, {}).num_distinct(), 0u);
+}
+
+TEST(Counts, ThresholdReadoutFlipsMatchPerQubitBernoulli)
+{
+    Rng pick(4);
+    for (const int width : {1, 7, 20}) {
+        std::vector<double> flip(static_cast<std::size_t>(width));
+        for (auto& p : flip)
+            p = pick.uniform();
+        flip[0] = width == 1 ? 0.3 : 0.0;
+        if (width > 2) {
+            flip[1] = 1.0;
+            flip[2] = std::nan("");
+        }
+        std::vector<std::uint64_t> samples(500);
+        for (auto& s : samples)
+            s = pick() & low_bits_mask(width);
+        auto want = samples;
+        Rng a(21), b(21);
+        flip_readout_bits(samples, flip, a);
+        for (std::uint64_t& s : want)
+            for (int q = 0; q < width; ++q)
+                if (b.bernoulli(flip[static_cast<std::size_t>(q)]))
+                    s ^= std::uint64_t{1} << q;
+        EXPECT_EQ(samples, want) << "width " << width;
+        EXPECT_EQ(a(), b());
     }
 }
 
